@@ -17,8 +17,8 @@ from .capacity import (BCProductReport, CapacityPair, MCResult, OutcomeFlagEvent
                        mc_capacity_lower_bound, upper_capacity,
                        window_max_event)
 from .engine import (DEFAULT_STATE_CAP, BreveResult, ExpectationPair,
-                     FullVectorPayoff, GenericAutomaton, StateSpaceError,
-                     TerminalSumPayoff, WindowEvent, breve_expectation,
+                     FullVectorPayoff, StateSpaceError, TerminalSumPayoff,
+                     WindowEvent, breve_expectation,
                      evaluate_lower, evaluate_pair, evaluate_upper,
                      sum_lower_mean, sum_upper_mean)
 from .gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,

@@ -351,7 +351,8 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
     """Randomized domination run: exact DP capacities vs every applicable bound.
 
     Case i is generated and checked from the derived stream substream(seed, i),
-    so the report is reproducible and independent of how cases are fanned out.
+    so the report is reproducible.  ``workers`` is kept for API compatibility;
+    every value runs the cases in order on one thread.
     """
     if case_count < 1:
         raise ValueError(f"case_count must be >= 1, got {case_count}")
@@ -369,12 +370,7 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
         dlt = grid.delta_choices[stream.randint(len(grid.delta_choices))]
         return domination_case(model, x, y, p, dlt, case_id=i, **engine_kw)
 
-    if workers <= 1:
-        cases = [one(i) for i in range(case_count)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cases = list(ex.map(one, range(case_count)))
+    cases = [one(i) for i in range(case_count)]
 
     viols = tuple(v for c in cases for v in c.violations)
     return DominationReport(cases=tuple(cases), violations=viols)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import DEFAULT_STATE_CAP, WindowEvent, evaluate_upper
+from .engine import _SIDES, DEFAULT_STATE_CAP, WindowEvent, evaluate_upper
 from .model import SequenceModel
 from .rng import substream
 
@@ -30,14 +30,6 @@ _SIDE_ALIASES = {
 }
 _STAT_ALIASES = {"S": "S", "S_m": "S", "-S": "-S", "-S_m": "-S",
                  "absS": "absS", "|S|": "absS", "|S_m|": "absS"}
-
-_SIDE_FNS = {
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-    "le": lambda a, b: a <= b,
-    "lt": lambda a, b: a < b,
-}
-
 
 @dataclass(frozen=True)
 class CapacityPair:
@@ -96,7 +88,8 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     """Automaton for {exists m in [n, N]: stat(S_m) <side> threshold(m)}.
 
     ``threshold_fn`` may be a constant or a callable of the step index m;
-    state is (lattice partial sum, triggered flag).
+    state is (lattice partial sum, triggered flag).  A NaN threshold raises
+    ``ValueError``; ``±inf`` gives the sure or the never event.
     """
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
@@ -106,13 +99,11 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
         thr = threshold_fn
     else:
         const = float(threshold_fn)
+        if math.isnan(const):
+            raise ValueError("window threshold is NaN")
         thr = lambda m: const
     return WindowEvent(lo=n, hi=N, threshold=thr, side=_SIDE_ALIASES[side],
                        stat=_STAT_ALIASES[on])
-
-
-def complement_event(event):
-    return event.complement()
 
 
 def upper_capacity(model: SequenceModel, event, *, workers: int = 1,
@@ -227,7 +218,7 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
-    cmp_fn = _SIDE_FNS[_SIDE_ALIASES[side]]
+    cmp_fn = _SIDES[_SIDE_ALIASES[side]]
     sub = model if model.horizon == n else _prefix_model(model, n)
 
     per = []
@@ -277,8 +268,9 @@ def mc_capacity_lower_bound(model: SequenceModel, event, strategy,
       the event flag (lowest index wins ties); requires a flag event;
     * ``("schedule", [i_1, ..., i_N])`` — fixed per-step indices.
 
-    Replication r draws from the derived stream substream(seed, r), so the
-    result is bit-identical for any worker count.
+    Replication r draws from the derived stream substream(seed, r).
+    ``workers`` is kept for API compatibility; every value runs the same
+    single-threaded loop, so the result does not depend on it.
     """
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
@@ -295,42 +287,30 @@ def mc_capacity_lower_bound(model: SequenceModel, event, strategy,
             return state[0]
         return ev.flag_of(state)
 
-    def run(r0: int, r1: int) -> int:
-        acc = 0
-        for r in range(r0, r1):
-            stream = substream(seed, r)
-            state = ev.initial
-            for k in range(1, model.horizon + 1):
-                points, values, measures = step_data[k - 1]
-                if mode == "constant":
-                    mi = const_idx
-                elif mode == "schedule":
-                    mi = sched[k - 1]
-                else:
-                    mi = _greedy_index(ev, state, k, points, values, measures, flag_of)
-                m = measures[mi]
-                u = stream.uniform()
-                cum = 0.0
-                j = len(points) - 1
-                for jj, p in enumerate(m):
-                    cum += p
-                    if u < cum:
-                        j = jj
-                        break
-                state = ev.advance(state, k, points[j], float(values[j]))
-            if ev.terminal(state) >= 0.5:
-                acc += 1
-        return acc
-
     accepted = 0
-    if workers <= 1:
-        accepted = run(0, replications)
-    else:
-        bounds = [(i * replications) // workers for i in range(workers + 1)]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(run, bounds[i], bounds[i + 1]) for i in range(workers)]
-            accepted = sum(f.result() for f in futs)
+    for r in range(replications):
+        stream = substream(seed, r)
+        state = ev.initial
+        for k in range(1, model.horizon + 1):
+            points, values, measures = step_data[k - 1]
+            if mode == "constant":
+                mi = const_idx
+            elif mode == "schedule":
+                mi = sched[k - 1]
+            else:
+                mi = _greedy_index(ev, state, k, points, values, measures, flag_of)
+            m = measures[mi]
+            u = stream.uniform()
+            cum = 0.0
+            j = len(points) - 1
+            for jj, p in enumerate(m):
+                cum += p
+                if u < cum:
+                    j = jj
+                    break
+            state = ev.advance(state, k, points[j], float(values[j]))
+        if ev.terminal(state) >= 0.5:
+            accepted += 1
 
     p = accepted / replications
     se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
@@ -407,14 +387,15 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
         scale = float(thr.get("scale", 1.0))
-        s2 = _cumulative_upper_second_moments(model)
+        s2 = cumulative_upper_second_moments(model)
         fn = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
     return window_max_event(n, N, fn, side=side, on=stat)
 
 
-def _cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
+def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
+    """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
     out = [0.0]
     acc = 0.0
     for step in model.steps():
@@ -423,22 +404,28 @@ def _cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
     return out
 
 
+def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float]:
+    """[0, c_1, ..., c_upto]: running sums of per-step upper or lower means,
+    or zeros for ``center="none"``."""
+    if center == "none":
+        return [0.0] * (upto + 1)
+    if center in ("upper-mean", "upper"):
+        one = lambda s: s.upper_expectation(lambda v: v)
+    elif center in ("lower-mean", "lower"):
+        one = lambda s: s.lower_expectation(lambda v: v)
+    else:
+        raise ValueError(f"unknown centering {center!r}")
+    out = [0.0]
+    acc = 0.0
+    for k in range(1, upto + 1):
+        acc += one(model.step(k))
+        out.append(acc)
+    return out
+
+
 def centered_max_sum_event(model: SequenceModel, x: float, n: int | None = None,
                            center: str = "upper") -> WindowEvent:
     """Event {max_{k<=n} (S_k - center_k) >= x} with running-mean centering."""
     n = model.horizon if n is None else n
-    if center == "upper":
-        one = lambda s: s.upper_expectation(lambda v: v)
-    elif center == "lower":
-        one = lambda s: s.lower_expectation(lambda v: v)
-    elif center == "none":
-        one = None
-    else:
-        raise ValueError(f"unknown centering {center!r}")
-    cents = [0.0]
-    acc = 0.0
-    for k in range(1, n + 1):
-        if one is not None:
-            acc += one(model.step(k))
-        cents.append(acc)
+    cents = _running_centers(model, n, center)
     return window_max_event(1, n, lambda m: x + cents[m], side="ge", on="S")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, bounds, capacity, gnormal, lil
 from .engine import StateSpaceError, TerminalSumPayoff, evaluate_pair
-from .model import SequenceModel, StepAmbiguity, LatticeSupport
+from .model import SequenceModel
 
 COMMANDS = ("eval", "capacity", "bounds-verify", "gnormal", "lil", "bc", "probe")
 
@@ -89,11 +89,6 @@ def _load_model(cfg: dict) -> SequenceModel:
     except (OSError, ValueError, KeyError) as e:
         raise ConfigError(f"cannot load model: {e}") from None
     raise ConfigError(f"'model' must be a path or a description, got {type(src).__name__}")
-
-
-def _load_step(d: dict, delta: float) -> StepAmbiguity:
-    return StepAmbiguity(LatticeSupport(delta, tuple(int(p) for p in d["points"])),
-                         tuple(tuple(float(x) for x in m) for m in d["measures"]))
 
 
 def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:

@@ -8,21 +8,24 @@ do not mean a single product measure; they mean the family available at step
 k does not depend on the past, while the adversary's pick may.
 
 Payoffs are finite-state automata over (step, lattice partial sum, auxiliary
-state).  Two representations are evaluated on a fast vectorized lattice path:
+state).  Two representations are evaluated on one vectorized lattice path:
 
-* ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum;
+* ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum
+  (one row of values per layer);
 * ``WindowEvent`` — indicator of a windowed threshold event on partial sums
-  (state = (partial sum, triggered flag)).
+  (a not-yet-triggered row and a triggered row, latched before each layer).
 
+Each lattice layer spans only the partial sums its supports can reach.
 Everything else (full outcome vectors, product automata, float-accumulator
 states) runs through a dictionary-layered generic path.  Both paths perform
-per-state inner sums in a fixed left-to-right order over support points, so
-results are bit-identical for any worker count and across the two paths.
+per-state inner sums in a fixed left-to-right order over support points and
+take the max over measures in index order, on one thread, so results are
+bit-identical across the two paths and for any ``workers`` value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -155,10 +158,6 @@ class WindowEvent:
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"window [{self.lo}, {self.hi}] is invalid")
 
-    def state_bound(self, model: SequenceModel) -> int:
-        lo, hi, _ = _sum_range(model)
-        return 2 * (hi - lo + 1) * (model.horizon + 1)
-
     def complement(self) -> "WindowEvent":
         return replace(self, accept_on_flag=not self.accept_on_flag)
 
@@ -184,10 +183,16 @@ class WindowEvent:
             return -position
         return abs(position)
 
+    def _threshold_at(self, m: int) -> float:
+        thr = float(self.threshold(m))
+        if math.isnan(thr):
+            raise ValueError(f"window threshold at step {m} is NaN")
+        return thr
+
     def triggers(self, m: int, position: float) -> bool:
         if m < self.lo or m > self.hi:
             return False
-        return _SIDES[self.side](self._stat_value(position), float(self.threshold(m)))
+        return _SIDES[self.side](self._stat_value(position), self._threshold_at(m))
 
     def trigger_mask(self, m: int, positions: np.ndarray) -> np.ndarray:
         if m < self.lo or m > self.hi:
@@ -198,7 +203,7 @@ class WindowEvent:
             sv = -positions
         else:
             sv = np.abs(positions)
-        return _SIDES[self.side](sv, float(self.threshold(m)))
+        return _SIDES[self.side](sv, self._threshold_at(m))
 
     def advance(self, state, k, point, value):
         flag, s = state
@@ -213,28 +218,6 @@ class WindowEvent:
 
     def terminal(self, state):
         return self.terminal_flag(bool(state[0]))
-
-
-class GenericAutomaton(object):
-    """Arbitrary deterministic total automaton over path outcomes."""
-
-    def __init__(self, initial, advance: Callable, terminal: Callable):
-        self.initial = initial
-        self._advance = advance
-        self._terminal = terminal
-
-    def bind(self, model):
-        return self
-
-    def advance(self, state, k, point, value):
-        return self._advance(state, k, point, value)
-
-    def terminal(self, state):
-        return float(self._terminal(state))
-
-    def negate(self):
-        return GenericAutomaton(self.initial, self._advance,
-                                lambda s: -self._terminal(s))
 
 
 class _Negated(object):
@@ -259,98 +242,54 @@ def negate_payoff(payoff):
 
 
 # ---------------------------------------------------------------------------
-# lattice geometry
+# lattice path
 # ---------------------------------------------------------------------------
 
 
-def _sum_range(model: SequenceModel) -> tuple[int, int, int]:
-    """(LO, HI, pad): bounds of reachable partial sums and the max step jump."""
-    lo = hi = 0
-    cur_lo = cur_hi = 0
-    pad = 0
-    for step in model.steps():
-        pts = step.support.points
-        cur_lo += pts[0]
-        cur_hi += pts[-1]
-        lo = min(lo, cur_lo)
-        hi = max(hi, cur_hi)
-        pad = max(pad, abs(pts[0]), abs(pts[-1]))
-    return lo, hi, pad
+def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.ndarray],
+                   latch: Callable[[int, np.ndarray], np.ndarray] | None,
+                   state_cap: int) -> float:
+    """Backward induction over the reachable partial sums of each layer.
 
-
-def _step_arrays(step: StepAmbiguity):
-    pts = np.asarray(step.support.points, dtype=np.int64)
-    return pts, step.matrix()
-
-
-def _layer_max(points: np.ndarray, matrix: np.ndarray, merged: np.ndarray,
-               pad: int, workers: int) -> np.ndarray:
-    """max over measures of the one-step expectation of the next-layer values.
-
-    Accumulation over support points runs left to right, per state; identical
-    results for any chunking of the state axis.
+    Layer k holds the sums [sum of min points, sum of max points] over the
+    first k steps, so each support point's slice of layer k lines up with
+    layer k-1 directly.  ``terminal(positions)`` gives the (rows, width)
+    values at the horizon.  With ``latch``, row 0 is the not-yet-triggered
+    value and row 1 the triggered one, and ``latch(k, positions)`` marks
+    the sums at which the event fires at step k.  Per state, the inner sum
+    runs left to right over support points and the max over measures runs
+    in index order.
     """
-    w = len(merged)
-    padded = np.zeros(w + 2 * pad)
-    padded[pad:pad + w] = merged
+    steps = list(model.steps())
+    lows, widths = [0], [1]
+    for step in steps:
+        pts = step.support.points
+        lows.append(lows[-1] + pts[0])
+        widths.append(widths[-1] + pts[-1] - pts[0])
+    rows = 1 if latch is None else 2
+    estimate = rows * max(widths)
+    if estimate > state_cap:
+        raise StateSpaceError(estimate, state_cap)
 
-    def run(c0: int, c1: int, out_best):
+    def positions(k: int) -> np.ndarray:
+        return model.delta * np.arange(lows[k], lows[k] + widths[k], dtype=float)
+
+    v = terminal(positions(model.horizon))
+    for k in range(model.horizon, 0, -1):
+        if latch is not None:
+            v[0] = np.where(latch(k, positions(k)), v[1], v[0])
+        step = steps[k - 1]
+        pts = step.support.points
+        w = widths[k - 1]
         best = None
-        for row in matrix:
-            acc = np.zeros(c1 - c0)
-            for j, pt in enumerate(points):
-                o = pad + int(pt) + c0
-                acc = acc + row[j] * padded[o:o + (c1 - c0)]
+        for measure in step.matrix():
+            acc = np.zeros((rows, w))
+            for pt, q in zip(pts, measure):
+                o = pt - pts[0]
+                acc = acc + q * v[:, o:o + w]
             best = acc if best is None else np.maximum(best, acc)
-        out_best[c0:c1] = best
-
-    out = np.empty(w)
-    if workers <= 1 or w < 4096:
-        run(0, w, out)
-        return out
-    bounds = [(i * w) // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futs = [ex.submit(run, bounds[i], bounds[i + 1], out)
-                for i in range(workers) if bounds[i] < bounds[i + 1]]
-        for f in futs:
-            f.result()
-    return out
-
-
-def _lattice_window_upper(model: SequenceModel, ev: WindowEvent, workers: int,
-                          state_cap: int) -> float:
-    lo, hi, pad = _sum_range(model)
-    w = hi - lo + 1
-    estimate = 2 * w * (model.horizon + 1)
-    if estimate > state_cap:
-        raise StateSpaceError(estimate, state_cap)
-    positions = model.delta * np.arange(lo, hi + 1, dtype=float)
-
-    v1 = np.full(w, float(ev.terminal_flag(True)))
-    v0 = np.full(w, float(ev.terminal_flag(False)))
-    for k in range(model.horizon, 0, -1):
-        trig = ev.trigger_mask(k, positions)
-        m1 = v1
-        m0 = np.where(trig, v1, v0)
-        points, matrix = _step_arrays(model.step(k))
-        v1 = _layer_max(points, matrix, m1, pad, workers)
-        v0 = _layer_max(points, matrix, m0, pad, workers)
-    return float(v0[0 - lo])
-
-
-def _lattice_terminal_upper(model: SequenceModel, payoff: TerminalSumPayoff,
-                            workers: int, state_cap: int) -> float:
-    lo, hi, pad = _sum_range(model)
-    w = hi - lo + 1
-    estimate = w * (model.horizon + 1)
-    if estimate > state_cap:
-        raise StateSpaceError(estimate, state_cap)
-    positions = model.delta * np.arange(lo, hi + 1, dtype=float)
-    v = payoff.terminal_array(positions)
-    for k in range(model.horizon, 0, -1):
-        points, matrix = _step_arrays(model.step(k))
-        v = _layer_max(points, matrix, v, pad, workers)
-    return float(v[0 - lo])
+        v = best
+    return float(v[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +354,24 @@ def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
                    state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
     """Exact upper expectation of the payoff over the model.
 
-    Deterministic for any ``workers`` value; ``method`` forces the lattice or
-    generic evaluation path (both produce bit-identical values for payoffs
-    the lattice path supports).
+    ``method`` forces the lattice or generic evaluation path (both produce
+    bit-identical values for payoffs the lattice path supports).
+    ``state_cap`` bounds the states the DP holds at once: rows times the
+    widest reachable layer on the lattice path, all layers on the generic
+    path.  ``workers`` is kept for API compatibility; every value runs the
+    same single-threaded code.
     """
     bound = payoff.bind(model) if hasattr(payoff, "bind") else payoff
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method != "generic":
         if isinstance(bound, WindowEvent):
-            return _lattice_window_upper(model, bound, workers, state_cap)
+            flags = [[bound.terminal_flag(False)], [bound.terminal_flag(True)]]
+            return _lattice_upper(model, lambda pos: np.tile(flags, len(pos)),
+                                  bound.trigger_mask, state_cap)
         if isinstance(bound, TerminalSumPayoff):
-            return _lattice_terminal_upper(model, bound, workers, state_cap)
+            return _lattice_upper(model, lambda pos: bound.terminal_array(pos)[None],
+                                  None, state_cap)
         if method == "lattice":
             raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
     return _generic_upper(model, bound, state_cap)

@@ -19,7 +19,9 @@ from typing import Callable, Sequence
 
 from . import iterlog
 from .bounds import _rate_table, kolmogorov_bound, RateTable
-from .capacity import capacity_pair, lower_capacity, upper_capacity, window_max_event
+from .capacity import (_running_centers, capacity_pair,
+                       cumulative_upper_second_moments, lower_capacity,
+                       upper_capacity, window_max_event)
 from .model import SequenceModel, StepAmbiguity
 
 
@@ -49,16 +51,6 @@ class NormalizerSeries(object):
     @staticmethod
     def d(n: int) -> float:
         return iterlog.d_n(n)
-
-
-def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
-    """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
-    out = [0.0]
-    acc = 0.0
-    for step in model.steps():
-        acc += step.upper_expectation(lambda v: v * v)
-        out.append(acc)
-    return out
 
 
 def normalizers(source) -> NormalizerSeries:
@@ -140,7 +132,13 @@ class MomentSeries(object):
         thr = self._threshold(n)
         if self.model.is_iid:
             return n * self._term(1, thr, cap)
-        return sum(self._term(j, thr, cap) for j in range(1, n + 1))
+        # one upper expectation per distinct step, summed in j order
+        terms: dict[int, float] = {}
+        for j in range(1, n + 1):
+            key = id(self.model.step(j))
+            if key not in terms:
+                terms[key] = self._term(j, thr, cap)
+        return sum(terms[id(self.model.step(j))] for j in range(1, n + 1))
 
     def lam(self, n: int) -> float:
         return self._lam(n, None)
@@ -366,23 +364,6 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 # ---------------------------------------------------------------------------
 
 
-def _center_series(model: SequenceModel, upto: int, center: str) -> list[float]:
-    if center == "none":
-        return [0.0] * (upto + 1)
-    if center in ("upper-mean", "upper"):
-        one = lambda s: s.upper_expectation(lambda v: v)
-    elif center in ("lower-mean", "lower"):
-        one = lambda s: s.lower_expectation(lambda v: v)
-    else:
-        raise ValueError(f"unknown centering {center!r}")
-    out = [0.0]
-    acc = 0.0
-    for k in range(1, upto + 1):
-        acc += one(model.step(k))
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class BlockDiagnostic:
     lo: int
@@ -419,7 +400,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     if not 1 <= n <= N <= model.horizon:
         raise ValueError(f"window [{n}, {N}] invalid for horizon {model.horizon}")
     norms = normalizers(model)
-    cents = _center_series(model, N, center)
+    cents = _running_centers(model, N, center)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
 
     ev = window_max_event(n, N, lambda m: (1.0 + eps) * a[m] + cents[m],
@@ -427,7 +408,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     cap = upper_capacity(model, ev, **engine_kw)
 
     upper_means = (cents if center in ("upper-mean", "upper")
-                   else _center_series(model, N, "upper-mean"))
+                   else _running_centers(model, N, "upper-mean"))
     blocks = []
     total = 0.0
     lo = n

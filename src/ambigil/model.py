@@ -15,6 +15,7 @@ extreme points of the family suffice.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,6 +66,8 @@ class StepAmbiguity:
         for i, m in enumerate(self.measures):
             if len(m) != npts:
                 raise ValueError(f"measure {i} has length {len(m)}, support has {npts} points")
+            if not all(math.isfinite(x) for x in m):
+                raise ValueError(f"measure {i} has non-finite entries: {m}")
             if min(m) < 0.0 or max(m) > 1.0:
                 raise ValueError(f"measure {i} has entries outside [0, 1]: {m}")
             if abs(sum(m) - 1.0) > PROB_TOL:

@@ -55,9 +55,6 @@ class SplitMix64(object):
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Derived stream for replication ``index`` of a run seeded with ``seed``."""

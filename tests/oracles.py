@@ -62,7 +62,10 @@ def table_payoff(rng: np.random.Generator, model: SequenceModel,
 
 
 def nested_supremum(model: SequenceModel, payoff) -> float:
-    """Adapted strategy-tree value by plain recursion over histories."""
+    """Adapted strategy-tree value by plain recursion over histories.
+
+    Each child subtree is evaluated once per node and reused by every measure.
+    """
     bound = payoff.bind(model) if hasattr(payoff, "bind") else payoff
     n = model.horizon
 
@@ -72,12 +75,13 @@ def nested_supremum(model: SequenceModel, payoff) -> float:
         step = model.step(k + 1)
         pts = step.support.points
         vals = step.support.values()
+        children = [rec(bound.advance(state, k + 1, pts[j], float(vals[j])), k + 1)
+                    for j in range(len(pts))]
         best = None
         for m in step.measures:
             acc = 0.0
             for j in range(len(pts)):
-                acc = acc + m[j] * rec(bound.advance(state, k + 1, pts[j], float(vals[j])),
-                                       k + 1)
+                acc = acc + m[j] * children[j]
             if best is None or acc > best:
                 best = acc
         return best

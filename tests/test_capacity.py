@@ -40,6 +40,16 @@ def test_whole_space_and_impossible():
     assert upper_capacity(m, never) == 0.0
 
 
+def test_nan_threshold_rejected():
+    m = SequenceModel.iid(STEP12, 8)
+    with pytest.raises(ValueError):
+        window_max_event(1, 8, math.nan)
+    ev = window_max_event(1, 8, lambda k: math.nan if k == 5 else 1.0)
+    for method in ("lattice", "generic"):
+        with pytest.raises(ValueError):
+            capacity_pair(m, ev, method=method)
+
+
 def test_window_equals_terminal_when_unreachable_early():
     # S_1 <= 2 < 3, so {max(S_1, S_2) >= 3} is exactly {S_2 >= 3}
     m = SequenceModel.iid(STEP12, 2)

@@ -121,6 +121,18 @@ def test_lattice_generic_paths_agree_bitwise():
         tp = TerminalSumPayoff(lambda s: abs(s) ** 1.5)
         assert evaluate_upper(m, tp, method="lattice") == \
             evaluate_upper(m, tp, method="generic")
+    # longer horizons, windows that may end before the horizon
+    for _ in range(30):
+        m = random_model(rng, max_n=40)
+        hi = int(rng.integers(1, m.horizon + 1))
+        lo = int(rng.integers(1, hi + 1))
+        thr = float(rng.uniform(-4, 4))
+        stat = str(rng.choice(["S", "-S", "absS"]))
+        ev = WindowEvent(lo=lo, hi=hi, threshold=lambda k: thr, side="gt", stat=stat)
+        for payoff in (ev, ev.complement().negate(),
+                       TerminalSumPayoff(lambda s: s * s - thr * s)):
+            assert evaluate_upper(m, payoff, method="lattice") == \
+                evaluate_upper(m, payoff, method="generic")
 
 
 def test_all_stat_side_combinations_agree():
@@ -154,6 +166,16 @@ def test_state_cap():
     assert "100" in str(ei.value)
     with pytest.raises(StateSpaceError):
         evaluate_upper(m, FullVectorPayoff(lambda xs: 0.0), state_cap=1000)
+
+
+def test_state_cap_counts_held_states():
+    # two rows of the widest reachable layer, 2 * (4 * 512 + 1), not all layers
+    m = SequenceModel.iid(STEP12, 512)
+    ev = WindowEvent(lo=1, hi=512, threshold=lambda k: 40.0)
+    assert 0.0 < evaluate_upper(m, ev, state_cap=10_000) < 1.0
+    with pytest.raises(StateSpaceError) as ei:
+        evaluate_upper(m, ev, state_cap=4097)
+    assert ei.value.estimate == 4098
 
 
 def test_method_dispatch():

@@ -37,6 +37,10 @@ def test_step_validation():
         StepAmbiguity(sup, ((0.6, 0.6),))
     with pytest.raises(ValueError):
         StepAmbiguity(sup, ((-0.1, 1.1),))
+    with pytest.raises(ValueError):
+        StepAmbiguity(sup, ((math.nan, 1.0),))
+    with pytest.raises(ValueError):
+        StepAmbiguity(sup, ((0.5, 0.5), (math.nan, math.nan)))
     step = StepAmbiguity(sup, ((0.5, 0.5), (0.25, 0.75)))
     assert step.n_measures == 2
     assert step.upper_expectation(lambda v: v) == 0.5
