@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,9 +67,6 @@ class OutcomeFlagEvent(object):
         if state:
             return 1
         return 1 if self.trigger(k, value) else 0
-
-    def flag_of(self, state) -> int:
-        return state
 
     def terminal(self, state):
         accepted = bool(state) if self.accept_on_flag else not state
@@ -254,79 +252,73 @@ class MCResult:
     accepted: int
 
 
-def mc_capacity_lower_bound(model: SequenceModel, event, strategy,
+def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
                             replications: int, seed: int, *,
                             workers: int = 1) -> MCResult:
     """Unbiased MC estimate of P_strategy(event) for one admissible strategy.
 
     Any strategy that picks a member of the step family (even adaptively)
     induces a probability measure dominated by the upper capacity, so the
-    estimate is a statistical lower bound for it.  Strategies:
+    estimate is a statistical lower bound for it.  ``event`` must be a
+    ``WindowEvent`` (complemented or negated ones included); any other
+    event raises ``ValueError``.  Strategies:
 
     * ``("constant", i)`` — measure index i at every step;
     * ``"greedy-one-step"`` — maximize the immediate trigger probability of
-      the event flag (lowest index wins ties); requires a flag event;
+      the event flag (lowest index wins ties; triggered paths take index 0);
     * ``("schedule", [i_1, ..., i_N])`` — fixed per-step indices.
 
-    Replication r draws from the derived stream substream(seed, r).
-    ``workers`` is kept for API compatibility; every value runs the same
-    single-threaded loop, so the result does not depend on it.
+    All replications advance together, one step at a time: at step k every
+    replication r draws one uniform from its own stream substream(seed, r),
+    so each stream's k-th draw drives step k of its replication whatever
+    the replication count.  ``workers`` is kept for API compatibility; it
+    changes nothing.
     """
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
-    mode, const_idx, sched = _parse_strategy(strategy, model)
-    ev = event.bind(model) if hasattr(event, "bind") else event
-    if mode == "greedy" and not hasattr(ev, "flag_of") and not isinstance(ev, WindowEvent):
-        raise ValueError("greedy-one-step strategy needs a flag-bearing event")
+    sched = _parse_strategy(strategy, model)
+    if not isinstance(event, WindowEvent):
+        raise ValueError(f"Monte Carlo needs a WindowEvent, got {type(event).__name__}")
+    ev = event.bind(model)
 
-    steps = [model.step(k) for k in range(1, model.horizon + 1)]
-    step_data = [(s.support.points, s.support.values(), s.measures) for s in steps]
+    streams = [substream(seed, r) for r in range(replications)]
+    pos = np.zeros(replications, dtype=np.int64)
+    flag = np.zeros(replications, dtype=bool)
+    for k in range(1, model.horizon + 1):
+        step = model.step(k)
+        pts = np.asarray(step.support.points, dtype=np.int64)
+        cums = np.array([list(accumulate(m)) for m in step.measures])
+        if sched is None:
+            hits = [ev.trigger_mask(k, ev._delta * (pos + pt)) for pt in pts]
+            accs = [sum((q * hit for q, hit in zip(m, hits)), 0.0) for m in step.measures]
+            mi = np.argmax(accs, axis=0)  # first maximum: lowest index wins ties
+            mi[flag] = 0
+        else:
+            mi = sched[k - 1]
+        u = np.array([s.uniform() for s in streams])
+        # sums are nondecreasing, so the count <= u is the first j with u < cum[j]
+        j = np.minimum(np.count_nonzero(cums[mi] <= u[:, None], axis=1), len(pts) - 1)
+        pos += pts[j]
+        flag |= ev.trigger_mask(k, ev._delta * pos)
 
-    def flag_of(state):
-        if isinstance(ev, WindowEvent):
-            return state[0]
-        return ev.flag_of(state)
-
-    accepted = 0
-    for r in range(replications):
-        stream = substream(seed, r)
-        state = ev.initial
-        for k in range(1, model.horizon + 1):
-            points, values, measures = step_data[k - 1]
-            if mode == "constant":
-                mi = const_idx
-            elif mode == "schedule":
-                mi = sched[k - 1]
-            else:
-                mi = _greedy_index(ev, state, k, points, values, measures, flag_of)
-            m = measures[mi]
-            u = stream.uniform()
-            cum = 0.0
-            j = len(points) - 1
-            for jj, p in enumerate(m):
-                cum += p
-                if u < cum:
-                    j = jj
-                    break
-            state = ev.advance(state, k, points[j], float(values[j]))
-        if ev.terminal(state) >= 0.5:
-            accepted += 1
-
+    accepted = int(np.count_nonzero(np.where(flag, ev.terminal_flag(True) >= 0.5,
+                                             ev.terminal_flag(False) >= 0.5)))
     p = accepted / replications
     se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
     return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
 
 
-def _parse_strategy(strategy, model: SequenceModel):
+def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
+    """The measure index of each step, or None for the greedy strategy."""
     if strategy == "greedy-one-step" or strategy == "greedy":
-        return "greedy", None, None
+        return None
     if isinstance(strategy, (tuple, list)) and len(strategy) == 2:
         kind, arg = strategy
         if kind == "constant":
             idx = int(arg)
             if not all(idx < s.n_measures for s in model.steps()):
                 raise ValueError(f"constant strategy index {idx} exceeds some step's family")
-            return "constant", idx, None
+            return [idx] * model.horizon
         if kind in ("schedule", "user-schedule"):
             sched = [int(i) for i in arg]
             if len(sched) != model.horizon:
@@ -334,24 +326,8 @@ def _parse_strategy(strategy, model: SequenceModel):
             for k, idx in enumerate(sched, start=1):
                 if idx >= model.step(k).n_measures:
                     raise ValueError(f"schedule index {idx} invalid at step {k}")
-            return "schedule", None, sched
+            return sched
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _greedy_index(ev, state, k, points, values, measures, flag_of) -> int:
-    if flag_of(state):
-        return 0
-    best_i = 0
-    best = None
-    for mi, m in enumerate(measures):
-        acc = 0.0
-        for j in range(len(points)):
-            nxt = ev.advance(state, k, points[j], float(values[j]))
-            acc += m[j] * (1.0 if flag_of(nxt) else 0.0)
-        if best is None or acc > best:
-            best = acc
-            best_i = mi
-    return best_i
 
 
 # ---------------------------------------------------------------------------

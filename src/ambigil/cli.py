@@ -86,13 +86,15 @@ def _load_model(cfg: dict) -> SequenceModel:
             return SequenceModel.load(src)
         if isinstance(src, dict):
             return SequenceModel.from_dict(src)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load model: {e}") from None
     raise ConfigError(f"'model' must be a path or a description, got {type(src).__name__}")
 
 
 def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:
     p = cfg.get("payoff", {"kind": "sum-power", "power": 2})
+    if not isinstance(p, dict):
+        raise ConfigError(f"'payoff' must be an object, got {type(p).__name__}")
     kind = p.get("kind")
     if kind == "sum-power":
         k = float(p.get("power", 2))
@@ -142,10 +144,7 @@ def _run_capacity(cfg: dict):
     ev_cfg = cfg.get("event")
     if ev_cfg is None:
         raise ConfigError("capacity command needs an 'event' description")
-    try:
-        ev = capacity.event_from_config(ev_cfg, model)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    ev = capacity.event_from_config(ev_cfg, model)
     pair = capacity.capacity_pair(model, ev, **_engine_kw(cfg))
     label = json.dumps(ev_cfg, sort_keys=True).replace(",", ";")
     return (("event", "lower", "upper"), [(label, pair.lower, pair.upper)],
@@ -278,12 +277,8 @@ def _run_probe(cfg: dict):
         fn = _x_fn_from_config(cfg)
         runner = (bounds.converse_rate_check if kind == "converse-rate"
                   else lil.conjecture_probe)
-        try:
-            table = runner(fam, z, gamma, n_list, x_fn=fn,
-                           alpha=cfg.get("alpha"), slack=float(cfg.get("slack", 0.1)),
-                           **kw)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        table = runner(fam, z, gamma, n_list, x_fn=fn,
+                       alpha=cfg.get("alpha"), slack=float(cfg.get("slack", 0.1)), **kw)
         rows = [(r.n, r.x_n, r.scale, r.threshold, r.capacity, r.lhs, r.rhs,
                  r.alpha_n, r.bounded) for r in table.rows]
         extras = {"violation": table.violation, "side": table.side,
@@ -296,10 +291,7 @@ def _run_probe(cfg: dict):
         if "seed" not in cfg:
             raise ConfigError("mc probe needs a seed")
         model = _load_model(cfg)
-        try:
-            ev = capacity.event_from_config(cfg.get("event", {}), model)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        ev = capacity.event_from_config(cfg.get("event", {}), model)
         strat_cfg = cfg.get("strategy", {"kind": "constant", "index": 0})
         if strat_cfg == "greedy-one-step" or strat_cfg == "greedy":
             strat = "greedy-one-step"
@@ -309,12 +301,9 @@ def _run_probe(cfg: dict):
             strat = ("schedule", [int(i) for i in strat_cfg["indices"]])
         else:
             raise ConfigError(f"unknown strategy {strat_cfg!r}")
-        try:
-            r = capacity.mc_capacity_lower_bound(
-                model, ev, strat, int(cfg.get("replications", 10000)),
-                int(cfg["seed"]), workers=int(cfg.get("workers", 1)))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        r = capacity.mc_capacity_lower_bound(
+            model, ev, strat, int(cfg.get("replications", 10000)),
+            int(cfg["seed"]), workers=int(cfg.get("workers", 1)))
         rows = [(r.estimate, r.std_error, r.replications, r.accepted)]
         return (("estimate", "std_error", "replications", "accepted"), rows,
                 ["capacity.mc_capacity_lower_bound (splitmix64 streams)"], {})
@@ -404,7 +393,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         header, rows, ops, extras = runner(cfg)
         runtime = time.perf_counter() - t0
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, or bad input the library rejected
         print(f"ambigil: error: {e}", file=sys.stderr)
         return 2
     except StateSpaceError as e:

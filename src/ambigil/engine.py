@@ -55,6 +55,8 @@ class ExpectationPair:
     upper: float
 
     def __post_init__(self):
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"expectation pair has a NaN: ({self.lower!r}, {self.upper!r})")
         if self.lower > self.upper + 1e-12:
             raise ValueError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
 
@@ -111,10 +113,18 @@ class TerminalSumPayoff(object):
         return state + point
 
     def terminal(self, state):
-        return float(self.fn(self._delta * state))
+        s = self._delta * state
+        value = float(self.fn(s))
+        if math.isnan(value):
+            raise ValueError(f"payoff is NaN at terminal sum {s!r}")
+        return value
 
     def terminal_array(self, positions: np.ndarray) -> np.ndarray:
-        return np.array([float(self.fn(float(p))) for p in positions])
+        values = np.array([float(self.fn(float(p))) for p in positions])
+        bad = positions[np.isnan(values)]
+        if len(bad):
+            raise ValueError(f"payoff is NaN at terminal sum {float(bad[0])!r}")
+        return values
 
     def negate(self):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
@@ -248,7 +258,7 @@ def negate_payoff(payoff):
 
 def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.ndarray],
                    latch: Callable[[int, np.ndarray], np.ndarray] | None,
-                   state_cap: int) -> float:
+                   state_cap: int, last: int) -> float:
     """Backward induction over the reachable partial sums of each layer.
 
     Layer k holds the sums [sum of min points, sum of max points] over the
@@ -259,13 +269,18 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
     the sums at which the event fires at step k.  Per state, the inner sum
     runs left to right over support points and the max over measures runs
     in index order.
+
+    ``last`` is the last layer whose values depend on the partial sum (the
+    window's end, or the horizon).  Beyond it every row is constant,
+    so those layers are held one column wide and broadcast into layer
+    ``last``: each state still sees the same float operations.
     """
     steps = list(model.steps())
     lows, widths = [0], [1]
-    for step in steps:
+    for k, step in enumerate(steps, start=1):
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
-        widths.append(widths[-1] + pts[-1] - pts[0])
+        widths.append(widths[-1] + pts[-1] - pts[0] if k <= last else 1)
     rows = 1 if latch is None else 2
     estimate = rows * max(widths)
     if estimate > state_cap:
@@ -281,12 +296,15 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
         step = steps[k - 1]
         pts = step.support.points
         w = widths[k - 1]
+        if k <= last:
+            cols = [v[:, pt - pts[0]:pt - pts[0] + w] for pt in pts]
+        else:
+            cols = [v] * len(pts)
         best = None
         for measure in step.matrix():
             acc = np.zeros((rows, w))
-            for pt, q in zip(pts, measure):
-                o = pt - pts[0]
-                acc = acc + q * v[:, o:o + w]
+            for q, col in zip(measure, cols):
+                acc = acc + q * col
             best = acc if best is None else np.maximum(best, acc)
         v = best
     return float(v[0, 0])
@@ -368,10 +386,10 @@ def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
         if isinstance(bound, WindowEvent):
             flags = [[bound.terminal_flag(False)], [bound.terminal_flag(True)]]
             return _lattice_upper(model, lambda pos: np.tile(flags, len(pos)),
-                                  bound.trigger_mask, state_cap)
+                                  bound.trigger_mask, state_cap, bound.hi)
         if isinstance(bound, TerminalSumPayoff):
             return _lattice_upper(model, lambda pos: bound.terminal_array(pos)[None],
-                                  None, state_cap)
+                                  None, state_cap, model.horizon)
         if method == "lattice":
             raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
     return _generic_upper(model, bound, state_cap)

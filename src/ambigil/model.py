@@ -179,21 +179,24 @@ class SequenceModel(object):
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceModel":
-        try:
-            horizon = d["horizon"]
-            delta = d["delta"]
-        except KeyError as e:
-            raise ValueError(f"model description missing field {e}") from None
+        """Inverse of ``to_dict``; any malformed description raises ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model description must be an object, got {type(d).__name__}")
 
         def dec(sd: dict) -> StepAmbiguity:
-            support = LatticeSupport(delta, tuple(int(p) for p in sd["points"]))
+            points = tuple(int(p) for p in sd["points"])
             measures = tuple(tuple(float(x) for x in m) for m in sd["measures"])
-            return StepAmbiguity(support, measures)
+            return StepAmbiguity(LatticeSupport(d["delta"], points), measures)
 
-        if "iid" in d:
-            return cls(horizon, iid_step=dec(d["iid"]))
-        if "steps" in d:
-            return cls(horizon, steps=[dec(s) for s in d["steps"]])
+        try:
+            if "iid" in d:
+                return cls(d["horizon"], iid_step=dec(d["iid"]))
+            if "steps" in d:
+                return cls(d["horizon"], steps=[dec(s) for s in d["steps"]])
+        except KeyError as e:
+            raise ValueError(f"model description missing field {e}") from None
+        except TypeError as e:
+            raise ValueError(f"model description has a wrong type: {e}") from None
         raise ValueError("model description needs 'iid' or 'steps'")
 
     def to_json(self) -> str:

@@ -10,10 +10,13 @@ materialized adapted strategies.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from ambigil.capacity import MCResult
 from ambigil.model import LatticeSupport, SequenceModel, StepAmbiguity
+from ambigil.rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,65 @@ def classical_window_probability(model: SequenceModel, event) -> float:
                 nxt[c] = nxt.get(c, 0.0) + mass * p
         probs = nxt
     return sum(mass for state, mass in probs.items() if ev.terminal(state) >= 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo reference
+# ---------------------------------------------------------------------------
+
+
+def mc_reference(model: SequenceModel, event, strategy, replications: int,
+                 seed: int) -> MCResult:
+    """Scalar Monte Carlo over a window event: one replication at a time,
+    one automaton step at a time, with the outcome picked by a running
+    cumulative sum of the chosen law.  Strategies as in
+    ``mc_capacity_lower_bound``; no validation."""
+    ev = event.bind(model)
+    flag_of = lambda state: state[0]
+
+    def greedy_index(state, k, points, values, measures):
+        if flag_of(state):
+            return 0
+        best_i = 0
+        best = None
+        for mi, m in enumerate(measures):
+            acc = 0.0
+            for j in range(len(points)):
+                nxt = ev.advance(state, k, points[j], float(values[j]))
+                acc += m[j] * (1.0 if flag_of(nxt) else 0.0)
+            if best is None or acc > best:
+                best = acc
+                best_i = mi
+        return best_i
+
+    step_data = [(s.support.points, s.support.values(), s.measures) for s in model.steps()]
+    accepted = 0
+    for r in range(replications):
+        stream = substream(seed, r)
+        state = ev.initial
+        for k in range(1, model.horizon + 1):
+            points, values, measures = step_data[k - 1]
+            if strategy == "greedy-one-step":
+                mi = greedy_index(state, k, points, values, measures)
+            elif strategy[0] == "constant":
+                mi = strategy[1]
+            else:
+                mi = strategy[1][k - 1]
+            u = stream.uniform()
+            cum = 0.0
+            j = len(points) - 1
+            for jj, p in enumerate(measures[mi]):
+                cum += p
+                if u < cum:
+                    j = jj
+                    break
+            state = ev.advance(state, k, points[j], float(values[j]))
+        if ev.terminal(state) >= 0.5:
+            accepted += 1
+
+    p = accepted / replications
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
+    return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from ambigil.capacity import (BCProductReport, CapacityPair, OutcomeFlagEvent,
                               window_max_event)
 from ambigil.engine import TerminalSumPayoff, evaluate_upper
 from ambigil.model import SequenceModel, make_rademacher_interval
+from ambigil.rng import SplitMix64
 
-from oracles import (JoinedEvent, classical_window_probability, random_model)
+from oracles import (JoinedEvent, classical_window_probability, mc_reference,
+                     random_model)
 
 STEP12 = make_rademacher_interval(1, 2, 2)
 
@@ -245,6 +247,65 @@ def test_mc_determinism_and_validation():
         mc_capacity_lower_bound(m2, ev, ("constant", 0), 99, seed=9)
     with pytest.raises(ValueError):
         mc_capacity_lower_bound(m2, ev, ("schedule", [0]), 5000, seed=9)
+
+
+def _mc_cases(n, seed):
+    """Random (model, window event, strategy, replications, seed) tuples."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = random_model(rng, max_n=8, max_points=4, max_measures=4)
+        hi = int(rng.integers(1, m.horizon + 1))
+        lo = int(rng.integers(1, hi + 1))
+        c = float(rng.uniform(-1.5, 1.5)) * math.sqrt(hi) * m.delta
+        thr = c if i % 2 else (lambda c, d: lambda k: c + 0.25 * d * k)(c, m.delta)
+        ev = window_max_event(lo, hi, thr, str(rng.choice(["ge", "gt", "le", "lt"])),
+                              str(rng.choice(["S", "-S", "absS"])))
+        if i % 3 == 1:
+            ev = ev.complement()
+        elif i % 11 == 5:
+            ev = ev.complement().negate()
+        kind = i % 3
+        if kind == 0:
+            strat = ("constant", int(rng.integers(min(s.n_measures for s in m.steps()))))
+        elif kind == 1:
+            strat = ("schedule", [int(rng.integers(s.n_measures)) for s in m.steps()])
+        else:
+            strat = "greedy-one-step"
+        reps = int(rng.choice([100, 257, 1000], p=[0.45, 0.45, 0.1]))
+        yield m, ev, strat, reps, int(rng.integers(2 ** 63))
+
+
+def test_mc_matches_scalar_reference():
+    nontrivial = 0
+    for m, ev, strat, reps, seed in _mc_cases(240, 17):
+        got = mc_capacity_lower_bound(m, ev, strat, reps, seed)
+        assert got == mc_reference(m, ev, strat, reps, seed), (m.horizon, strat, reps)
+        nontrivial += 0 < got.accepted < reps
+    assert nontrivial >= 120
+
+
+def test_mc_draws_one_uniform_per_step(monkeypatch):
+    calls = []
+    draw = SplitMix64.next_u64
+
+    def counted(stream):
+        calls.append(1)
+        return draw(stream)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    m = SequenceModel.iid(STEP12, 7)
+    ev = window_max_event(2, 5, 3.0)
+    for strat in (("constant", 1), ("schedule", [0, 1] * 3 + [0]), "greedy-one-step"):
+        calls.clear()
+        mc_capacity_lower_bound(m, ev, strat, 123, seed=4)
+        assert len(calls) == 123 * 7
+
+
+def test_mc_rejects_non_window_event():
+    m2 = SequenceModel.iid(STEP12, 2)
+    with pytest.raises(ValueError):
+        mc_capacity_lower_bound(m2, OutcomeFlagEvent(lambda k, v: v >= 2.0),
+                                ("constant", 0), 100, seed=1)
 
 
 def test_capacity_pair_tolerates_long_horizon_drift():

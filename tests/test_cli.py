@@ -126,6 +126,39 @@ def test_bounds_verify_requires_seed(tmp_path):
     assert main(["bounds-verify", "--cases", "5", "--out", str(out)]) == 2
 
 
+def _exits_2_one_line(capsys, tmp_path, argv):
+    out = tmp_path / "bad-out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ambigil: error: ") and err.count("\n") == 1
+
+
+def test_capacity_window_beyond_horizon_exits_2(capsys, tmp_path, model12_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": str(model12_path),
+        "event": {"window": {"n": 1, "N": 5}, "threshold": {"kind": "const", "c": 1.0}}}))
+    _exits_2_one_line(capsys, tmp_path, ["capacity", "--config", str(cfg)])
+
+
+def test_lil_window_beyond_horizon_exits_2(capsys, tmp_path, model12_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model12_path), "experiment": "lower",
+                               "windows": [[1, 5]]}))
+    _exits_2_one_line(capsys, tmp_path, ["lil", "--config", str(cfg)])
+
+
+def test_eval_non_object_payoff_exits_2(capsys, tmp_path, model12_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model12_path), "payoff": [1, 2]}))
+    _exits_2_one_line(capsys, tmp_path, ["eval", "--config", str(cfg)])
+
+
+def test_bounds_verify_zero_cases_exits_2(capsys, tmp_path):
+    _exits_2_one_line(capsys, tmp_path, ["bounds-verify", "--cases", "0", "--seed", "1"])
+
+
 def test_lil_command_lower(tmp_path):
     model = tmp_path / "m.json"
     SequenceModel.iid(make_rademacher_interval(1, 1, 1), 64).save(model)

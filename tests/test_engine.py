@@ -52,6 +52,20 @@ def test_constant_preserving():
 def test_pair_validation():
     with pytest.raises(ValueError):
         ExpectationPair(lower=1.0, upper=0.0)
+    with pytest.raises(ValueError):
+        ExpectationPair(lower=math.nan, upper=0.0)
+    with pytest.raises(ValueError):
+        ExpectationPair(lower=0.0, upper=math.nan)
+
+
+def test_nan_payoff_rejected():
+    m = SequenceModel.iid(STEP12, 4)
+    tp = TerminalSumPayoff(lambda s: math.nan if s > 3 else 0.0)
+    for method in ("lattice", "generic"):
+        with pytest.raises(ValueError):
+            evaluate_upper(m, tp, method=method)
+    with pytest.raises(ValueError):
+        evaluate_pair(m, tp)
 
 
 def test_sublinearity_axioms_sample():
@@ -176,6 +190,12 @@ def test_state_cap_counts_held_states():
     with pytest.raises(StateSpaceError) as ei:
         evaluate_upper(m, ev, state_cap=4097)
     assert ei.value.estimate == 4098
+    # layers after the window's end are held one column wide
+    early = WindowEvent(lo=1, hi=128, threshold=lambda k: 20.0)
+    assert 0.0 < evaluate_upper(m, early, state_cap=1026) < 1.0
+    with pytest.raises(StateSpaceError) as ei:
+        evaluate_upper(m, early, state_cap=1025)
+    assert ei.value.estimate == 1026
 
 
 def test_method_dispatch():

@@ -182,3 +182,7 @@ def test_from_dict_errors():
     doc["iid"]["measures"][0][0] = 0.7  # no longer sums to 1
     with pytest.raises(ValueError):
         SequenceModel.from_dict(doc)
+    with pytest.raises(ValueError):
+        SequenceModel.from_dict({"horizon": 2, "delta": 1.0, "iid": {"points": [-1, 1]}})
+    with pytest.raises(ValueError):
+        SequenceModel.from_dict([1, 2])
