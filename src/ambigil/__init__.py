@@ -16,7 +16,7 @@ from .capacity import (BCProductReport, CapacityPair, MCResult, OutcomeFlagEvent
                        event_from_config, lower_capacity,
                        mc_capacity_lower_bound, upper_capacity,
                        window_max_event)
-from .engine import (DEFAULT_STATE_CAP, BreveResult, ExpectationPair,
+from .engine import (DEFAULT_STATE_CAP, Automaton, BreveResult, ExpectationPair,
                      FullVectorPayoff, StateSpaceError, TerminalSumPayoff,
                      WindowEvent, breve_expectation,
                      evaluate_lower, evaluate_pair, evaluate_upper,

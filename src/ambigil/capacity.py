@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import _SIDES, DEFAULT_STATE_CAP, WindowEvent, evaluate_upper
+from .engine import _SIDES, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
 from .model import SequenceModel
 from .rng import substream
 
@@ -49,36 +49,9 @@ class CapacityPair:
             raise ValueError(f"capacity pair out of order: ({self.lower!r}, {self.upper!r})")
 
 
-class OutcomeFlagEvent(object):
+def OutcomeFlagEvent(trigger: Callable[[int, float], bool]) -> Automaton:
     """Event {exists k: trigger(k, x_k)} on single outcomes; state = latched flag."""
-
-    def __init__(self, trigger: Callable[[int, float], bool], accept_on_flag: bool = True,
-                 terminal_accept: float = 1.0, terminal_reject: float = 0.0):
-        self.trigger = trigger
-        self.accept_on_flag = accept_on_flag
-        self.terminal_accept = terminal_accept
-        self.terminal_reject = terminal_reject
-        self.initial = 0
-
-    def bind(self, model):
-        return self
-
-    def advance(self, state, k, point, value):
-        if state:
-            return 1
-        return 1 if self.trigger(k, value) else 0
-
-    def terminal(self, state):
-        accepted = bool(state) if self.accept_on_flag else not state
-        return self.terminal_accept if accepted else self.terminal_reject
-
-    def complement(self) -> "OutcomeFlagEvent":
-        return OutcomeFlagEvent(self.trigger, not self.accept_on_flag,
-                                self.terminal_accept, self.terminal_reject)
-
-    def negate(self) -> "OutcomeFlagEvent":
-        return OutcomeFlagEvent(self.trigger, self.accept_on_flag,
-                                -self.terminal_accept, -self.terminal_reject)
+    return Automaton(0, lambda s, k, point, value: 1 if s or trigger(k, value) else 0, float)
 
 
 def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
@@ -316,15 +289,15 @@ def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
         kind, arg = strategy
         if kind == "constant":
             idx = int(arg)
-            if not all(idx < s.n_measures for s in model.steps()):
-                raise ValueError(f"constant strategy index {idx} exceeds some step's family")
+            if not all(0 <= idx < s.n_measures for s in model.steps()):
+                raise ValueError(f"constant strategy index {idx} is outside some step's family")
             return [idx] * model.horizon
         if kind in ("schedule", "user-schedule"):
             sched = [int(i) for i in arg]
             if len(sched) != model.horizon:
                 raise ValueError(f"schedule length {len(sched)} != horizon {model.horizon}")
             for k, idx in enumerate(sched, start=1):
-                if idx >= model.step(k).n_measures:
+                if not 0 <= idx < model.step(k).n_measures:
                     raise ValueError(f"schedule index {idx} invalid at step {k}")
             return sched
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -354,20 +327,27 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     side = cfg.get("side", ">=")
     kind = thr.get("kind") if isinstance(thr, dict) else None
     if kind == "const":
-        c = float(thr["c"])
+        c = _real(thr.get("c"), "c")
         fn = lambda m: c
     elif kind == "d_n":
-        scale = float(thr.get("scale", 1.0))
+        scale = _real(thr.get("scale", 1.0), "scale")
         fn = lambda m: scale * iterlog.d_n(m)
     elif kind == "a_n":
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
-        scale = float(thr.get("scale", 1.0))
+        scale = _real(thr.get("scale", 1.0), "scale")
         s2 = cumulative_upper_second_moments(model)
         fn = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
     return window_max_event(n, N, fn, side=side, on=stat)
+
+
+def _real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"threshold {name} must be a real number, got {value!r}") from None
 
 
 def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:

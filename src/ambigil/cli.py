@@ -30,6 +30,15 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
+def _number(kind, value, name: str):
+    """``kind(value)`` for the config key ``name``, where ``kind`` is int or
+    float; a value of the wrong JSON type is a ``ConfigError``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{name}' must be a number, got {value!r}") from None
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -97,7 +106,7 @@ def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:
         raise ConfigError(f"'payoff' must be an object, got {type(p).__name__}")
     kind = p.get("kind")
     if kind == "sum-power":
-        k = float(p.get("power", 2))
+        k = _number(float, p.get("power", 2), "power")
         return f"S^{k:g}", TerminalSumPayoff(lambda s: s ** k)
     if kind == "sum-abs":
         return "|S|", TerminalSumPayoff(abs)
@@ -107,9 +116,9 @@ def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:
 
 
 def _engine_kw(cfg: dict) -> dict:
-    kw = {"workers": int(cfg.get("workers", 1))}
+    kw = {"workers": _number(int, cfg.get("workers", 1), "workers")}
     if "state_cap" in cfg:
-        kw["state_cap"] = int(cfg["state_cap"])
+        kw["state_cap"] = _number(int, cfg["state_cap"], "state_cap")
     return kw
 
 
@@ -154,9 +163,9 @@ def _run_capacity(cfg: dict):
 def _run_bounds_verify(cfg: dict):
     if "seed" not in cfg:
         raise ConfigError("bounds-verify needs a seed")
-    cases = int(cfg.get("cases", 1000))
-    report = bounds.verify_domination(cases, int(cfg["seed"]),
-                                      workers=int(cfg.get("workers", 1)))
+    cases = _number(int, cfg.get("cases", 1000), "cases")
+    report = bounds.verify_domination(cases, _number(int, cfg["seed"], "seed"),
+                                      workers=_number(int, cfg.get("workers", 1), "workers"))
     rows = list(bounds.domination_rows(report))
     extras = {"cases": cases, "violations": report.violation_count}
     return (bounds.DOMINATION_CSV_HEADER, rows,
@@ -166,7 +175,8 @@ def _run_bounds_verify(cfg: dict):
 
 def _run_gnormal(cfg: dict):
     try:
-        params = gnormal.GNormalParams(float(cfg["sigma_lo"]), float(cfg["sigma_hi"]))
+        params = gnormal.GNormalParams(_number(float, cfg["sigma_lo"], "sigma_lo"),
+                                       _number(float, cfg["sigma_hi"], "sigma_hi"))
     except (KeyError, ValueError) as e:
         raise ConfigError(f"gnormal needs valid sigma_lo/sigma_hi: {e}") from None
     xs = cfg.get("x", 0.0)
@@ -174,7 +184,7 @@ def _run_gnormal(cfg: dict):
         xs = [xs]
     rows = []
     for x in xs:
-        x = float(x)
+        x = _number(float, x, "x")
         rows.append((x, gnormal.gnormal_upper_tail(params, x),
                      gnormal.gnormal_lower_tail(params, x),
                      gnormal.gnormal_density(params, x)))
@@ -188,40 +198,42 @@ def _run_lil(cfg: dict):
     kind = cfg.get("experiment")
     kw = _engine_kw(cfg)
     if kind == "upper":
-        eps = float(cfg.get("eps", 1.0))
+        eps = _number(float, cfg.get("eps", 1.0), "eps")
         center = cfg.get("center", "upper-mean")
         rows = []
         for n, N in cfg.get("windows", [[1, model.horizon]]):
-            r = lil.lil_upper_experiment(model, int(n), int(N), eps, center, **kw)
+            n, N = _number(int, n, "windows"), _number(int, N, "windows")
+            r = lil.lil_upper_experiment(model, n, N, eps, center, **kw)
             rows.append((r.n, r.N, r.eps, r.center, r.capacity, r.bound_crosscheck))
         return (("n", "N", "eps", "center", "capacity", "bound_crosscheck"), rows,
                 ["lil.lil_upper_experiment (exact window capacity + blocked bound)"], {})
     if kind == "lower":
-        eps = float(cfg.get("eps", 0.5))
+        eps = _number(float, cfg.get("eps", 0.5), "eps")
         rows = []
         for n, N in cfg.get("windows", [[1, model.horizon]]):
-            v = lil.lil_lower_experiment(model, int(n), int(N), eps, **kw)
-            rows.append((int(n), int(N), eps, v))
+            n, N = _number(int, n, "windows"), _number(int, N, "windows")
+            rows.append((n, N, eps, lil.lil_lower_experiment(model, n, N, eps, **kw)))
         return (("n", "N", "eps", "capacity"), rows,
                 ["lil.lil_lower_experiment (exact window capacity)"], {})
     if kind == "cluster":
         if not model.is_iid:
             raise ConfigError("cluster experiment needs an iid model")
-        N = int(cfg.get("N", model.horizon))
-        grid = [float(s) for s in cfg.get("sigma_grid", [0.5, 1.0, 1.5])]
+        N = _number(int, cfg.get("N", model.horizon), "N")
+        grid = [_number(float, s, "sigma_grid") for s in cfg.get("sigma_grid", [0.5, 1.0, 1.5])]
         rows = [(r.sigma, r.upper, r.lower)
                 for r in lil.cluster_probe(model.step(1), N, grid, **kw)]
         return (("sigma", "upper", "lower"), rows,
                 ["lil.cluster_probe (window max against sqrt(2 m loglog m))"], {})
     if kind == "conditions":
-        cps = [int(c) for c in cfg.get("checkpoints", [10, 100, min(1000, model.horizon)])]
+        cps = [_number(int, c, "checkpoints")
+               for c in cfg.get("checkpoints", [10, 100, min(1000, model.horizon)])]
         rep = lil.check_conditions(model, cps,
-                                   p=float(cfg.get("p", 2.0)),
-                                   alpha=float(cfg.get("alpha", 1.0)),
-                                   d=int(cfg.get("d", 1)),
-                                   eps=float(cfg.get("eps", 1.0)),
-                                   delta=float(cfg.get("delta", 0.5)),
-                                   power_p=float(cfg.get("power_p", 3.0)))
+                                   p=_number(float, cfg.get("p", 2.0), "p"),
+                                   alpha=_number(float, cfg.get("alpha", 1.0), "alpha"),
+                                   d=_number(int, cfg.get("d", 1), "d"),
+                                   eps=_number(float, cfg.get("eps", 1.0), "eps"),
+                                   delta=_number(float, cfg.get("delta", 0.5), "delta"),
+                                   power_p=_number(float, cfg.get("power_p", 3.0), "power_p"))
         rows = []
         for rec in rep.records:
             for i, cp in enumerate(rec.checkpoints):
@@ -241,7 +253,7 @@ def _run_bc(cfg: dict):
     thresholds = cfg.get("thresholds")
     if not thresholds:
         raise ConfigError("bc command needs per-step 'thresholds'")
-    rep = capacity.bc_product_check(model, [float(t) for t in thresholds],
+    rep = capacity.bc_product_check(model, [_number(float, t, "thresholds") for t in thresholds],
                                     side=cfg.get("side", ">="), **_engine_kw(cfg))
     rows = [(rep.intersection_lower, rep.product_bound, rep.union_upper)]
     extras = {"per_event_upper": json.dumps([v for v in rep.per_event_upper])}
@@ -256,9 +268,9 @@ def _run_probe(cfg: dict):
         model = _load_model(cfg)
         if not model.is_iid:
             raise ConfigError("continuity probe needs an iid model")
-        power = float(cfg.get("power", 2))
-        m = int(cfg.get("m", 3))
-        eps = float(cfg.get("eps", 0.5))
+        power = _number(float, cfg.get("power", 2), "power")
+        m = _number(int, cfg.get("m", 3), "m")
+        eps = _number(float, cfg.get("eps", 0.5), "eps")
         r = lil.continuity_probe(model.step(1), lambda v: v ** power, m, eps, **kw)
         rows = [(r.phi_lower, r.phi_upper, r.high_event_upper, r.low_event_upper,
                  r.high_event_lower, r.low_event_lower)]
@@ -271,14 +283,18 @@ def _run_probe(cfg: dict):
             raise ConfigError(f"{kind} probe needs an iid model family")
         step = model.step(1)
         fam = lambda n: SequenceModel.iid(step, n)
-        z = float(cfg.get("z", 0.1))
-        gamma = float(cfg.get("gamma", 1.0))
-        n_list = [int(n) for n in cfg.get("n_list", [256, 1024])]
+        z = _number(float, cfg.get("z", 0.1), "z")
+        gamma = _number(float, cfg.get("gamma", 1.0), "gamma")
+        n_list = [_number(int, n, "n_list") for n in cfg.get("n_list", [256, 1024])]
         fn = _x_fn_from_config(cfg)
+        alpha = cfg.get("alpha")
+        if alpha is not None:
+            alpha = _number(float, alpha, "alpha")
         runner = (bounds.converse_rate_check if kind == "converse-rate"
                   else lil.conjecture_probe)
         table = runner(fam, z, gamma, n_list, x_fn=fn,
-                       alpha=cfg.get("alpha"), slack=float(cfg.get("slack", 0.1)), **kw)
+                       alpha=alpha, slack=_number(float, cfg.get("slack", 0.1), "slack"),
+                       **kw)
         rows = [(r.n, r.x_n, r.scale, r.threshold, r.capacity, r.lhs, r.rhs,
                  r.alpha_n, r.bounded) for r in table.rows]
         extras = {"violation": table.violation, "side": table.side,
@@ -296,14 +312,15 @@ def _run_probe(cfg: dict):
         if strat_cfg == "greedy-one-step" or strat_cfg == "greedy":
             strat = "greedy-one-step"
         elif isinstance(strat_cfg, dict) and strat_cfg.get("kind") == "constant":
-            strat = ("constant", int(strat_cfg.get("index", 0)))
+            strat = ("constant", _number(int, strat_cfg.get("index", 0), "index"))
         elif isinstance(strat_cfg, dict) and strat_cfg.get("kind") == "schedule":
-            strat = ("schedule", [int(i) for i in strat_cfg["indices"]])
+            strat = ("schedule", [_number(int, i, "indices") for i in strat_cfg["indices"]])
         else:
             raise ConfigError(f"unknown strategy {strat_cfg!r}")
         r = capacity.mc_capacity_lower_bound(
-            model, ev, strat, int(cfg.get("replications", 10000)),
-            int(cfg["seed"]), workers=int(cfg.get("workers", 1)))
+            model, ev, strat, _number(int, cfg.get("replications", 10000), "replications"),
+            _number(int, cfg["seed"], "seed"),
+            workers=_number(int, cfg.get("workers", 1), "workers"))
         rows = [(r.estimate, r.std_error, r.replications, r.accepted)]
         return (("estimate", "std_error", "replications", "accepted"), rows,
                 ["capacity.mc_capacity_lower_bound (splitmix64 streams)"], {})

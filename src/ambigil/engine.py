@@ -8,7 +8,14 @@ do not mean a single product measure; they mean the family available at step
 k does not depend on the past, while the adversary's pick may.
 
 Payoffs are finite-state automata over (step, lattice partial sum, auxiliary
-state).  Two representations are evaluated on one vectorized lattice path:
+state).  Every payoff has one protocol: ``initial``, ``advance(state, k,
+point, value)``, ``terminal(state)``, ``bind(model)`` and ``negate()``, plus
+``complement()`` for events.  ``Automaton`` is the generic implementation;
+``FullVectorPayoff`` and ``capacity.OutcomeFlagEvent`` build one.  Terminal
+payoff values must be finite: a NaN or infinite one raises ``ValueError``
+(the lattice path checks every sum between the lowest and the highest
+terminal sum, the generic path every reached state).  Two representations
+are evaluated on one vectorized lattice path:
 
 * ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum
   (one row of values per layer);
@@ -70,32 +77,45 @@ class ExpectationPair:
 #
 # Engine protocol: initial state, advance(state, k, point, value) with the
 # outcome given both as lattice index and real value, terminal(state) -> real.
-# bind(model) lets a payoff capture the lattice spacing before evaluation.
+# bind(model) lets a payoff capture the lattice spacing before evaluation,
+# negate() gives the payoff -terminal, and an event's complement() flips
+# its acceptance.
 # ---------------------------------------------------------------------------
 
 
-class FullVectorPayoff(object):
+@dataclass(frozen=True)
+class Automaton:
+    """Generic automaton payoff, evaluated on the generic path.
+
+    ``advance(state, k, point, value)`` and ``terminal(state)`` are plain
+    callables.  ``negate`` flips the sign of every terminal value, and
+    ``complement`` maps t to 1 - t, so it is the complement event only for
+    an indicator payoff.
+    """
+
+    initial: object
+    advance: Callable[[object, int, int, float], object]
+    terminal: Callable[[object], float]
+
+    def bind(self, model) -> "Automaton":
+        return self
+
+    def negate(self) -> "Automaton":
+        t = self.terminal
+        return replace(self, terminal=lambda s: -t(s))
+
+    def complement(self) -> "Automaton":
+        t = self.terminal
+        return replace(self, terminal=lambda s: 1.0 - t(s))
+
+
+def FullVectorPayoff(fn: Callable[[tuple], float]) -> Automaton:
     """Reference mode: payoff is a plain function of the full outcome vector.
 
     State is the realized history tuple, so the DP degenerates to the
     exhaustive tree; usable for short horizons only.
     """
-
-    def __init__(self, fn: Callable[[tuple], float]):
-        self.fn = fn
-        self.initial = ()
-
-    def bind(self, model):
-        return self
-
-    def advance(self, state, k, point, value):
-        return state + (value,)
-
-    def terminal(self, state):
-        return float(self.fn(state))
-
-    def negate(self):
-        return FullVectorPayoff(lambda xs: -self.fn(xs))
+    return Automaton((), lambda s, k, point, value: s + (value,), lambda s: float(fn(s)))
 
 
 class TerminalSumPayoff(object):
@@ -113,18 +133,10 @@ class TerminalSumPayoff(object):
         return state + point
 
     def terminal(self, state):
-        s = self._delta * state
-        value = float(self.fn(s))
-        if math.isnan(value):
-            raise ValueError(f"payoff is NaN at terminal sum {s!r}")
-        return value
+        return float(self.fn(self._delta * state))
 
     def terminal_array(self, positions: np.ndarray) -> np.ndarray:
-        values = np.array([float(self.fn(float(p))) for p in positions])
-        bad = positions[np.isnan(values)]
-        if len(bad):
-            raise ValueError(f"payoff is NaN at terminal sum {float(bad[0])!r}")
-        return values
+        return np.array([float(self.fn(float(p))) for p in positions])
 
     def negate(self):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
@@ -186,23 +198,11 @@ class WindowEvent:
             raise ValueError(f"window [{self.lo}, {self.hi}] exceeds horizon {model.horizon}")
         return replace(self, _delta=model.delta)
 
-    def _stat_value(self, position: float) -> float:
-        if self.stat == "S":
-            return position
-        if self.stat == "-S":
-            return -position
-        return abs(position)
-
     def _threshold_at(self, m: int) -> float:
         thr = float(self.threshold(m))
         if math.isnan(thr):
             raise ValueError(f"window threshold at step {m} is NaN")
         return thr
-
-    def triggers(self, m: int, position: float) -> bool:
-        if m < self.lo or m > self.hi:
-            return False
-        return _SIDES[self.side](self._stat_value(position), self._threshold_at(m))
 
     def trigger_mask(self, m: int, positions: np.ndarray) -> np.ndarray:
         if m < self.lo or m > self.hi:
@@ -220,7 +220,7 @@ class WindowEvent:
         s2 = s + point
         if flag:
             return (1, s2)
-        return (1 if self.triggers(k, self._delta * s2) else 0, s2)
+        return (1 if self.trigger_mask(k, np.array([self._delta * s2]))[0] else 0, s2)
 
     def terminal_flag(self, flag: bool) -> float:
         accepted = flag if self.accept_on_flag else not flag
@@ -230,25 +230,12 @@ class WindowEvent:
         return self.terminal_flag(bool(state[0]))
 
 
-class _Negated(object):
-    def __init__(self, payoff):
-        self._p = payoff
-        self.initial = payoff.initial
-
-    def bind(self, model):
-        return _Negated(self._p.bind(model) if hasattr(self._p, "bind") else self._p)
-
-    def advance(self, state, k, point, value):
-        return self._p.advance(state, k, point, value)
-
-    def terminal(self, state):
-        return -self._p.terminal(state)
-
-
-def negate_payoff(payoff):
-    if hasattr(payoff, "negate"):
-        return payoff.negate()
-    return _Negated(payoff)
+def _finite(values) -> None:
+    """Raise ``ValueError`` on a NaN or infinite terminal payoff value."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        bad = np.asarray(values)[~ok].flat[0]
+        raise ValueError(f"payoff has a non-finite terminal value {float(bad)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +277,7 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
         return model.delta * np.arange(lows[k], lows[k] + widths[k], dtype=float)
 
     v = terminal(positions(model.horizon))
+    _finite(v)
     for k in range(model.horizon, 0, -1):
         if latch is not None:
             v[0] = np.where(latch(k, positions(k)), v[1], v[0])
@@ -345,6 +333,7 @@ def _generic_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         states = nxt_states
 
     values = [payoff.terminal(s) for s in states]
+    _finite(values)
     for k in range(n, 0, -1):
         prev_states, trans = layers[k - 1]
         measures = model.step(k).measures
@@ -379,7 +368,7 @@ def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
     path.  ``workers`` is kept for API compatibility; every value runs the
     same single-threaded code.
     """
-    bound = payoff.bind(model) if hasattr(payoff, "bind") else payoff
+    bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method != "generic":
@@ -397,7 +386,7 @@ def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
 
 def evaluate_lower(model: SequenceModel, payoff, **kw) -> float:
     """Conjugate (lower) expectation: -E_upper[-payoff]."""
-    return -evaluate_upper(model, negate_payoff(payoff), **kw)
+    return -evaluate_upper(model, payoff.negate(), **kw)
 
 
 def evaluate_pair(model: SequenceModel, payoff, **kw) -> ExpectationPair:

@@ -22,6 +22,7 @@ from .bounds import _rate_table, kolmogorov_bound, RateTable
 from .capacity import (_running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
+from .engine import Automaton
 from .model import SequenceModel, StepAmbiguity
 
 
@@ -477,33 +478,6 @@ def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
     return rows
 
 
-class _MeanEvent(object):
-    """{ (1/m) sum phi(X_i) <side> threshold } via a float-accumulator state."""
-
-    def __init__(self, fn, m, threshold, side, accept=True):
-        self.fn = fn
-        self.m = m
-        self.threshold = threshold
-        self.side = side
-        self.accept = accept
-        self.initial = 0.0
-
-    def bind(self, model):
-        return self
-
-    def advance(self, state, k, point, value):
-        return state + self.fn(value)
-
-    def terminal(self, state):
-        mean = state / self.m
-        hit = mean >= self.threshold if self.side == "ge" else mean <= self.threshold
-        ok = hit if self.accept else not hit
-        return 1.0 if ok else 0.0
-
-    def complement(self):
-        return _MeanEvent(self.fn, self.m, self.threshold, self.side, not self.accept)
-
-
 @dataclass(frozen=True)
 class ContinuityProbeResult:
     phi_lower: float
@@ -524,8 +498,10 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
         raise ValueError(f"m must be >= 1, got {m}")
     lo, hi = step.expectation_interval(payoff)
     model = SequenceModel.iid(step, m)
-    high = _MeanEvent(payoff, m, hi - eps, "ge")
-    low = _MeanEvent(payoff, m, lo + eps, "le")
+    add = lambda s, k, point, value: s + payoff(value)
+    hi_thr, lo_thr = hi - eps, lo + eps
+    high = Automaton(0.0, add, lambda s: 1.0 if s / m >= hi_thr else 0.0)
+    low = Automaton(0.0, add, lambda s: 1.0 if s / m <= lo_thr else 0.0)
     return ContinuityProbeResult(
         phi_lower=lo, phi_upper=hi,
         high_event_upper=upper_capacity(model, high, **engine_kw),

@@ -8,12 +8,14 @@ from ambigil.capacity import (BCProductReport, CapacityPair, OutcomeFlagEvent,
                               event_from_config, lower_capacity,
                               mc_capacity_lower_bound, upper_capacity,
                               window_max_event)
-from ambigil.engine import TerminalSumPayoff, evaluate_upper
-from ambigil.model import SequenceModel, make_rademacher_interval
+from ambigil.engine import Automaton, TerminalSumPayoff, evaluate_upper
+from ambigil.lil import continuity_probe
+from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
+                           make_rademacher_interval)
 from ambigil.rng import SplitMix64
 
 from oracles import (JoinedEvent, classical_window_probability, mc_reference,
-                     random_model)
+                     nested_supremum, random_model)
 
 STEP12 = make_rademacher_interval(1, 2, 2)
 
@@ -80,6 +82,38 @@ def test_monotonicity_in_window_and_threshold():
         assert lower_capacity(m, small) <= lower_capacity(m, big) + 1e-12
         higher = window_max_event(1, m.horizon, t + 0.5, ">=", "S")
         assert upper_capacity(m, higher) <= upper_capacity(m, big) + 1e-12
+
+
+def _check_mean_events(step, n, eps):
+    """continuity_probe's two mean events, rebuilt as automata, against the oracle."""
+    phi = lambda v: v * v
+    model = SequenceModel.iid(step, n)
+    lo, hi = step.expectation_interval(phi)
+    add = lambda s, k, point, value: s + phi(value)
+    high = Automaton(0.0, add, lambda s: 1.0 if s / n >= hi - eps else 0.0)
+    low = Automaton(0.0, add, lambda s: 1.0 if s / n <= lo + eps else 0.0)
+    for p in (high, low, high.complement(), low.complement()):
+        assert evaluate_upper(model, p) == nested_supremum(model, p)
+    r = continuity_probe(step, phi, n, eps)
+    assert r.high_event_upper == nested_supremum(model, high)
+    assert r.low_event_upper == nested_supremum(model, low)
+    assert r.high_event_lower == 1.0 - nested_supremum(model, high.complement())
+    assert r.low_event_lower == 1.0 - nested_supremum(model, low.complement())
+
+
+def test_automaton_events_match_nested_supremum():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        m = random_model(rng, max_n=5, max_points=3, max_measures=3)
+        thr = [float(rng.uniform(-1.5, 1.5)) for _ in range(m.horizon)]
+        ev = OutcomeFlagEvent(lambda k, v, thr=thr: v >= thr[k - 1])
+        for p in (ev, ev.complement(), ev.negate(), ev.complement().negate()):
+            assert evaluate_upper(m, p) == nested_supremum(m, p)
+        _check_mean_events(m.step(1), m.horizon, float(rng.uniform(0.0, 1.0)))
+    # dyadic laws: some means sit exactly on both thresholds
+    step = StepAmbiguity(LatticeSupport(1.0, (-1, 0, 1)), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5)))
+    for n in (1, 2, 3):
+        _check_mean_events(step, n, 0.5)
 
 
 def test_subadditivity_of_capacities():
@@ -247,6 +281,10 @@ def test_mc_determinism_and_validation():
         mc_capacity_lower_bound(m2, ev, ("constant", 0), 99, seed=9)
     with pytest.raises(ValueError):
         mc_capacity_lower_bound(m2, ev, ("schedule", [0]), 5000, seed=9)
+    with pytest.raises(ValueError):
+        mc_capacity_lower_bound(m2, ev, ("constant", -1), 5000, seed=9)
+    with pytest.raises(ValueError):
+        mc_capacity_lower_bound(m2, ev, ("schedule", [0, -1]), 5000, seed=9)
 
 
 def _mc_cases(n, seed):

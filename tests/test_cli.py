@@ -212,3 +212,23 @@ def test_rerun_byte_identical(tmp_path, model12_path):
                      "--workers", str(workers)]) == 0
         outs.append((out / "result.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+_WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("eval", {"payoff": {"kind": "sum-power", "power": [2]}}),
+    ("capacity", {"event": {"window": {"n": 1, "N": 2},
+                            "threshold": {"kind": "const", "c": [2]}}}),
+    ("bounds-verify", {"seed": 1, "cases": [5]}),
+    ("gnormal", {"sigma_lo": [1], "sigma_hi": 2}),
+    ("lil", {"experiment": "lower", "eps": {"e": 1}}),
+    ("bc", {"thresholds": [2.0, [2.0]]}),
+    ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW, "replications": [5]}),
+])
+def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
+                                                 command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": str(model12_path), **cfg}))
+    _exits_2_one_line(capsys, tmp_path, [command, "--config", str(path)])

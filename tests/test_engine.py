@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambigil.engine import (BreveResult, ExpectationPair, FullVectorPayoff,
                             StateSpaceError, TerminalSumPayoff, WindowEvent,
                             breve_expectation, evaluate_lower, evaluate_pair,
                             evaluate_upper, sum_lower_mean, sum_upper_mean)
-from ambigil.model import SequenceModel, make_rademacher_interval
+from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
+                           make_rademacher_interval)
 
 from oracles import (classical_expectation, enumerate_adapted_value,
                      nested_supremum, random_model, table_payoff)
@@ -66,6 +69,43 @@ def test_nan_payoff_rejected():
             evaluate_upper(m, tp, method=method)
     with pytest.raises(ValueError):
         evaluate_pair(m, tp)
+
+
+def test_infinite_payoff_rejected():
+    step = StepAmbiguity(LatticeSupport(1.0, (-1, 1)), ((1.0, 0.0), (0.5, 0.5)))
+    m = SequenceModel.iid(step, 2)
+    tp = TerminalSumPayoff(lambda s: math.inf if s > 1 else 0.0)
+    for method in ("lattice", "generic"):
+        with pytest.raises(ValueError):
+            evaluate_upper(m, tp, method=method)
+    with pytest.raises(ValueError):
+        evaluate_upper(m, FullVectorPayoff(lambda xs: -math.inf if xs == (1.0, -1.0) else 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_non_finite_reachable_payoff_raises_on_both_paths(data):
+    n = data.draw(st.integers(1, 5))
+    delta = data.draw(st.sampled_from([0.5, 1.0]))
+    steps = []
+    for _ in range(n):
+        pts = tuple(sorted(data.draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))))
+        measures = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = data.draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
+                          .filter(lambda w: sum(w) > 0))
+            measures.append(tuple(x / sum(w) for x in w))
+        steps.append(StepAmbiguity(LatticeSupport(delta, pts), tuple(measures)))
+    m = SequenceModel(n, steps=steps)
+    # a reachable terminal sum: one support point per step, probability 0 allowed
+    target = delta * sum(data.draw(st.sampled_from(s.support.points)) for s in steps)
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    tp = TerminalSumPayoff(lambda s: bad if s == target else 1.0)
+    for method in ("lattice", "generic"):
+        with pytest.raises(ValueError):
+            evaluate_upper(m, tp, method=method)
+        with pytest.raises(ValueError):
+            evaluate_lower(m, tp, method=method)
 
 
 def test_sublinearity_axioms_sample():
