@@ -347,12 +347,11 @@ def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: f
 
 
 def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = None,
-                      *, workers: int = 1, **engine_kw) -> DominationReport:
+                      **engine_kw) -> DominationReport:
     """Randomized domination run: exact DP capacities vs every applicable bound.
 
     Case i is generated and checked from the derived stream substream(seed, i),
-    so the report is reproducible.  ``workers`` is kept for API compatibility;
-    every value runs the cases in order on one thread.
+    so the report is reproducible.  The cases run in order on one thread.
     """
     if case_count < 1:
         raise ValueError(f"case_count must be >= 1, got {case_count}")

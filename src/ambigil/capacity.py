@@ -59,7 +59,7 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     """Automaton for {exists m in [n, N]: stat(S_m) <side> threshold(m)}.
 
     ``threshold_fn`` may be a constant or a callable of the step index m;
-    state is (lattice partial sum, triggered flag).  A NaN threshold raises
+    state is (triggered flag, lattice partial sum).  A NaN threshold raises
     ``ValueError``; ``±inf`` gives the sure or the never event.
     """
     if side not in _SIDE_ALIASES:
@@ -77,17 +77,16 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
                        stat=_STAT_ALIASES[on])
 
 
-def upper_capacity(model: SequenceModel, event, *, workers: int = 1,
+def upper_capacity(model: SequenceModel, event, *,
                    state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
     """Exact upper capacity: the upper expectation of the event indicator."""
-    return evaluate_upper(model, event, workers=workers, state_cap=state_cap, method=method)
+    return evaluate_upper(model, event, state_cap=state_cap, method=method)
 
 
-def lower_capacity(model: SequenceModel, event, *, workers: int = 1,
+def lower_capacity(model: SequenceModel, event, *,
                    state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
     """Exact lower capacity: 1 - upper capacity of the complement automaton."""
-    return 1.0 - upper_capacity(model, event.complement(), workers=workers,
-                                state_cap=state_cap, method=method)
+    return 1.0 - upper_capacity(model, event.complement(), state_cap=state_cap, method=method)
 
 
 def capacity_pair(model: SequenceModel, event, **kw) -> CapacityPair:
@@ -129,7 +128,7 @@ def choquet_integral(tail_capacity: Callable[[float], float],
         neg = [b for b in bounds if b < 0]
         ts_neg = neg[1:] + [0.0] if neg else []
         vs_neg = [float(tail_capacity(t)) for t in ts_neg]
-        _check_nonincreasing((neg[1:] + [0.0] if neg else []) + ts, vs_neg + vs_pos)
+        _check_nonincreasing(ts_neg + ts, vs_neg + vs_pos)
         total = 0.0
         prev = 0.0
         for t, v in zip(ts, vs_pos):
@@ -226,8 +225,7 @@ class MCResult:
 
 
 def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
-                            replications: int, seed: int, *,
-                            workers: int = 1) -> MCResult:
+                            replications: int, seed: int) -> MCResult:
     """Unbiased MC estimate of P_strategy(event) for one admissible strategy.
 
     Any strategy that picks a member of the step family (even adaptively)
@@ -244,8 +242,9 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     All replications advance together, one step at a time: at step k every
     replication r draws one uniform from its own stream substream(seed, r),
     so each stream's k-th draw drives step k of its replication whatever
-    the replication count.  ``workers`` is kept for API compatibility; it
-    changes nothing.
+    the replication count.  A path counts as accepted when the event's
+    terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
+    is at least 0.5.
     """
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
@@ -274,32 +273,34 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
         pos += pts[j]
         flag |= ev.trigger_mask(k, ev._delta * pos)
 
-    accepted = int(np.count_nonzero(np.where(flag, ev.terminal_flag(True) >= 0.5,
-                                             ev.terminal_flag(False) >= 0.5)))
+    accepted = int(np.count_nonzero(np.where(flag, ev.values[1] >= 0.5, ev.values[0] >= 0.5)))
     p = accepted / replications
     se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
     return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
 
 
 def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
-    """The measure index of each step, or None for the greedy strategy."""
-    if strategy == "greedy-one-step" or strategy == "greedy":
+    """The measure index of each step, or None for the greedy strategy.
+
+    This is the whole strategy grammar: an unknown name, a non-integer index
+    or an index outside a step's family raises ``ValueError``.
+    """
+    if strategy == "greedy-one-step":
         return None
-    if isinstance(strategy, (tuple, list)) and len(strategy) == 2:
+    if isinstance(strategy, (tuple, list)) and len(strategy) == 2 \
+            and strategy[0] in ("constant", "schedule"):
         kind, arg = strategy
-        if kind == "constant":
-            idx = int(arg)
-            if not all(0 <= idx < s.n_measures for s in model.steps()):
-                raise ValueError(f"constant strategy index {idx} is outside some step's family")
-            return [idx] * model.horizon
-        if kind in ("schedule", "user-schedule"):
-            sched = [int(i) for i in arg]
-            if len(sched) != model.horizon:
-                raise ValueError(f"schedule length {len(sched)} != horizon {model.horizon}")
-            for k, idx in enumerate(sched, start=1):
-                if not 0 <= idx < model.step(k).n_measures:
-                    raise ValueError(f"schedule index {idx} invalid at step {k}")
-            return sched
+        try:
+            sched = [int(arg)] * model.horizon if kind == "constant" else [int(i) for i in arg]
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} strategy needs integer measure indices, "
+                             f"got {arg!r}") from None
+        if len(sched) != model.horizon:
+            raise ValueError(f"schedule length {len(sched)} != horizon {model.horizon}")
+        for k, idx in enumerate(sched, start=1):
+            if not 0 <= idx < model.step(k).n_measures:
+                raise ValueError(f"{kind} strategy index {idx} invalid at step {k}")
+        return sched
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -4,7 +4,7 @@ Every run writes ``result.csv`` (fixed schema per command, LF endings,
 shortest-roundtrip float formatting) and ``report.md`` (inputs echo, version
 stamp, config hash, seed, runtimes, and the library operations applied) into
 the output directory.  Reruns with an identical config and seed produce
-byte-identical CSVs for any worker count.
+byte-identical CSVs.
 
 Exit codes: 0 success, 2 validation error (bad config/arguments),
 3 resource-cap error from the evaluation engine.
@@ -68,7 +68,6 @@ def _write_report(path: Path, command: str, cfg: dict, header, nrows: int,
         f"- version: {__version__}",
         f"- config hash (sha256): `{_config_hash(cfg)}`",
         f"- seed: {cfg.get('seed', 'n/a')}",
-        f"- workers: {cfg.get('workers', 1)}",
         f"- runtime: {runtime:.3f} s",
         f"- result rows: {nrows}",
         "",
@@ -115,11 +114,26 @@ def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:
     raise ConfigError(f"unknown payoff kind {kind!r} (use sum-power, sum-abs, sum)")
 
 
+def _list(cfg: dict, name: str, default) -> list:
+    """The JSON list under the config key ``name``; any other type is a
+    ``ConfigError``."""
+    value = cfg.get(name, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{name}' must be a list, got {value!r}")
+    return value
+
+
+def _windows(cfg: dict, horizon: int) -> list[tuple[int, int]]:
+    wins = _list(cfg, "windows", [[1, horizon]])
+    if not all(isinstance(w, list) and len(w) == 2 for w in wins):
+        raise ConfigError(f"'windows' must be a list of [n, N] pairs, got {wins!r}")
+    return [(_number(int, n, "windows"), _number(int, N, "windows")) for n, N in wins]
+
+
 def _engine_kw(cfg: dict) -> dict:
-    kw = {"workers": _number(int, cfg.get("workers", 1), "workers")}
     if "state_cap" in cfg:
-        kw["state_cap"] = _number(int, cfg["state_cap"], "state_cap")
-    return kw
+        return {"state_cap": _number(int, cfg["state_cap"], "state_cap")}
+    return {}
 
 
 def _x_fn_from_config(cfg: dict):
@@ -164,8 +178,7 @@ def _run_bounds_verify(cfg: dict):
     if "seed" not in cfg:
         raise ConfigError("bounds-verify needs a seed")
     cases = _number(int, cfg.get("cases", 1000), "cases")
-    report = bounds.verify_domination(cases, _number(int, cfg["seed"], "seed"),
-                                      workers=_number(int, cfg.get("workers", 1), "workers"))
+    report = bounds.verify_domination(cases, _number(int, cfg["seed"], "seed"))
     rows = list(bounds.domination_rows(report))
     extras = {"cases": cases, "violations": report.violation_count}
     return (bounds.DOMINATION_CSV_HEADER, rows,
@@ -201,32 +214,29 @@ def _run_lil(cfg: dict):
         eps = _number(float, cfg.get("eps", 1.0), "eps")
         center = cfg.get("center", "upper-mean")
         rows = []
-        for n, N in cfg.get("windows", [[1, model.horizon]]):
-            n, N = _number(int, n, "windows"), _number(int, N, "windows")
+        for n, N in _windows(cfg, model.horizon):
             r = lil.lil_upper_experiment(model, n, N, eps, center, **kw)
             rows.append((r.n, r.N, r.eps, r.center, r.capacity, r.bound_crosscheck))
         return (("n", "N", "eps", "center", "capacity", "bound_crosscheck"), rows,
                 ["lil.lil_upper_experiment (exact window capacity + blocked bound)"], {})
     if kind == "lower":
         eps = _number(float, cfg.get("eps", 0.5), "eps")
-        rows = []
-        for n, N in cfg.get("windows", [[1, model.horizon]]):
-            n, N = _number(int, n, "windows"), _number(int, N, "windows")
-            rows.append((n, N, eps, lil.lil_lower_experiment(model, n, N, eps, **kw)))
+        rows = [(n, N, eps, lil.lil_lower_experiment(model, n, N, eps, **kw))
+                for n, N in _windows(cfg, model.horizon)]
         return (("n", "N", "eps", "capacity"), rows,
                 ["lil.lil_lower_experiment (exact window capacity)"], {})
     if kind == "cluster":
         if not model.is_iid:
             raise ConfigError("cluster experiment needs an iid model")
         N = _number(int, cfg.get("N", model.horizon), "N")
-        grid = [_number(float, s, "sigma_grid") for s in cfg.get("sigma_grid", [0.5, 1.0, 1.5])]
+        grid = [_number(float, s, "sigma_grid") for s in _list(cfg, "sigma_grid", [0.5, 1.0, 1.5])]
         rows = [(r.sigma, r.upper, r.lower)
                 for r in lil.cluster_probe(model.step(1), N, grid, **kw)]
         return (("sigma", "upper", "lower"), rows,
                 ["lil.cluster_probe (window max against sqrt(2 m loglog m))"], {})
     if kind == "conditions":
         cps = [_number(int, c, "checkpoints")
-               for c in cfg.get("checkpoints", [10, 100, min(1000, model.horizon)])]
+               for c in _list(cfg, "checkpoints", [10, 100, min(1000, model.horizon)])]
         rep = lil.check_conditions(model, cps,
                                    p=_number(float, cfg.get("p", 2.0), "p"),
                                    alpha=_number(float, cfg.get("alpha", 1.0), "alpha"),
@@ -250,7 +260,7 @@ def _run_lil(cfg: dict):
 
 def _run_bc(cfg: dict):
     model = _load_model(cfg)
-    thresholds = cfg.get("thresholds")
+    thresholds = _list(cfg, "thresholds", [])
     if not thresholds:
         raise ConfigError("bc command needs per-step 'thresholds'")
     rep = capacity.bc_product_check(model, [_number(float, t, "thresholds") for t in thresholds],
@@ -285,7 +295,7 @@ def _run_probe(cfg: dict):
         fam = lambda n: SequenceModel.iid(step, n)
         z = _number(float, cfg.get("z", 0.1), "z")
         gamma = _number(float, cfg.get("gamma", 1.0), "gamma")
-        n_list = [_number(int, n, "n_list") for n in cfg.get("n_list", [256, 1024])]
+        n_list = [_number(int, n, "n_list") for n in _list(cfg, "n_list", [256, 1024])]
         fn = _x_fn_from_config(cfg)
         alpha = cfg.get("alpha")
         if alpha is not None:
@@ -308,19 +318,16 @@ def _run_probe(cfg: dict):
             raise ConfigError("mc probe needs a seed")
         model = _load_model(cfg)
         ev = capacity.event_from_config(cfg.get("event", {}), model)
-        strat_cfg = cfg.get("strategy", {"kind": "constant", "index": 0})
-        if strat_cfg == "greedy-one-step" or strat_cfg == "greedy":
-            strat = "greedy-one-step"
-        elif isinstance(strat_cfg, dict) and strat_cfg.get("kind") == "constant":
-            strat = ("constant", _number(int, strat_cfg.get("index", 0), "index"))
-        elif isinstance(strat_cfg, dict) and strat_cfg.get("kind") == "schedule":
-            strat = ("schedule", [_number(int, i, "indices") for i in strat_cfg["indices"]])
-        else:
-            raise ConfigError(f"unknown strategy {strat_cfg!r}")
+        # capacity.mc_capacity_lower_bound checks the strategy's name, types and range
+        strat = cfg.get("strategy", {"kind": "constant", "index": 0})
+        if isinstance(strat, dict):
+            kind = strat.get("kind")
+            strat = (kind, strat.get("indices") if kind == "schedule" else strat.get("index", 0))
+        elif strat != "greedy-one-step":
+            raise ConfigError(f"unknown strategy {strat!r}")
         r = capacity.mc_capacity_lower_bound(
             model, ev, strat, _number(int, cfg.get("replications", 10000), "replications"),
-            _number(int, cfg["seed"], "seed"),
-            workers=_number(int, cfg.get("workers", 1), "workers"))
+            _number(int, cfg["seed"], "seed"))
         rows = [(r.estimate, r.std_error, r.replications, r.accepted)]
         return (("estimate", "std_error", "replications", "accepted"), rows,
                 ["capacity.mc_capacity_lower_bound (splitmix64 streams)"], {})
@@ -350,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="ambigil-out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--model", default=None, help="model JSON path (overrides config)")
         if name == "gnormal":
             p.add_argument("--sigma-lo", type=float, default=None)
@@ -380,7 +386,6 @@ def _merge_config(args) -> dict:
             raise ConfigError("config root must be a JSON object")
     overrides = {
         "seed": args.seed,
-        "workers": args.workers,
         "model": args.model,
         "sigma_lo": getattr(args, "sigma_lo", None),
         "sigma_hi": getattr(args, "sigma_hi", None),

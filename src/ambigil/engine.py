@@ -12,10 +12,10 @@ state).  Every payoff has one protocol: ``initial``, ``advance(state, k,
 point, value)``, ``terminal(state)``, ``bind(model)`` and ``negate()``, plus
 ``complement()`` for events.  ``Automaton`` is the generic implementation;
 ``FullVectorPayoff`` and ``capacity.OutcomeFlagEvent`` build one.  Terminal
-payoff values must be finite: a NaN or infinite one raises ``ValueError``
-(the lattice path checks every sum between the lowest and the highest
-terminal sum, the generic path every reached state).  Two representations
-are evaluated on one vectorized lattice path:
+payoff values must be finite at every reachable terminal state, on both
+paths: a NaN or infinite value, or an ``ArithmeticError`` raised by the
+payoff, is a ``ValueError``.  Unreachable sums are never evaluated.  Two
+representations are evaluated on one vectorized lattice path:
 
 * ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum
   (one row of values per layer);
@@ -27,12 +27,14 @@ Everything else (full outcome vectors, product automata, float-accumulator
 states) runs through a dictionary-layered generic path.  Both paths perform
 per-state inner sums in a fixed left-to-right order over support points and
 take the max over measures in index order, on one thread, so results are
-bit-identical across the two paths and for any ``workers`` value.
+bit-identical across the two paths and across reruns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -156,10 +158,10 @@ class WindowEvent:
     """Path event {exists m in [lo, hi]: stat(S_m) <side> threshold(m)}.
 
     Automaton state is (triggered flag, lattice partial sum); the flag
-    latches once the windowed comparison fires.  ``accept_on_flag=False``
-    is the complement event (same transitions, flipped acceptance), and
-    the terminal values generalize the indicator so that negation stays
-    on the fast lattice path.
+    latches once the windowed comparison fires.  ``values`` holds the
+    terminal value of a path that never fired and of one that fired: the
+    indicator is (0.0, 1.0), the complement event swaps the pair and
+    negation negates it, so both stay on the fast lattice path.
     """
 
     lo: int
@@ -167,9 +169,7 @@ class WindowEvent:
     threshold: Callable[[int], float]
     side: str = "ge"
     stat: str = "S"
-    accept_on_flag: bool = True
-    terminal_accept: float = 1.0
-    terminal_reject: float = 0.0
+    values: tuple[float, float] = (0.0, 1.0)
     _delta: float | None = None
 
     def __post_init__(self):
@@ -179,13 +179,16 @@ class WindowEvent:
             raise ValueError(f"stat must be one of {_STATS}, got {self.stat!r}")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"window [{self.lo}, {self.hi}] is invalid")
+        vals = self.values
+        if not (isinstance(vals, tuple) and len(vals) == 2
+                and all(isinstance(v, float) and math.isfinite(v) for v in vals)):
+            raise ValueError(f"values must be two finite floats, got {vals!r}")
 
     def complement(self) -> "WindowEvent":
-        return replace(self, accept_on_flag=not self.accept_on_flag)
+        return replace(self, values=self.values[::-1])
 
     def negate(self) -> "WindowEvent":
-        return replace(self, terminal_accept=-self.terminal_accept,
-                       terminal_reject=-self.terminal_reject)
+        return replace(self, values=(-self.values[0], -self.values[1]))
 
     # engine protocol ------------------------------------------------------
 
@@ -222,20 +225,23 @@ class WindowEvent:
             return (1, s2)
         return (1 if self.trigger_mask(k, np.array([self._delta * s2]))[0] else 0, s2)
 
-    def terminal_flag(self, flag: bool) -> float:
-        accepted = flag if self.accept_on_flag else not flag
-        return self.terminal_accept if accepted else self.terminal_reject
-
     def terminal(self, state):
-        return self.terminal_flag(bool(state[0]))
+        return self.values[state[0]]
 
 
-def _finite(values) -> None:
-    """Raise ``ValueError`` on a NaN or infinite terminal payoff value."""
+def _terminal_values(evaluate: Callable[[], object]):
+    """``evaluate()``, the terminal payoff values of one DP, checked at the
+    engine boundary: an ``ArithmeticError`` raised by the payoff, or a NaN
+    or infinite value, is a ``ValueError``."""
+    try:
+        values = evaluate()
+    except ArithmeticError as e:
+        raise ValueError(f"payoff terminal value failed: {type(e).__name__}: {e}") from None
     ok = np.isfinite(values)
     if not ok.all():
         bad = np.asarray(values)[~ok].flat[0]
         raise ValueError(f"payoff has a non-finite terminal value {float(bad)!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,12 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
     layer k-1 directly.  ``terminal(positions)`` gives the (rows, width)
     values at the horizon.  With ``latch``, row 0 is the not-yet-triggered
     value and row 1 the triggered one, and ``latch(k, positions)`` marks
-    the sums at which the event fires at step k.  Per state, the inner sum
-    runs left to right over support points and the max over measures runs
-    in index order.
+    the sums at which the event fires at step k.  Without it (a payoff of
+    the terminal sum), ``terminal`` sees only the terminal sums the
+    supports can reach and the gaps between them hold 0.0: a reachable
+    state reads only reachable children.  Per state, the inner sum runs
+    left to right over support points and the max over measures runs in
+    index order.
 
     ``last`` is the last layer whose values depend on the partial sum (the
     window's end, or the horizon).  Beyond it every row is constant,
@@ -264,10 +273,13 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
     """
     steps = list(model.steps())
     lows, widths = [0], [1]
+    reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
     for k, step in enumerate(steps, start=1):
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
         widths.append(widths[-1] + pts[-1] - pts[0] if k <= last else 1)
+        if latch is None:
+            reach = functools.reduce(operator.or_, (reach << (pt - pts[0]) for pt in pts))
     rows = 1 if latch is None else 2
     estimate = rows * max(widths)
     if estimate > state_cap:
@@ -276,8 +288,14 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
     def positions(k: int) -> np.ndarray:
         return model.delta * np.arange(lows[k], lows[k] + widths[k], dtype=float)
 
-    v = terminal(positions(model.horizon))
-    _finite(v)
+    pos = positions(model.horizon)
+    if latch is None:
+        hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
+        hit = np.unpackbits(hit, bitorder="little")[:len(pos)].astype(bool)
+        v = np.zeros((1, len(pos)))
+        v[:, hit] = _terminal_values(lambda: terminal(pos[hit]))
+    else:
+        v = _terminal_values(lambda: terminal(pos))
     for k in range(model.horizon, 0, -1):
         if latch is not None:
             v[0] = np.where(latch(k, positions(k)), v[1], v[0])
@@ -332,8 +350,7 @@ def _generic_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         layers.append((states, trans))
         states = nxt_states
 
-    values = [payoff.terminal(s) for s in states]
-    _finite(values)
+    values = _terminal_values(lambda: [payoff.terminal(s) for s in states])
     for k in range(n, 0, -1):
         prev_states, trans = layers[k - 1]
         measures = model.step(k).measures
@@ -357,7 +374,7 @@ def _generic_upper(model: SequenceModel, payoff, state_cap: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
+def evaluate_upper(model: SequenceModel, payoff, *,
                    state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
     """Exact upper expectation of the payoff over the model.
 
@@ -365,15 +382,14 @@ def evaluate_upper(model: SequenceModel, payoff, *, workers: int = 1,
     bit-identical values for payoffs the lattice path supports).
     ``state_cap`` bounds the states the DP holds at once: rows times the
     widest reachable layer on the lattice path, all layers on the generic
-    path.  ``workers`` is kept for API compatibility; every value runs the
-    same single-threaded code.
+    path.
     """
     bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method != "generic":
         if isinstance(bound, WindowEvent):
-            flags = [[bound.terminal_flag(False)], [bound.terminal_flag(True)]]
+            flags = [[bound.values[0]], [bound.values[1]]]
             return _lattice_upper(model, lambda pos: np.tile(flags, len(pos)),
                                   bound.trigger_mask, state_cap, bound.hi)
         if isinstance(bound, TerminalSumPayoff):

@@ -164,7 +164,7 @@ class CLTBridgeResult:
 
 
 def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | None = None,
-                 workers: int = 1, state_cap: int = DEFAULT_STATE_CAP) -> CLTBridgeResult:
+                 state_cap: int = DEFAULT_STATE_CAP) -> CLTBridgeResult:
     """Bracketed DP capacity of {S_n/sqrt(n) >= x} and its limiting closed form.
 
     The indicator is sandwiched between two Lipschitz ramps of width
@@ -195,10 +195,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
             return (s - lo_edge) / hw
         return fn
 
-    hi = evaluate_upper(model, TerminalSumPayoff(ramp(t - hw)),
-                        workers=workers, state_cap=state_cap)
-    lo = evaluate_upper(model, TerminalSumPayoff(ramp(t)),
-                        workers=workers, state_cap=state_cap)
+    hi = evaluate_upper(model, TerminalSumPayoff(ramp(t - hw)), state_cap=state_cap)
+    lo = evaluate_upper(model, TerminalSumPayoff(ramp(t)), state_cap=state_cap)
     mid = 0.5 * (lo + hi)
     target = gnormal_upper_tail(params, x)
     return CLTBridgeResult(n=n, x=x, ramp_width=w, bracket_low=lo, bracket_high=hi,

@@ -120,7 +120,7 @@ def clamp(x: float, spec: TruncationSpec) -> float:
 class SequenceModel(object):
     """A horizon-N schedule of steps, i.i.d. or per-step, on one lattice.
 
-    Pure value type: construct once, then share freely across workers.
+    Pure value type: construct once, then share freely.
     """
 
     def __init__(self, horizon: int, steps: Sequence[StepAmbiguity] | None = None,
@@ -161,9 +161,6 @@ class SequenceModel(object):
     def steps(self) -> Iterable[StepAmbiguity]:
         for k in range(1, self.horizon + 1):
             yield self.step(k)
-
-    def max_measures(self) -> int:
-        return max(s.n_measures for s in self.steps())
 
     def to_dict(self) -> dict:
         def enc(step: StepAmbiguity) -> dict:

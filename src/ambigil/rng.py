@@ -2,8 +2,9 @@
 
 The generator is splitmix64: a 64-bit counter advanced by the golden-ratio
 increment, with a two-round xor-multiply finalizer applied to each counter
-value.  Every draw is a pure function of (seed, counter), so replications
-can be farmed out to any number of workers and reassembled bit-exactly.
+value.  Every draw is a pure function of (seed, counter), so each
+replication's draws do not depend on how many replications run or in what
+order they are advanced.
 
 Stream derivation rule (documented contract, relied on by capacity
 Monte Carlo): replication ``i`` of a run with seed ``s`` uses the stream

@@ -153,7 +153,7 @@ def test_verify_domination_small_run():
     rep = verify_domination(120, seed=7)
     assert rep.violation_count == 0
     assert len(rep.cases) == 120
-    rep2 = verify_domination(120, seed=7, workers=3)
+    rep2 = verify_domination(120, seed=7)
     assert rep2 == rep  # deterministic by case index
     rows = list(domination_rows(rep))
     assert len(rows) == 240

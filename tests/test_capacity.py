@@ -267,7 +267,7 @@ def test_mc_determinism_and_validation():
     m2 = SequenceModel.iid(STEP12, 2)
     ev = window_max_event(2, 2, 3.0, ">=", "S")
     a = mc_capacity_lower_bound(m2, ev, ("constant", 1), 5000, seed=9)
-    b = mc_capacity_lower_bound(m2, ev, ("constant", 1), 5000, seed=9, workers=4)
+    b = mc_capacity_lower_bound(m2, ev, ("constant", 1), 5000, seed=9)
     assert a.estimate == b.estimate
     g = mc_capacity_lower_bound(m2, ev, "greedy-one-step", 5000, seed=9)
     assert g.estimate <= 0.25 + 3 * g.std_error

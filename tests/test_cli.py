@@ -155,6 +155,22 @@ def test_eval_non_object_payoff_exits_2(capsys, tmp_path, model12_path):
     _exits_2_one_line(capsys, tmp_path, ["eval", "--config", str(cfg)])
 
 
+def test_eval_payoff_dividing_by_zero_exits_2(capsys, tmp_path, model12_path):
+    # the sum 0 is reachable at horizon 2 (+1 then -1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model12_path),
+                               "payoff": {"kind": "sum-power", "power": -1}}))
+    _exits_2_one_line(capsys, tmp_path, ["eval", "--config", str(cfg)])
+
+
+def test_workers_flag_is_gone(capsys, tmp_path, model12_path):
+    with pytest.raises(SystemExit) as ei:
+        main(["capacity", "--model", str(model12_path), "--workers", "2",
+              "--out", str(tmp_path / "o")])
+    assert ei.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_bounds_verify_zero_cases_exits_2(capsys, tmp_path):
     _exits_2_one_line(capsys, tmp_path, ["bounds-verify", "--cases", "0", "--seed", "1"])
 
@@ -206,10 +222,9 @@ def test_rerun_byte_identical(tmp_path, model12_path):
         "event": {"window": {"n": 1, "N": 2}, "stat": "S",
                   "threshold": {"kind": "const", "c": 3.0}}}))
     outs = []
-    for i, workers in enumerate((1, 4)):
+    for i in range(2):
         out = tmp_path / f"run{i}"
-        assert main(["capacity", "--config", str(cfg), "--out", str(out),
-                     "--workers", str(workers)]) == 0
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "result.csv").read_bytes())
     assert outs[0] == outs[1]
 
@@ -226,6 +241,12 @@ _WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
     ("lil", {"experiment": "lower", "eps": {"e": 1}}),
     ("bc", {"thresholds": [2.0, [2.0]]}),
     ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW, "replications": [5]}),
+    ("lil", {"experiment": "lower", "windows": [5]}),
+    ("bc", {"thresholds": 5}),
+    ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW, "strategy": {"kind": "schedule"}}),
+    ("lil", {"experiment": "cluster", "sigma_grid": 1.0}),
+    ("lil", {"experiment": "conditions", "checkpoints": 4}),
+    ("probe", {"kind": "converse-rate", "n_list": 64}),
 ])
 def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
                                                  command, cfg):

@@ -82,6 +82,29 @@ def test_infinite_payoff_rejected():
         evaluate_upper(m, FullVectorPayoff(lambda xs: -math.inf if xs == (1.0, -1.0) else 1.0))
 
 
+def test_unreachable_terminal_sum_is_not_evaluated():
+    # i.i.d. ±1 steps: the terminal sums of horizon 2 are -2, 0 and 2, never 1
+    m = SequenceModel.iid(StepAmbiguity(LatticeSupport(1.0, (-1, 1)), ((0.5, 0.5),)), 2)
+    tp = TerminalSumPayoff(lambda s: math.inf if s == 1.0 else 0.0)
+    for method in ("lattice", "generic"):
+        assert evaluate_upper(m, tp, method=method) == 0.0
+        assert evaluate_lower(m, tp, method=method) == 0.0
+    # horizon 1 never reaches the sum 0, where 1/s would divide by zero
+    m1 = SequenceModel.iid(m.step(1), 1)
+    recip = TerminalSumPayoff(lambda s: 1.0 / s)
+    assert [evaluate_upper(m1, recip, method=x) for x in ("lattice", "generic")] == [0.0, 0.0]
+
+
+def test_arithmetic_error_in_payoff_is_value_error():
+    m = SequenceModel.iid(StepAmbiguity(LatticeSupport(1.0, (-1, 1)), ((0.5, 0.5),)), 2)
+    for fn in (lambda s: s ** -1, lambda s: 1.0 / s, lambda s: math.exp(1000.0 + s)):
+        for method in ("lattice", "generic"):
+            with pytest.raises(ValueError):
+                evaluate_upper(m, TerminalSumPayoff(fn), method=method)
+            with pytest.raises(ValueError):
+                evaluate_lower(m, TerminalSumPayoff(fn), method=method)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_non_finite_reachable_payoff_raises_on_both_paths(data):
@@ -205,14 +228,6 @@ def test_all_stat_side_combinations_agree():
             assert 0.0 <= lat <= 1.0
 
 
-def test_worker_determinism():
-    m = SequenceModel.iid(STEP12, 300)
-    tp = TerminalSumPayoff(lambda s: max(min(s, 10.0), -10.0))
-    v1 = evaluate_upper(m, tp, workers=1)
-    v5 = evaluate_upper(m, tp, workers=5)
-    assert v1 == v5
-
-
 def test_state_cap():
     m = SequenceModel.iid(STEP12, 64)
     with pytest.raises(StateSpaceError) as ei:
@@ -264,6 +279,20 @@ def test_window_event_validation():
     ev = WindowEvent(lo=1, hi=8, threshold=lambda m: 0.0)
     with pytest.raises(ValueError):
         ev.bind(SequenceModel.iid(STEP12, 4))
+
+
+def test_window_event_values():
+    ev = WindowEvent(lo=1, hi=2, threshold=lambda m: 0.0)
+    assert ev.values == (0.0, 1.0)
+    assert ev.complement().values == (1.0, 0.0)
+    neg = ev.negate().values
+    assert neg == (-0.0, -1.0) and math.copysign(1.0, neg[0]) == -1.0
+    assert ev.negate().complement().values == ev.complement().negate().values == (-1.0, -0.0)
+    assert ev.terminal((0, 5)) == 0.0 and ev.terminal((1, 5)) == 1.0
+    for bad in ((0.0,), (0.0, 1.0, 2.0), (0, 1), [0.0, 1.0], (0.0, math.nan),
+                (math.inf, 1.0), ("0", 1.0), None):
+        with pytest.raises(ValueError):
+            WindowEvent(lo=1, hi=2, threshold=lambda m: 0.0, values=bad)
 
 
 def test_breve_symmetric_payoff():
