@@ -319,10 +319,10 @@ def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: f
     a_m = sum(s.upper_expectation(lambda v: min(max(v, 0.0), y) ** p) for s in model.steps())
 
     max_tail = upper_capacity(model, OutcomeFlagEvent(lambda k, v: v > y), **engine_kw)
-    ev_upper_centered = centered_max_sum_event(model, x, center="upper")
+    ev_upper_centered = centered_max_sum_event(model, x, center="upper-mean")
     lhs_u = upper_capacity(model, ev_upper_centered, **engine_kw)
     lhs_l = lower_capacity(model, ev_upper_centered, **engine_kw)
-    ev_lower_centered = centered_max_sum_event(model, x, center="lower")
+    ev_lower_centered = centered_max_sum_event(model, x, center="lower-mean")
     lhs_lc = lower_capacity(model, ev_lower_centered, **engine_kw)
 
     b31 = max_tail + kolmogorov_bound(x, y, b2u)

@@ -19,18 +19,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import _SIDES, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
+from .engine import _SIDES, _STATS, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
 from .model import SequenceModel
 from .rng import substream
 
 _SIDE_ALIASES = {
-    "ge": "ge", ">=": "ge", "≥": "ge",
+    "ge": "ge", ">=": "ge",
     "gt": "gt", ">": "gt",
-    "le": "le", "<=": "le", "≤": "le",
+    "le": "le", "<=": "le",
     "lt": "lt", "<": "lt",
 }
-_STAT_ALIASES = {"S": "S", "S_m": "S", "-S": "-S", "-S_m": "-S",
-                 "absS": "absS", "|S|": "absS", "|S_m|": "absS"}
 
 @dataclass(frozen=True)
 class CapacityPair:
@@ -64,7 +62,7 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     """
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
-    if on not in _STAT_ALIASES:
+    if on not in _STATS:
         raise ValueError(f"unknown stat {on!r}")
     if callable(threshold_fn):
         thr = threshold_fn
@@ -73,8 +71,7 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
         if math.isnan(const):
             raise ValueError("window threshold is NaN")
         thr = lambda m: const
-    return WindowEvent(lo=n, hi=N, threshold=thr, side=_SIDE_ALIASES[side],
-                       stat=_STAT_ALIASES[on])
+    return WindowEvent(lo=n, hi=N, threshold=thr, side=_SIDE_ALIASES[side], stat=on)
 
 
 def upper_capacity(model: SequenceModel, event, *,
@@ -182,24 +179,27 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
     On finite models with indicator test functions the lower capacity of the
     intersection of complements equals the product of per-event complements
     exactly; both are returned together with the union's upper capacity.
+    A NaN threshold raises ``ValueError``.
     """
-    n = len(thresholds)
+    ths = [float(t) for t in thresholds]
+    n = len(ths)
     if n < 1 or n > model.horizon:
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
+    if any(math.isnan(c) for c in ths):
+        raise ValueError(f"bc thresholds have a NaN: {ths}")
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
     cmp_fn = _SIDES[_SIDE_ALIASES[side]]
     sub = model if model.horizon == n else _prefix_model(model, n)
 
     per = []
-    for i in range(1, n + 1):
-        c = float(thresholds[i - 1])
+    for i, c in enumerate(ths, start=1):
         per.append(sub.step(i).upper_expectation(lambda v: 1.0 if cmp_fn(v, c) else 0.0))
     product = 1.0
     for v in per:
         product *= (1.0 - v)
 
-    trig = lambda k, x: cmp_fn(x, float(thresholds[k - 1]))
+    trig = lambda k, x: cmp_fn(x, ths[k - 1])
     union = upper_capacity(sub, OutcomeFlagEvent(trig), **kw)
     return BCProductReport(intersection_lower=1.0 - union, product_bound=product,
                            union_upper=union, per_event_upper=tuple(per))
@@ -282,22 +282,28 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
 def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
     """The measure index of each step, or None for the greedy strategy.
 
-    This is the whole strategy grammar: an unknown name, a non-integer index
-    or an index outside a step's family raises ``ValueError``.
+    This is the whole strategy grammar: an unknown name, a schedule that is
+    not a list or tuple, an index that is not an integer (a bool, a float or
+    a string included) or an index outside a step's family raises
+    ``ValueError``.
     """
     if strategy == "greedy-one-step":
         return None
     if isinstance(strategy, (tuple, list)) and len(strategy) == 2 \
             and strategy[0] in ("constant", "schedule"):
         kind, arg = strategy
-        try:
-            sched = [int(arg)] * model.horizon if kind == "constant" else [int(i) for i in arg]
-        except (TypeError, ValueError):
-            raise ValueError(f"{kind} strategy needs integer measure indices, "
-                             f"got {arg!r}") from None
+        if kind == "constant":
+            sched = [arg] * model.horizon
+        elif isinstance(arg, (tuple, list)):
+            sched = list(arg)
+        else:
+            raise ValueError(f"schedule strategy needs a list of measure indices, got {arg!r}")
         if len(sched) != model.horizon:
             raise ValueError(f"schedule length {len(sched)} != horizon {model.horizon}")
         for k, idx in enumerate(sched, start=1):
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                raise ValueError(f"{kind} strategy needs integer measure indices, "
+                                 f"got {idx!r} at step {k}")
             if not 0 <= idx < model.step(k).n_measures:
                 raise ValueError(f"{kind} strategy index {idx} invalid at step {k}")
         return sched
@@ -366,9 +372,9 @@ def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float
     or zeros for ``center="none"``."""
     if center == "none":
         return [0.0] * (upto + 1)
-    if center in ("upper-mean", "upper"):
+    if center == "upper-mean":
         one = lambda s: s.upper_expectation(lambda v: v)
-    elif center in ("lower-mean", "lower"):
+    elif center == "lower-mean":
         one = lambda s: s.lower_expectation(lambda v: v)
     else:
         raise ValueError(f"unknown centering {center!r}")
@@ -381,7 +387,7 @@ def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float
 
 
 def centered_max_sum_event(model: SequenceModel, x: float, n: int | None = None,
-                           center: str = "upper") -> WindowEvent:
+                           center: str = "upper-mean") -> WindowEvent:
     """Event {max_{k<=n} (S_k - center_k) >= x} with running-mean centering."""
     n = model.horizon if n is None else n
     cents = _running_centers(model, n, center)

@@ -20,7 +20,7 @@ representations are evaluated on one vectorized lattice path:
 * ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum
   (one row of values per layer);
 * ``WindowEvent`` — indicator of a windowed threshold event on partial sums
-  (a not-yet-triggered row and a triggered row, latched before each layer).
+  (a not-yet-fired row and one fired value per layer, latched before each).
 
 Each lattice layer spans only the partial sums its supports can reach.
 Everything else (full outcome vectors, product automata, float-accumulator
@@ -249,28 +249,39 @@ def _terminal_values(evaluate: Callable[[], object]):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.ndarray],
-                   latch: Callable[[int, np.ndarray], np.ndarray] | None,
-                   state_cap: int, last: int) -> float:
+def _upper_step(measures, cols):
+    """Max over measures (index order) of the left-to-right sum of q * col."""
+    best = None
+    for measure in measures:
+        acc = 0.0
+        for q, col in zip(measure, cols):
+            acc = acc + q * col
+        best = acc if best is None else np.maximum(best, acc)
+    return best
+
+
+def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     """Backward induction over the reachable partial sums of each layer.
 
     Layer k holds the sums [sum of min points, sum of max points] over the
     first k steps, so each support point's slice of layer k lines up with
-    layer k-1 directly.  ``terminal(positions)`` gives the (rows, width)
-    values at the horizon.  With ``latch``, row 0 is the not-yet-triggered
-    value and row 1 the triggered one, and ``latch(k, positions)`` marks
-    the sums at which the event fires at step k.  Without it (a payoff of
-    the terminal sum), ``terminal`` sees only the terminal sums the
+    layer k-1 directly.  Each layer is one row of values.  For a bound
+    ``TerminalSumPayoff`` the payoff sees only the terminal sums the
     supports can reach and the gaps between them hold 0.0: a reachable
-    state reads only reachable children.  Per state, the inner sum runs
-    left to right over support points and the max over measures runs in
-    index order.
+    state reads only reachable children.  For a bound ``WindowEvent`` the
+    row is the not-yet-fired value, and the fired value, equal at every
+    sum, is one scalar per layer taken through the same step; before each
+    step the sums at which the event fires at step k take the fired value.
+    Per state, the inner sum runs left to right over support points and
+    the max over measures runs in index order.
 
-    ``last`` is the last layer whose values depend on the partial sum (the
-    window's end, or the horizon).  Beyond it every row is constant,
-    so those layers are held one column wide and broadcast into layer
-    ``last``: each state still sees the same float operations.
+    Beyond the last layer whose values depend on the partial sum (the
+    window's end, or the horizon) the row is constant, so those layers are
+    held one column wide and broadcast into that layer: each state still
+    sees the same float operations.
     """
+    event = payoff if isinstance(payoff, WindowEvent) else None
+    last = model.horizon if event is None else event.hi
     steps = list(model.steps())
     lows, widths = [0], [1]
     reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
@@ -278,42 +289,33 @@ def _lattice_upper(model: SequenceModel, terminal: Callable[[np.ndarray], np.nda
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
         widths.append(widths[-1] + pts[-1] - pts[0] if k <= last else 1)
-        if latch is None:
+        if event is None:
             reach = functools.reduce(operator.or_, (reach << (pt - pts[0]) for pt in pts))
-    rows = 1 if latch is None else 2
-    estimate = rows * max(widths)
+    estimate = (1 if event is None else 2) * max(widths)
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
     def positions(k: int) -> np.ndarray:
         return model.delta * np.arange(lows[k], lows[k] + widths[k], dtype=float)
 
-    pos = positions(model.horizon)
-    if latch is None:
+    if event is None:
+        pos = positions(model.horizon)
         hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
         hit = np.unpackbits(hit, bitorder="little")[:len(pos)].astype(bool)
-        v = np.zeros((1, len(pos)))
-        v[:, hit] = _terminal_values(lambda: terminal(pos[hit]))
+        v = np.zeros(len(pos))
+        v[hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
     else:
-        v = _terminal_values(lambda: terminal(pos))
+        v, fired = np.full(widths[-1], event.values[0]), event.values[1]
     for k in range(model.horizon, 0, -1):
-        if latch is not None:
-            v[0] = np.where(latch(k, positions(k)), v[1], v[0])
         step = steps[k - 1]
         pts = step.support.points
+        if event is not None:
+            v = np.where(event.trigger_mask(k, positions(k)), fired, v)
+            fired = _upper_step(step.measures, [fired] * len(pts))
         w = widths[k - 1]
-        if k <= last:
-            cols = [v[:, pt - pts[0]:pt - pts[0] + w] for pt in pts]
-        else:
-            cols = [v] * len(pts)
-        best = None
-        for measure in step.matrix():
-            acc = np.zeros((rows, w))
-            for q, col in zip(measure, cols):
-                acc = acc + q * col
-            best = acc if best is None else np.maximum(best, acc)
-        v = best
-    return float(v[0, 0])
+        cols = [v[pt - pts[0]:pt - pts[0] + w] if k <= last else v for pt in pts]
+        v = _upper_step(step.measures, cols)
+    return float(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +381,18 @@ def evaluate_upper(model: SequenceModel, payoff, *,
     """Exact upper expectation of the payoff over the model.
 
     ``method`` forces the lattice or generic evaluation path (both produce
-    bit-identical values for payoffs the lattice path supports).
-    ``state_cap`` bounds the states the DP holds at once: rows times the
-    widest reachable layer on the lattice path, all layers on the generic
-    path.
+    bit-identical values for payoffs the lattice path supports).  On the
+    lattice path one row and, for a window event, one fired value per layer
+    are held.  ``state_cap`` bounds the widest reachable layer on the
+    lattice path, counted twice for a window event (not yet fired, fired),
+    and all layers on the generic path.
     """
     bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method != "generic":
-        if isinstance(bound, WindowEvent):
-            flags = [[bound.values[0]], [bound.values[1]]]
-            return _lattice_upper(model, lambda pos: np.tile(flags, len(pos)),
-                                  bound.trigger_mask, state_cap, bound.hi)
-        if isinstance(bound, TerminalSumPayoff):
-            return _lattice_upper(model, lambda pos: bound.terminal_array(pos)[None],
-                                  None, state_cap, model.horizon)
+        if isinstance(bound, (WindowEvent, TerminalSumPayoff)):
+            return _lattice_upper(model, bound, state_cap)
         if method == "lattice":
             raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
     return _generic_upper(model, bound, state_cap)

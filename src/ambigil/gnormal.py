@@ -77,7 +77,10 @@ def _erfc_cf(x: float) -> float:
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, absolute error well below 1e-12."""
+    """Complementary error function, absolute error well below 1e-12; NaN
+    gives NaN, as in the C library."""
+    if math.isnan(x):
+        return math.nan
     ax = abs(x)
     if ax <= _SERIES_CUT:
         val = 1.0 - _erf_series(ax)
@@ -116,16 +119,25 @@ class GNormalParams:
         return 2.0 * self.sigma_lo / (self.sigma_lo + self.sigma_hi)
 
 
+def _not_nan(x: float) -> float:
+    if math.isnan(x):
+        raise ValueError("gnormal argument is NaN")
+    return x
+
+
 def gnormal_upper_tail(params: GNormalParams, x: float) -> float:
-    """Upper tail capacity of {xi > x} for xi ~ N(0, [sigma_lo^2, sigma_hi^2])."""
-    if x >= 0:
+    """Upper tail capacity of {xi > x} for xi ~ N(0, [sigma_lo^2, sigma_hi^2]).
+
+    ``x`` may be ±inf; NaN raises ``ValueError``, here and in the lower tail
+    and the density."""
+    if _not_nan(x) >= 0:
         return params.weight_hi * (1.0 - std_normal_cdf(x / params.sigma_hi))
     return 1.0 - params.weight_lo * std_normal_cdf(x / params.sigma_lo)
 
 
 def gnormal_lower_tail(params: GNormalParams, x: float) -> float:
     """Lower tail capacity of {xi >= x}; equals 1 - gnormal_upper_tail(-x)."""
-    if x >= 0:
+    if _not_nan(x) >= 0:
         return params.weight_lo * (1.0 - std_normal_cdf(x / params.sigma_lo))
     return 1.0 - params.weight_hi * std_normal_cdf(x / params.sigma_hi)
 
@@ -137,7 +149,7 @@ def gnormal_density(params: GNormalParams, z: float) -> float:
     normalization constant makes the density integrate to 1 over the line.
     """
     scale = 2.0 / (params.sigma_lo + params.sigma_hi)
-    sig = params.sigma_hi if z >= 0 else params.sigma_lo
+    sig = params.sigma_hi if _not_nan(z) >= 0 else params.sigma_lo
     return scale * std_normal_density(z / sig)
 
 

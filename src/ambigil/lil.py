@@ -100,7 +100,7 @@ class MomentSeries(object):
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
-        if p < 2:
+        if not p >= 2:
             raise ValueError(f"p must be >= 2, got {p}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
@@ -244,8 +244,12 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 
     at every n where eps a_n / 2 > alpha s_n / t_n and eps <= 1, and probes
     the bounded-growth derivation (growing s_n^2 with bounded one-step
-    ratios forces the variance series to diverge).
+    ratios forces the variance series to diverge).  A NaN parameter raises
+    ``ValueError``.
     """
+    for name, value in (("eps", eps), ("delta", delta), ("power_p", power_p)):
+        if math.isnan(value):
+            raise ValueError(f"{name} is NaN")
     cps = [int(c) for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ValueError("checkpoints must be a strictly increasing list of n >= 1")
@@ -408,8 +412,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
                           side="gt", on="S")
     cap = upper_capacity(model, ev, **engine_kw)
 
-    upper_means = (cents if center in ("upper-mean", "upper")
-                   else _running_centers(model, N, "upper-mean"))
+    upper_means = cents if center == "upper-mean" else _running_centers(model, N, "upper-mean")
     blocks = []
     total = 0.0
     lo = n
@@ -492,10 +495,13 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
                      m: int, eps: float, **engine_kw) -> ContinuityProbeResult:
     """Both mean events at full upper capacity while both lower capacities
     vanish: the finite-m mechanism that forbids capacity continuity whenever
-    the payoff's upper and lower means differ.
+    the payoff's upper and lower means differ.  A NaN ``eps`` raises
+    ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if math.isnan(eps):
+        raise ValueError("continuity probe eps is NaN")
     lo, hi = step.expectation_interval(payoff)
     model = SequenceModel.iid(step, m)
     add = lambda s, k, point, value: s + payoff(value)

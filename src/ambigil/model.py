@@ -33,8 +33,8 @@ class LatticeSupport:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"lattice delta must be positive, got {self.delta}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError(f"lattice delta must be positive and finite, got {self.delta}")
         if len(self.points) == 0:
             raise ValueError("lattice support must be nonempty")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -76,10 +76,6 @@ class StepAmbiguity:
     @property
     def n_measures(self) -> int:
         return len(self.measures)
-
-    def matrix(self) -> np.ndarray:
-        """Measure family as an (n_measures, n_points) array."""
-        return np.asarray(self.measures, dtype=float)
 
     def upper_expectation(self, fn) -> float:
         """max over the family of E[fn(X)], fn applied to real support values."""
@@ -125,11 +121,12 @@ class SequenceModel(object):
 
     def __init__(self, horizon: int, steps: Sequence[StepAmbiguity] | None = None,
                  iid_step: StepAmbiguity | None = None):
+        horizon = _integer(horizon, "horizon")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if (steps is None) == (iid_step is None):
             raise ValueError("provide exactly one of steps / iid_step")
-        self.horizon = int(horizon)
+        self.horizon = horizon
         self._iid = iid_step
         if iid_step is not None:
             self._steps = None
@@ -181,7 +178,7 @@ class SequenceModel(object):
             raise ValueError(f"model description must be an object, got {type(d).__name__}")
 
         def dec(sd: dict) -> StepAmbiguity:
-            points = tuple(int(p) for p in sd["points"])
+            points = tuple(_integer(p, "lattice point") for p in sd["points"])
             measures = tuple(tuple(float(x) for x in m) for m in sd["measures"])
             return StepAmbiguity(LatticeSupport(d["delta"], points), measures)
 
@@ -213,6 +210,16 @@ class SequenceModel(object):
     def load(cls, path) -> "SequenceModel":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json(f.read())
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a string or a non-integral number is a
+    ``ValueError``, never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _snap_index(value: float, delta: float, what: str) -> int:

@@ -43,9 +43,6 @@ class SplitMix64(object):
         """Uniform draw in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_range(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on the top 64-bit range."""
         if n <= 0:

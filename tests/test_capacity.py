@@ -191,6 +191,12 @@ def test_bc_validation():
         bc_product_check(m, [1.0] * 3)
     with pytest.raises(ValueError):
         bc_product_check(m, [1.0], side="!!")
+    with pytest.raises(ValueError):
+        bc_product_check(m, [1.0], side="≥")
+    with pytest.raises(ValueError):
+        bc_product_check(m, [math.nan, 1.0])
+    with pytest.raises(ValueError):
+        bc_product_check(m, [1.0, math.nan])
 
 
 def test_choquet_examples():
@@ -285,6 +291,11 @@ def test_mc_determinism_and_validation():
         mc_capacity_lower_bound(m2, ev, ("constant", -1), 5000, seed=9)
     with pytest.raises(ValueError):
         mc_capacity_lower_bound(m2, ev, ("schedule", [0, -1]), 5000, seed=9)
+    for strat in (("constant", 1.7), ("constant", True), ("constant", "1"),
+                  ("schedule", "01"), ("schedule", "0101"), ("schedule", [0, 1.0]),
+                  ("schedule", [True, 0]), ("schedule", {0: 0, 1: 1})):
+        with pytest.raises(ValueError):
+            mc_capacity_lower_bound(m2, ev, strat, 5000, seed=9)
 
 
 def _mc_cases(n, seed):
@@ -378,3 +389,8 @@ def test_event_grammar():
     with pytest.raises(ValueError):
         event_from_config({"window": {"n": 1, "N": 2},
                            "threshold": {"kind": "a_n"}}, None)
+    for side, stat in (("≥", "S"), ("≤", "S"), (">=", "S_m"), (">=", "-S_m"),
+                       (">=", "|S|"), (">=", "|S_m|")):
+        with pytest.raises(ValueError):
+            event_from_config({"window": {"n": 1, "N": 2}, "side": side, "stat": stat,
+                               "threshold": {"kind": "const", "c": 1.0}}, m)

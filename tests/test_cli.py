@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -247,9 +248,33 @@ _WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
     ("lil", {"experiment": "cluster", "sigma_grid": 1.0}),
     ("lil", {"experiment": "conditions", "checkpoints": 4}),
     ("probe", {"kind": "converse-rate", "n_list": 64}),
+    ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW,
+               "strategy": {"kind": "constant", "index": 1.7}}),
 ])
 def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
                                                  command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": str(model12_path), **cfg}))
     _exits_2_one_line(capsys, tmp_path, [command, "--config", str(path)])
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("gnormal", {"sigma_lo": 1.0, "sigma_hi": 2.0, "x": math.nan}),
+    ("bc", {"thresholds": [math.nan, 2.0]}),
+    ("probe", {"kind": "continuity", "eps": math.nan}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "eps": math.nan}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "p": math.nan}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "delta": math.nan}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "power_p": math.nan}),
+    ("eval", {"model": {"horizon": 2.5, "delta": 1.0,
+                        "iid": {"points": [-1, 1.5], "measures": [[0.5, 0.5]]}}}),
+])
+def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": str(model12_path), **cfg}))  # json writes NaN
+    _exits_2_one_line(capsys, tmp_path, [command, "--config", str(path)])
+
+
+def test_gnormal_nan_flag_exits_2(capsys, tmp_path):
+    _exits_2_one_line(capsys, tmp_path, ["gnormal", "--sigma-lo", "1", "--sigma-hi", "2",
+                                         "--x", "nan"])

@@ -61,6 +61,16 @@ def test_gnormal_far_tail():
     assert gnormal_upper_tail(P12, 50.0) <= 1e-100
 
 
+def test_nan_argument_rejected_inf_kept():
+    assert math.isnan(erfc(math.nan))
+    assert (erfc(math.inf), erfc(-math.inf)) == (0.0, 2.0)
+    for fn in (gnormal_upper_tail, gnormal_lower_tail, gnormal_density):
+        with pytest.raises(ValueError):
+            fn(P12, math.nan)
+    assert (gnormal_upper_tail(P12, math.inf), gnormal_upper_tail(P12, -math.inf)) == (0.0, 1.0)
+    assert (gnormal_lower_tail(P12, math.inf), gnormal_lower_tail(P12, -math.inf)) == (0.0, 1.0)
+
+
 def test_classical_reduction():
     p = GNormalParams(1.3, 1.3)
     for x in np.linspace(-4, 4, 41):

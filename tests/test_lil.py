@@ -99,6 +99,9 @@ def test_moment_series_validation():
         moment_series(m, p=1.0, alpha=1.0)
     with pytest.raises(ValueError):
         moment_series(m, p=2.0, alpha=0.0)
+    for p, alpha in ((math.nan, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            moment_series(m, p=p, alpha=alpha)
 
 
 def test_check_conditions_classical():
@@ -141,6 +144,9 @@ def test_check_conditions_validation():
         check_conditions(m, [5, 5])
     with pytest.raises(ValueError):
         check_conditions(m, [5, 20])
+    for key in ("p", "alpha", "eps", "delta", "power_p"):
+        with pytest.raises(ValueError):
+            check_conditions(m, [5, 10], **{key: math.nan})
 
 
 def test_lil_upper_monotone_in_eps():
@@ -187,6 +193,9 @@ def test_lil_upper_validation():
         lil_upper_experiment(m, 0, 8, 1.0)
     with pytest.raises(ValueError):
         lil_upper_experiment(m, 2, 8, 1.0, center="median")
+    for center in ("upper", "lower"):
+        with pytest.raises(ValueError):
+            lil_upper_experiment(m, 2, 8, 1.0, center=center)
 
 
 def test_lil_lower_monotone_in_N():
@@ -232,6 +241,11 @@ def test_continuity_probe_linear_case():
     r = continuity_probe(STEP11, lambda v: v * v, 4, 0.5)
     assert r.high_event_upper == r.high_event_lower
     assert r.low_event_upper == r.low_event_lower
+
+
+def test_continuity_probe_nan_eps_rejected():
+    with pytest.raises(ValueError):
+        continuity_probe(STEP12, lambda v: v * v, 3, math.nan)
 
 
 def test_continuity_probe_wide_eps():

@@ -22,6 +22,12 @@ def test_lattice_validation():
         LatticeSupport(1.0, (2, 1))
     with pytest.raises(ValueError):
         LatticeSupport(1.0, (1, 1))
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            LatticeSupport(delta, (-1, 1))
+    for points in ((-1, 1.5), ("-1", "1")):
+        with pytest.raises(ValueError):
+            LatticeSupport(1.0, points)
     sup = LatticeSupport(0.5, (-2, 3))
     assert sup.values().tolist() == [-1.0, 1.5]
     assert sup.radius == 1.5
@@ -53,6 +59,9 @@ def test_sequence_model_validation():
         SequenceModel(0, iid_step=step)
     with pytest.raises(ValueError):
         SequenceModel(2, steps=[step])
+    for horizon in (2.5, "2", True):
+        with pytest.raises(ValueError):
+            SequenceModel(horizon, iid_step=step)
     other = make_rademacher_interval(0.5, 0.5, 1)
     with pytest.raises(ValueError):
         SequenceModel(2, steps=[step, other])
@@ -186,3 +195,11 @@ def test_from_dict_errors():
         SequenceModel.from_dict({"horizon": 2, "delta": 1.0, "iid": {"points": [-1, 1]}})
     with pytest.raises(ValueError):
         SequenceModel.from_dict([1, 2])
+    good = {"horizon": 2, "delta": 1.0, "iid": {"points": [-1, 1], "measures": [[0.5, 0.5]]}}
+    assert SequenceModel.from_dict(good).horizon == 2
+    for key, value in (("horizon", 2.5), ("horizon", "2"), ("delta", math.inf),
+                       ("points", [-1, 1.5]), ("points", ["-1", "1"]), ("points", [-1, True])):
+        bad = json.loads(json.dumps(good))
+        (bad["iid"] if key == "points" else bad)[key] = value
+        with pytest.raises(ValueError):
+            SequenceModel.from_dict(bad)
