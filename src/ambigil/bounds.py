@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import iterlog
-from .capacity import (OutcomeFlagEvent, centered_max_sum_event, lower_capacity,
-                       upper_capacity, window_max_event)
+from .capacity import (OutcomeFlagEvent, _per_step, centered_max_sum_event,
+                       lower_capacity, upper_capacity, window_max_event)
 from .model import LatticeSupport, SequenceModel, StepAmbiguity
 from .rng import SplitMix64
 
@@ -183,9 +183,13 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
                 **engine_kw) -> RateTable:
     if not z > 0:
         raise ValueError(f"z must be positive, got {z}")
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack!r}")
     pg = pi_gamma(gamma)
     if alpha is None:
         alpha = pg / z
+    elif not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if z * alpha > pg * (1.0 + 1e-12):
         raise ValueError(
             f"precondition z*alpha <= pi(gamma) violated: z*alpha = {z * alpha!r}, "
@@ -197,9 +201,10 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
         horizon = model.horizon
         x_n = float(x_fn(n)) if x_fn is not None else math.sqrt(2.0 * iterlog.loglog_(float(n)))
         if side == "upper":
-            s2 = sum(s.upper_expectation(lambda v: v * v) for s in model.steps())
+            e2 = lambda s: s.upper_expectation(lambda v: v * v)
         else:
-            s2 = sum(s.lower_expectation(lambda v: v * v) for s in model.steps())
+            e2 = lambda s: s.lower_expectation(lambda v: v * v)
+        s2 = sum(_per_step(model, horizon, e2))
         scale = math.sqrt(s2)
         thr = z * scale * x_n
         ev = window_max_event(horizon, horizon, thr, side="ge", on="S")
@@ -226,7 +231,8 @@ def converse_rate_check(model_family: Callable[[int], SequenceModel], z: float,
     declared alpha (default pi(gamma)/z, the largest admissible) must satisfy
     z * alpha <= pi(gamma); rows where alpha_n exceeds it are flagged as not
     yet inside the bounded regime.  ``x_fn`` defaults to sqrt(2 loglog n); no
-    asymptotic claim is made either way.
+    asymptotic claim is made either way.  A NaN or infinite ``slack`` or
+    ``alpha`` raises ``ValueError``.
     """
     return _rate_table(model_family, z, gamma, n_list, x_fn, alpha, slack,
                        side="upper", **engine_kw)

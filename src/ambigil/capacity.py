@@ -20,7 +20,7 @@ import numpy as np
 
 from . import iterlog
 from .engine import _SIDES, _STATS, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
-from .model import SequenceModel
+from .model import SequenceModel, _integer
 from .rng import substream
 
 _SIDE_ALIASES = {
@@ -326,7 +326,7 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     """
     try:
         win = cfg["window"]
-        n, N = int(win["n"]), int(win["N"])
+        n, N = _integer(win["n"], "window n"), _integer(win["N"], "window N")
         thr = cfg["threshold"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"bad event description: missing {e}") from None
@@ -357,12 +357,25 @@ def _real(value, name: str) -> float:
         raise ValueError(f"threshold {name} must be a real number, got {value!r}") from None
 
 
+def _per_step(model: SequenceModel, upto: int, fn: Callable) -> list:
+    """[fn(step_1), ..., fn(step_upto)], with ``fn`` called once per distinct
+    step object: an i.i.d. model pays for one step."""
+    seen: dict[int, object] = {}
+    out = []
+    for k in range(1, upto + 1):
+        step = model.step(k)
+        if id(step) not in seen:
+            seen[id(step)] = fn(step)
+        out.append(seen[id(step)])
+    return out
+
+
 def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
     """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
     out = [0.0]
     acc = 0.0
-    for step in model.steps():
-        acc += step.upper_expectation(lambda v: v * v)
+    for e2 in _per_step(model, model.horizon, lambda s: s.upper_expectation(lambda v: v * v)):
+        acc += e2
         out.append(acc)
     return out
 
@@ -380,8 +393,8 @@ def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float
         raise ValueError(f"unknown centering {center!r}")
     out = [0.0]
     acc = 0.0
-    for k in range(1, upto + 1):
-        acc += one(model.step(k))
+    for mean in _per_step(model, upto, one):
+        acc += mean
         out.append(acc)
     return out
 

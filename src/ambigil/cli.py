@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, bounds, capacity, gnormal, lil
 from .engine import StateSpaceError, TerminalSumPayoff, evaluate_pair
-from .model import SequenceModel
+from .model import SequenceModel, _integer
 
 COMMANDS = ("eval", "capacity", "bounds-verify", "gnormal", "lil", "bc", "probe")
 
@@ -32,7 +32,12 @@ class ConfigError(ValueError):
 
 def _number(kind, value, name: str):
     """``kind(value)`` for the config key ``name``, where ``kind`` is int or
-    float; a value of the wrong JSON type is a ``ConfigError``."""
+    float; a value of the wrong JSON type is a ``ConfigError``.  An int
+    follows the model's integer rule: an integral float such as 2.0 reads
+    as 2, while a fraction, a string or a bool is a ``ValueError``, never
+    truncated."""
+    if kind is int:
+        return _integer(value, f"'{name}'")
     try:
         return kind(value)
     except (TypeError, ValueError):

@@ -25,9 +25,19 @@ representations are evaluated on one vectorized lattice path:
 Each lattice layer spans only the partial sums its supports can reach.
 Everything else (full outcome vectors, product automata, float-accumulator
 states) runs through a dictionary-layered generic path.  Both paths perform
-per-state inner sums in a fixed left-to-right order over support points and
-take the max over measures in index order, on one thread, so results are
-bit-identical across the two paths and across reruns.
+per-state inner sums from 0.0 in a fixed left-to-right order over support
+points and take the max over measures in index order, on one thread, so
+results are bit-identical across the two paths and across reruns.
+
+The lattice path sums only over each measure's nonzero weights; the
+generic path stays dense.  That changes no bit while the values are
+finite: a skipped term 0.0 * v is +0.0 or -0.0, and the running sum is
+never -0.0 (it starts at +0.0, and under round-to-nearest a sum is -0.0
+only when both operands are), so adding the term would leave it as it
+is.  Terminal values are checked finite, window values are finite, and
+each layer is a convex combination of the one after it.  Only a DP that
+overflows to inf (NumPy warns) could differ, where the dense sum reads
+0.0 * inf = NaN.
 """
 
 from __future__ import annotations
@@ -249,13 +259,31 @@ def _terminal_values(evaluate: Callable[[], object]):
 # ---------------------------------------------------------------------------
 
 
-def _upper_step(measures, cols):
-    """Max over measures (index order) of the left-to-right sum of q * col."""
+def _sparse_terms(step: StepAmbiguity):
+    """One step's nonzero weights: per measure, its ``(q, offset)`` pairs in
+    support order, ``offset`` being the point minus the lowest point, and the
+    set of offsets that some measure uses."""
+    pts = step.support.points
+    terms, used = [], set()
+    for m in step.measures:  # loops, not comprehensions: per-step models redo this per call
+        pairs = []
+        for q, pt in zip(m, pts):
+            if q != 0:
+                pairs.append((q, pt - pts[0]))
+                used.add(pt - pts[0])
+        terms.append(pairs)
+    return terms, used
+
+
+def _upper_step(terms, cols):
+    """Max over measures (index order) of the left-to-right sum, from 0.0,
+    of q * cols[offset] over the measure's nonzero weights: the dense sum's
+    bits for finite columns (module docstring)."""
     best = None
-    for measure in measures:
+    for pairs in terms:
         acc = 0.0
-        for q, col in zip(measure, cols):
-            acc = acc + q * col
+        for q, off in pairs:
+            acc = acc + q * cols[off]
         best = acc if best is None else np.maximum(best, acc)
     return best
 
@@ -272,8 +300,12 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     row is the not-yet-fired value, and the fired value, equal at every
     sum, is one scalar per layer taken through the same step; before each
     step the sums at which the event fires at step k take the fired value.
-    Per state, the inner sum runs left to right over support points and
-    the max over measures runs in index order.
+    Per state, the inner sum runs left to right over the support points
+    with nonzero weight (see the module docstring for why the skipped
+    terms change no bit) and the max over measures runs in index order.
+    Each distinct step object becomes its ``(q, offset)`` pairs once per
+    call, and a layer slices a column only for offsets that some measure
+    uses.
 
     Beyond the last layer whose values depend on the partial sum (the
     window's end, or the horizon) the row is constant, so those layers are
@@ -283,9 +315,12 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
     steps = list(model.steps())
+    sparse = {}  # id of each distinct step -> its nonzero weights
     lows, widths = [0], [1]
     reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
     for k, step in enumerate(steps, start=1):
+        if id(step) not in sparse:
+            sparse[id(step)] = _sparse_terms(step)
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
         widths.append(widths[-1] + pts[-1] - pts[0] if k <= last else 1)
@@ -307,14 +342,13 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     else:
         v, fired = np.full(widths[-1], event.values[0]), event.values[1]
     for k in range(model.horizon, 0, -1):
-        step = steps[k - 1]
-        pts = step.support.points
+        terms, used = sparse[id(steps[k - 1])]
         if event is not None:
             v = np.where(event.trigger_mask(k, positions(k)), fired, v)
-            fired = _upper_step(step.measures, [fired] * len(pts))
+            fired = _upper_step(terms, dict.fromkeys(used, fired))
         w = widths[k - 1]
-        cols = [v[pt - pts[0]:pt - pts[0] + w] if k <= last else v for pt in pts]
-        v = _upper_step(step.measures, cols)
+        cols = {off: v[off:off + w] for off in used} if k <= last else dict.fromkeys(used, v)
+        v = _upper_step(terms, cols)
     return float(v[0])
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import iterlog
 from .bounds import _rate_table, kolmogorov_bound, RateTable
-from .capacity import (_running_centers, capacity_pair,
+from .capacity import (_per_step, _running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
 from .engine import Automaton
@@ -112,7 +112,7 @@ class MomentSeries(object):
     def _threshold(self, n: int) -> float:
         return self.alpha * self.norms.s(n) / self.norms.t(n)
 
-    def _term(self, j: int, thr: float, cap: float | None) -> float:
+    def _term(self, step: StepAmbiguity, thr: float, cap: float | None) -> float:
         p = self.p
 
         def fn(v: float) -> float:
@@ -121,25 +121,19 @@ class MomentSeries(object):
                 a = min(a, cap)
             return max(a - thr, 0.0) ** p
 
-        return self.model.step(j).upper_expectation(fn)
+        return step.upper_expectation(fn)
 
     def gamma(self, n: int) -> float:
-        return self._term(n, self._threshold(n), None)
+        return self._term(self.model.step(n), self._threshold(n), None)
 
     def gamma_bar(self, n: int) -> float:
-        return self._term(n, self._threshold(n), self.norms.a(n))
+        return self._term(self.model.step(n), self._threshold(n), self.norms.a(n))
 
     def _lam(self, n: int, cap: float | None) -> float:
         thr = self._threshold(n)
         if self.model.is_iid:
-            return n * self._term(1, thr, cap)
-        # one upper expectation per distinct step, summed in j order
-        terms: dict[int, float] = {}
-        for j in range(1, n + 1):
-            key = id(self.model.step(j))
-            if key not in terms:
-                terms[key] = self._term(j, thr, cap)
-        return sum(terms[id(self.model.step(j))] for j in range(1, n + 1))
+            return n * self._term(self.model.step(1), thr, cap)
+        return sum(_per_step(self.model, n, lambda s: self._term(s, thr, cap)))
 
     def lam(self, n: int) -> float:
         return self._lam(n, None)
@@ -420,10 +414,10 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
         hi = min(N, 2 * lo)
         x_j = min((1.0 + eps) * a[m] + cents[m] - upper_means[m] for m in range(lo, hi + 1))
         y_j = norms.s(hi) / norms.t(hi)
-        b2 = sum(model.step(i).upper_expectation(lambda v: min(v, y_j) ** 2)
-                 for i in range(1, hi + 1))
-        mt = min(1.0, sum(model.step(i).upper_expectation(
-            lambda v: 1.0 if v > y_j else 0.0) for i in range(1, hi + 1)))
+        b2 = sum(_per_step(model, hi, lambda s: s.upper_expectation(
+            lambda v: min(v, y_j) ** 2)))
+        mt = min(1.0, sum(_per_step(model, hi, lambda s: s.upper_expectation(
+            lambda v: 1.0 if v > y_j else 0.0))))
         if x_j <= 0:
             bound = 1.0
         else:
@@ -495,14 +489,16 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
                      m: int, eps: float, **engine_kw) -> ContinuityProbeResult:
     """Both mean events at full upper capacity while both lower capacities
     vanish: the finite-m mechanism that forbids capacity continuity whenever
-    the payoff's upper and lower means differ.  A NaN ``eps`` raises
-    ``ValueError``.
+    the payoff's upper and lower means differ.  A NaN ``eps``, or a payoff
+    whose lower or upper mean is not finite, raises ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if math.isnan(eps):
         raise ValueError("continuity probe eps is NaN")
     lo, hi = step.expectation_interval(payoff)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"continuity probe payoff has a non-finite mean: ({lo!r}, {hi!r})")
     model = SequenceModel.iid(step, m)
     add = lambda s, k, point, value: s + payoff(value)
     hi_thr, lo_thr = hi - eps, lo + eps

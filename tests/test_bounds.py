@@ -112,6 +112,15 @@ def test_converse_rate_precondition():
     assert tab.alpha == pi_gamma(1.0) / 0.1
 
 
+def test_converse_rate_non_finite_slack_or_alpha_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slack"):
+            converse_rate_check(FAM, 0.1, 1.0, [64], slack=bad)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            converse_rate_check(FAM, 0.1, 1.0, [64], alpha=bad)
+
+
 def test_converse_rate_empty():
     tab = converse_rate_check(FAM, 0.1, 1.0, [])
     assert tab.rows == () and not tab.violation

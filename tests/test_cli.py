@@ -250,6 +250,22 @@ _WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
     ("probe", {"kind": "converse-rate", "n_list": 64}),
     ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW,
                "strategy": {"kind": "constant", "index": 1.7}}),
+    ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW, "replications": 100.7}),
+    ("probe", {"kind": "mc", "seed": 1, "event": _WINDOW, "replications": "500"}),
+    ("probe", {"kind": "mc", "seed": 1.5, "event": _WINDOW, "replications": 100}),
+    ("lil", {"experiment": "lower", "windows": [[1.5, 2]]}),
+    ("lil", {"experiment": "upper", "windows": [[1, "2"]]}),
+    ("lil", {"experiment": "cluster", "N": 2.5}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2.5]}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "d": True}),
+    ("bounds-verify", {"seed": 1, "cases": 2.5}),
+    ("bounds-verify", {"seed": 1, "cases": "5"}),
+    ("bounds-verify", {"seed": 1, "cases": True}),
+    ("probe", {"kind": "continuity", "m": 2.5}),
+    ("probe", {"kind": "converse-rate", "n_list": [8.5]}),
+    ("eval", {"state_cap": 1000.5}),
+    ("capacity", {"event": {"window": {"n": 1.5, "N": 2},
+                            "threshold": {"kind": "const", "c": 3.0}}}),
 ])
 def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
                                                  command, cfg):
@@ -268,11 +284,25 @@ def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
     ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "power_p": math.nan}),
     ("eval", {"model": {"horizon": 2.5, "delta": 1.0,
                         "iid": {"points": [-1, 1.5], "measures": [[0.5, 0.5]]}}}),
+    ("probe", {"kind": "converse-rate", "n_list": [8], "slack": math.nan}),
+    ("probe", {"kind": "converse-rate", "n_list": [8], "alpha": math.nan}),
+    ("probe", {"kind": "conjecture", "n_list": [8], "slack": math.nan}),
+    ("probe", {"kind": "conjecture", "n_list": [8], "alpha": math.nan}),
+    ("probe", {"kind": "continuity", "power": math.nan}),
 ])
 def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": str(model12_path), **cfg}))  # json writes NaN
     _exits_2_one_line(capsys, tmp_path, [command, "--config", str(path)])
+
+
+def test_integral_float_in_integer_key_accepted(tmp_path, model12_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model12_path), "kind": "mc", "seed": 1.0,
+                               "event": _WINDOW, "replications": 100.0}))
+    out = tmp_path / "out"
+    assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _csv(out / "result.csv")[1][0]["replications"] == "100"
 
 
 def test_gnormal_nan_flag_exits_2(capsys, tmp_path):

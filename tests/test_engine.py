@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ambigil.engine import (BreveResult, ExpectationPair, FullVectorPayoff,
                             StateSpaceError, TerminalSumPayoff, WindowEvent,
                             breve_expectation, evaluate_lower, evaluate_pair,
                             evaluate_upper, sum_lower_mean, sum_upper_mean)
+from ambigil.gnormal import clt_capacity
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
 
@@ -226,6 +228,67 @@ def test_all_stat_side_combinations_agree():
             bf = nested_supremum(m, ev)
             assert lat == gen == bf, (stat, side, lat, gen, bf)
             assert 0.0 <= lat <= 1.0
+
+
+def _sparse_step(rng, delta):
+    """A step whose measures put weight 0.0 on about 40% of the support
+    points (never on all of them), and a weight below 1e-3 on a few."""
+    npts = int(rng.integers(2, 6))
+    points = tuple(sorted(rng.choice(np.arange(-4, 5), size=npts, replace=False).tolist()))
+    measures = []
+    for _ in range(int(rng.integers(1, 5))):
+        raw = rng.uniform(0.05, 1.0, size=npts)
+        raw[rng.random(npts) < 0.15] *= 1e-3
+        raw[rng.random(npts) < 0.4] = 0.0
+        if not raw.any():
+            raw[rng.integers(npts)] = 1.0
+        measures.append(tuple(float(v) for v in raw / raw.sum()))
+    return StepAmbiguity(LatticeSupport(delta, points), tuple(measures))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_zero_weight_lattice_matches_generic_bits():
+    """Zero weights, signed-zero rows and the variance-uncertain steps: the
+    lattice path gives the generic path's IEEE bits, sign included."""
+    rng = np.random.default_rng(8)
+    s13, g5 = make_rademacher_interval(1, 3, 3), make_rademacher_interval(1, 2, 5)
+    models = []
+    for i in range(24):
+        delta = float(rng.choice([0.5, 1.0]))
+        n = int(rng.integers(1, 31))
+        if i % 3 == 0:
+            models.append(SequenceModel.iid(_sparse_step(rng, delta), n))
+        elif i % 3 == 1:
+            models.append(SequenceModel(n, steps=[_sparse_step(rng, delta) for _ in range(n)]))
+        else:  # a few distinct step objects, each used at several steps
+            pool = [_sparse_step(rng, delta) for _ in range(3)]
+            models.append(SequenceModel(n, steps=[pool[int(j)] for j in rng.integers(0, 3, n)]))
+    models += [SequenceModel.iid(STEP12, 30), SequenceModel.iid(s13, 20),
+               SequenceModel.iid(g5, 10), SequenceModel(12, steps=[STEP12, s13] * 6)]
+    combos = [(side, stat) for side in ("ge", "gt", "le", "lt") for stat in ("S", "-S", "absS")]
+    for i, m in enumerate(models):
+        side, stat = combos[i % len(combos)]
+        hi = int(rng.integers(1, m.horizon + 1))
+        lo = int(rng.integers(1, hi + 1))
+        scale = float(rng.uniform(-1.5, 1.5))
+        ev = WindowEvent(lo=lo, hi=hi, threshold=lambda k: scale * math.sqrt(k) * m.delta,
+                         side=side, stat=stat)
+        thr = float(rng.uniform(-3, 3))
+        payoffs = (ev, ev.complement(), ev.negate(), ev.complement().negate(),
+                   TerminalSumPayoff(lambda s: -0.0),
+                   TerminalSumPayoff(lambda s: -0.0 if s <= thr else (s - thr) ** 1.5))
+        for payoff in payoffs:
+            for evaluate in (evaluate_upper, evaluate_lower):
+                lat = evaluate(m, payoff, method="lattice")
+                gen = evaluate(m, payoff, method="generic")
+                assert lat == gen and _bits(lat) == _bits(gen), (i, payoff, lat, gen)
+    # pinned to the dense kernel's values
+    r = clt_capacity(make_rademacher_interval(1, 2, 5), 125, 0.3)
+    assert _bits(r.bracket_low) == _bits(0.5699674654008193)
+    assert _bits(r.bracket_high) == _bits(0.5938002507979722)
 
 
 def test_state_cap():

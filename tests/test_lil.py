@@ -248,6 +248,19 @@ def test_continuity_probe_nan_eps_rejected():
         continuity_probe(STEP12, lambda v: v * v, 3, math.nan)
 
 
+def test_continuity_probe_non_finite_mean_rejected():
+    for payoff in (lambda v: v ** math.nan, lambda v: math.inf if v > 1.5 else v):
+        with pytest.raises(ValueError, match="non-finite mean"):
+            continuity_probe(STEP12, payoff, 3, 0.5)
+
+
+def test_conjecture_probe_nan_slack_or_alpha_rejected():
+    fam = lambda n: SequenceModel.iid(STEP12, n)
+    for kw in ({"slack": math.nan}, {"alpha": math.nan}):
+        with pytest.raises(ValueError):
+            conjecture_probe(fam, 0.1, 1.0, [64], **kw)
+
+
 def test_continuity_probe_wide_eps():
     r = continuity_probe(STEP12, lambda v: v * v, 3, 10.0)
     assert (r.high_event_upper, r.low_event_upper,
