@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 from . import iterlog
 from .capacity import (OutcomeFlagEvent, _per_step, centered_max_sum_event,
                        lower_capacity, upper_capacity, window_max_event)
-from .model import LatticeSupport, SequenceModel, StepAmbiguity
+from .model import LatticeSupport, SequenceModel, StepAmbiguity, _integer
 from .rng import SplitMix64
 
 _VIOL_TOL = 1e-12
@@ -197,7 +197,8 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
     rows = []
     rhs = -0.5 * z * z * (1.0 + gamma)
     for n in n_list:
-        model = model_family(int(n))
+        n = _integer(n, "n_list entry")
+        model = model_family(n)
         horizon = model.horizon
         x_n = float(x_fn(n)) if x_fn is not None else math.sqrt(2.0 * iterlog.loglog_(float(n)))
         if side == "upper":
@@ -211,7 +212,7 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
         cap = (upper_capacity if side == "upper" else lower_capacity)(model, ev, **engine_kw)
         lhs = (math.log(cap) / (x_n * x_n)) if cap > 0 else -math.inf
         alpha_n = _model_radius(model) * x_n / scale if scale > 0 else math.inf
-        rows.append(RateRow(n=int(n), x_n=x_n, scale=scale, threshold=thr, capacity=cap,
+        rows.append(RateRow(n=n, x_n=x_n, scale=scale, threshold=thr, capacity=cap,
                             lhs=lhs, rhs=rhs, alpha_n=alpha_n,
                             bounded=alpha_n <= alpha * (1.0 + 1e-12)))
     violation = bool(rows) and rows[-1].lhs < rhs - slack

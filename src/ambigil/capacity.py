@@ -20,7 +20,7 @@ import numpy as np
 
 from . import iterlog
 from .engine import _SIDES, _STATS, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
-from .model import SequenceModel, _integer
+from .model import SequenceModel, _integer, _real
 from .rng import substream
 
 _SIDE_ALIASES = {
@@ -334,27 +334,20 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     side = cfg.get("side", ">=")
     kind = thr.get("kind") if isinstance(thr, dict) else None
     if kind == "const":
-        c = _real(thr.get("c"), "c")
+        c = _real(thr.get("c"), "threshold c")
         fn = lambda m: c
     elif kind == "d_n":
-        scale = _real(thr.get("scale", 1.0), "scale")
+        scale = _real(thr.get("scale", 1.0), "threshold scale")
         fn = lambda m: scale * iterlog.d_n(m)
     elif kind == "a_n":
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
-        scale = _real(thr.get("scale", 1.0), "scale")
+        scale = _real(thr.get("scale", 1.0), "threshold scale")
         s2 = cumulative_upper_second_moments(model)
         fn = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
     return window_max_event(n, N, fn, side=side, on=stat)
-
-
-def _real(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"threshold {name} must be a real number, got {value!r}") from None
 
 
 def _per_step(model: SequenceModel, upto: int, fn: Callable) -> list:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, bounds, capacity, gnormal, lil
 from .engine import StateSpaceError, TerminalSumPayoff, evaluate_pair
-from .model import SequenceModel, _integer
+from .model import SequenceModel, _integer, _real
 
 COMMANDS = ("eval", "capacity", "bounds-verify", "gnormal", "lil", "bc", "probe")
 
@@ -32,16 +32,12 @@ class ConfigError(ValueError):
 
 def _number(kind, value, name: str):
     """``kind(value)`` for the config key ``name``, where ``kind`` is int or
-    float; a value of the wrong JSON type is a ``ConfigError``.  An int
-    follows the model's integer rule: an integral float such as 2.0 reads
-    as 2, while a fraction, a string or a bool is a ``ValueError``, never
-    truncated."""
+    float, by the model's rules: an int key takes an integral float such as
+    2.0 as 2 and rejects a fraction, and either kind rejects a string, a
+    bool or any other JSON type with a ``ValueError``, never converted."""
     if kind is int:
         return _integer(value, f"'{name}'")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{name}' must be a number, got {value!r}") from None
+    return _real(value, f"'{name}'")
 
 
 def _fmt(v) -> str:

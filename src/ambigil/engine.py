@@ -17,27 +17,35 @@ paths: a NaN or infinite value, or an ``ArithmeticError`` raised by the
 payoff, is a ``ValueError``.  Unreachable sums are never evaluated.  Two
 representations are evaluated on one vectorized lattice path:
 
-* ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum
-  (one row of values per layer);
+* ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum;
 * ``WindowEvent`` — indicator of a windowed threshold event on partial sums
-  (a not-yet-fired row and one fired value per layer, latched before each).
+  (a not-yet-fired value per state and one fired value per layer, latched
+  before each step).
 
-Each lattice layer spans only the partial sums its supports can reach.
-Everything else (full outcome vectors, product automata, float-accumulator
-states) runs through a dictionary-layered generic path.  Both paths perform
-per-state inner sums from 0.0 in a fixed left-to-right order over support
-points and take the max over measures in index order, on one thread, so
-results are bit-identical across the two paths and across reruns.
+Each lattice layer spans only the partial sums its supports can reach, and
+is held as a left scalar, an array band and a right scalar: the flanks of
+a window DP (states that have fired, states that cannot reach the
+threshold any more) hold one value each, and only the band between them
+is computed as an array.  Everything else (full outcome vectors, product
+automata, float-accumulator states) runs through a dictionary-layered
+generic path.  Both paths perform per-state inner sums in a fixed
+left-to-right order over support points and take the max over measures in
+index order, on one thread, so results are bit-identical across the two
+paths and across reruns.
 
-The lattice path sums only over each measure's nonzero weights; the
-generic path stays dense.  That changes no bit while the values are
-finite: a skipped term 0.0 * v is +0.0 or -0.0, and the running sum is
-never -0.0 (it starts at +0.0, and under round-to-nearest a sum is -0.0
-only when both operands are), so adding the term would leave it as it
-is.  Terminal values are checked finite, window values are finite, and
-each layer is a convex combination of the one after it.  Only a DP that
-overflows to inf (NumPy warns) could differ, where the dense sum reads
-0.0 * inf = NaN.
+The generic path sums densely from 0.0.  The lattice path sums only over
+each measure's nonzero weights, starts each sum at its first product, and
+adds 0.0 once to the result.  That changes no bit while the values are
+finite.  By induction over the layers, every lattice state's value equals
+the generic one, or both are zeros, perhaps of opposite sign: adding a
+term 0.0 * v = ±0.0, a sum of such pairs, a max over them and a product
+by q > 0 all keep that, whichever of two tied zeros a max keeps.  The
+generic result is never -0.0 (its last step
+is a sum from +0.0, and under round-to-nearest a sum is -0.0 only when
+both operands are), so the final ``+ 0.0`` makes the bits equal.  Terminal
+values are checked finite, window values are finite, and each layer is a
+convex combination of the one after it.  Only a DP that overflows to inf
+(NumPy warns) could differ, where the dense sum reads 0.0 * inf = NaN.
 """
 
 from __future__ import annotations
@@ -154,12 +162,7 @@ class TerminalSumPayoff(object):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
 
 
-_SIDES = {
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-    "le": lambda a, b: a <= b,
-    "lt": lambda a, b: a < b,
-}
+_SIDES = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt}
 _STATS = ("S", "-S", "absS")
 
 
@@ -262,7 +265,7 @@ def _terminal_values(evaluate: Callable[[], object]):
 def _sparse_terms(step: StepAmbiguity):
     """One step's nonzero weights: per measure, its ``(q, offset)`` pairs in
     support order, ``offset`` being the point minus the lowest point, and the
-    set of offsets that some measure uses."""
+    smallest and largest offset that some pair uses."""
     pts = step.support.points
     terms, used = [], set()
     for m in step.measures:  # loops, not comprehensions: per-step models redo this per call
@@ -272,20 +275,82 @@ def _sparse_terms(step: StepAmbiguity):
                 pairs.append((q, pt - pts[0]))
                 used.add(pt - pts[0])
         terms.append(pairs)
-    return terms, used
+    return terms, min(used), max(used)
 
 
-def _upper_step(terms, cols):
-    """Max over measures (index order) of the left-to-right sum, from 0.0,
-    of q * cols[offset] over the measure's nonzero weights: the dense sum's
-    bits for finite columns (module docstring)."""
+def _scalar_step(terms, x: float) -> float:
+    """One step of a row that holds ``x`` at every child: per measure the
+    left-to-right sum of q * x from its first product, and the max over
+    measures in index order in Python floats, a tie kept on the earlier
+    measure as on the generic path (``np.maximum`` may keep the later of
+    two tied zeros; the module docstring says why neither moves a bit)."""
     best = None
     for pairs in terms:
-        acc = 0.0
-        for q, off in pairs:
-            acc = acc + q * cols[off]
-        best = acc if best is None else np.maximum(best, acc)
+        acc = pairs[0][0] * x
+        for q, _ in pairs[1:]:
+            acc = acc + q * x
+        if best is None or acc > best:
+            best = acc
     return best
+
+
+def _band_step(terms, src, dst, acc, prod, a: int, b: int) -> None:
+    """``dst[a:b]``: per measure the left-to-right sum of q * src[i + offset]
+    from its first product, and the max over measures in index order, all
+    computed in place in the preallocated ``dst``, ``acc`` and ``prod``."""
+    best, n = dst[a:b], b - a
+    out, prod = best, prod[:n]
+    for pairs in terms:
+        q, off = pairs[0]
+        np.multiply(src[a + off:b + off], q, out=out)
+        for q, off in pairs[1:]:
+            np.multiply(src[a + off:b + off], q, out=prod)
+            np.add(out, prod, out=out)
+        if out is not best:
+            np.maximum(best, out, out=best)
+        out = acc[:n]
+
+
+def _fired_ranges(event: WindowEvent, k: int, low: int, width: int, delta: float):
+    """The index ranges ``[i, j)`` of layer k, whose index i holds the sum
+    ``low + i``, at which ``event`` fires at step k.  They are the runs of
+    ``event.trigger_mask(k, delta * arange(low, low + width))``: each edge
+    is guessed from the threshold over ``delta`` and walked to with the
+    comparison ``trigger_mask`` makes, on ``delta * float(low + i)``."""
+    if not event.lo <= k <= event.hi:
+        return []
+    thr = event._threshold_at(k)
+    cmp = _SIDES[event.side]
+    up = event.side in ("ge", "gt")
+
+    def edge(sign: int, lo: int, hi: int) -> int:
+        # first i in [lo, hi) with cmp(sign * x_i, thr) == rising, else hi;
+        # sign * x_i is monotone on [lo, hi), so the comparison flips once
+        rising = (sign > 0) == up
+        t = sign * thr / delta - low
+        i = lo if t < lo else hi if t > hi else math.ceil(t)
+        while i > lo and cmp(sign * (delta * float(low + i - 1)), thr) == rising:
+            i -= 1
+        while i < hi and cmp(sign * (delta * float(low + i)), thr) != rising:
+            i += 1
+        return i
+
+    if event.stat == "S":
+        e = edge(1, 0, width)
+        ranges = ((e, width),) if up else ((0, e),)
+    elif event.stat == "-S":
+        e = edge(-1, 0, width)
+        ranges = ((0, e),) if up else ((e, width),)
+    else:  # |x| is -x left of the zero sum and x from it on
+        c = min(max(-low, 0), width)
+        e1, e2 = edge(-1, 0, c), edge(1, c, width)
+        if not up:
+            ranges = ((e1, e2),)
+        elif e1 == e2:
+            ranges = ((0, width),)
+        else:
+            ranges = ((0, e1), (e2, width))
+    return [(i, j) for i, j in ranges if i < j]
 
 
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
@@ -293,24 +358,30 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
 
     Layer k holds the sums [sum of min points, sum of max points] over the
     first k steps, so each support point's slice of layer k lines up with
-    layer k-1 directly.  Each layer is one row of values.  For a bound
-    ``TerminalSumPayoff`` the payoff sees only the terminal sums the
-    supports can reach and the gaps between them hold 0.0: a reachable
-    state reads only reachable children.  For a bound ``WindowEvent`` the
-    row is the not-yet-fired value, and the fired value, equal at every
-    sum, is one scalar per layer taken through the same step; before each
-    step the sums at which the event fires at step k take the fired value.
-    Per state, the inner sum runs left to right over the support points
-    with nonzero weight (see the module docstring for why the skipped
-    terms change no bit) and the max over measures runs in index order.
-    Each distinct step object becomes its ``(q, offset)`` pairs once per
-    call, and a layer slices a column only for offsets that some measure
-    uses.
+    layer k-1 directly.  A layer is a scalar ``left`` at the indices below
+    ``a``, an array band ``[a, b)`` and a scalar ``right`` from ``b`` on.
+    The next band is the indices whose children are not all in one flank,
+    ``[a - max offset, b - min offset)`` clipped to the layer; a state
+    whose children are all in a flank becomes that flank scalar's step.
 
-    Beyond the last layer whose values depend on the partial sum (the
-    window's end, or the horizon) the row is constant, so those layers are
-    held one column wide and broadcast into that layer: each state still
-    sees the same float operations.
+    For a bound ``TerminalSumPayoff`` the band is the whole layer: the
+    payoff sees only the terminal sums the supports can reach and the gaps
+    between them hold 0.0, since a reachable state reads only reachable
+    children.  For a bound ``WindowEvent`` the band starts empty, with both
+    flanks at the never-fired value; the fired value is one scalar per layer
+    taken through the same step.  Before each step the ranges at which the
+    event fires at step k (``_fired_ranges``) take the fired value: a prefix
+    or a suffix becomes a flank, a middle range is written into the band,
+    and an empty band over a uniform row (``left is right``) first moves to
+    the range's edge, so the band shrinks back to what is still undecided.
+
+    Per state, the inner sum runs left to right over the support points
+    with nonzero weight from the first product, and the max over measures
+    runs in index order; the flank scalars do the same in Python floats.
+    The result gets ``+ 0.0`` once (see the module docstring for why neither
+    the skipped terms nor the missing ``0.0 +`` per sum changes a bit).
+    Each distinct step object becomes its ``(q, offset)`` pairs once per
+    call, and the band is computed into preallocated buffers.
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
@@ -318,38 +389,73 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     sparse = {}  # id of each distinct step -> its nonzero weights
     lows, widths = [0], [1]
     reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
-    for k, step in enumerate(steps, start=1):
+    for step in steps:
         if id(step) not in sparse:
             sparse[id(step)] = _sparse_terms(step)
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
-        widths.append(widths[-1] + pts[-1] - pts[0] if k <= last else 1)
+        widths.append(widths[-1] + pts[-1] - pts[0])
         if event is None:
             reach = functools.reduce(operator.or_, (reach << (pt - pts[0]) for pt in pts))
-    estimate = (1 if event is None else 2) * max(widths)
+    estimate = (1 if event is None else 2) * widths[last]
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
-    def positions(k: int) -> np.ndarray:
-        return model.delta * np.arange(lows[k], lows[k] + widths[k], dtype=float)
-
+    cur, nxt, acc, prod = (np.empty(widths[last]) for _ in range(4))
+    fired = left = right = None
     if event is None:
-        pos = positions(model.horizon)
+        n = model.horizon
+        pos = model.delta * np.arange(lows[n], lows[n] + widths[n], dtype=float)
         hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
         hit = np.unpackbits(hit, bitorder="little")[:len(pos)].astype(bool)
-        v = np.zeros(len(pos))
-        v[hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
+        cur[:len(pos)] = 0.0
+        cur[:len(pos)][hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
+        a, b = 0, len(pos)
     else:
-        v, fired = np.full(widths[-1], event.values[0]), event.values[1]
+        a = b = 0
+        left = right = event.values[0]
+        fired = event.values[1]
     for k in range(model.horizon, 0, -1):
-        terms, used = sparse[id(steps[k - 1])]
+        terms, mn, mx = sparse[id(steps[k - 1])]
         if event is not None:
-            v = np.where(event.trigger_mask(k, positions(k)), fired, v)
-            fired = _upper_step(terms, dict.fromkeys(used, fired))
-        w = widths[k - 1]
-        cols = {off: v[off:off + w] for off in used} if k <= last else dict.fromkeys(used, v)
-        v = _upper_step(terms, cols)
-    return float(v[0])
+            w = widths[k]
+            for i, j in _fired_ranges(event, k, lows[k], w, model.delta):
+                if a == b and left is right:  # a uniform row: the band moves to the edge
+                    a = b = j if i == 0 else i
+                if i == 0:  # a prefix becomes the left flank
+                    if j < a:
+                        cur[j:a] = left
+                    a, b, left = j, max(b, j), fired
+                elif j == w:  # a suffix becomes the right flank
+                    if i > b:
+                        cur[b:i] = right
+                    a, b, right = min(a, i), i, fired
+                else:  # a middle range (absS below a threshold) goes into the band
+                    if i < a:
+                        cur[i:a] = left
+                        a = i
+                    if j > b:
+                        cur[b:j] = right
+                        b = j
+                    cur[i:j] = fired
+        w_out = widths[k - 1]
+        a2 = min(max(0, a - mx), w_out)
+        b2 = max(min(w_out, b - mn), a2)
+        if a2 < b2:
+            if a2 + mn < a:
+                cur[a2 + mn:a] = left
+            if b2 + mx > b:
+                cur[b:b2 + mx] = right
+            _band_step(terms, cur, nxt, acc, prod, a2, b2)
+            cur, nxt = nxt, cur
+        a, b = a2, b2
+        if event is not None:
+            stepped = _scalar_step(terms, fired)
+            new_left = stepped if left is fired else _scalar_step(terms, left)
+            right = stepped if right is fired else new_left if right is left \
+                else _scalar_step(terms, right)
+            left, fired = new_left, stepped
+    return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +522,12 @@ def evaluate_upper(model: SequenceModel, payoff, *,
 
     ``method`` forces the lattice or generic evaluation path (both produce
     bit-identical values for payoffs the lattice path supports).  On the
-    lattice path one row and, for a window event, one fired value per layer
-    are held.  ``state_cap`` bounds the widest reachable layer on the
-    lattice path, counted twice for a window event (not yet fired, fired),
-    and all layers on the generic path.
+    lattice path each layer is held as a band of states in preallocated
+    buffers plus two flank scalars and, for a window event, the fired
+    scalar.  ``state_cap`` bounds the widest reachable layer up to the
+    window's end (the horizon for a terminal payoff) on the lattice path,
+    counted twice for a window event (not yet fired, fired), and all
+    layers on the generic path.
     """
     bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):

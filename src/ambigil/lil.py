@@ -23,7 +23,7 @@ from .capacity import (_per_step, _running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
 from .engine import Automaton
-from .model import SequenceModel, StepAmbiguity
+from .model import SequenceModel, StepAmbiguity, _integer
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     for name, value in (("eps", eps), ("delta", delta), ("power_p", power_p)):
         if math.isnan(value):
             raise ValueError(f"{name} is NaN")
-    cps = [int(c) for c in checkpoints]
+    cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ValueError("checkpoints must be a strictly increasing list of n >= 1")
     n_max = cps[-1]
@@ -252,6 +252,12 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
         raise ValueError(f"checkpoint {n_max} exceeds horizon {model.horizon}")
     ms = MomentSeries(model, p, alpha)
     norms = ms.norms
+    # step-only moments: E[X^2], E[|X|^power_p], upper and lower mean
+    moments = _per_step(model, n_max, lambda s: (
+        s.upper_expectation(lambda v: v * v),
+        s.upper_expectation(lambda v: abs(v) ** power_p),
+        s.upper_expectation(lambda v: v),
+        s.lower_expectation(lambda v: v)))
     cpset = set(cps)
 
     tail_partial, tail_terms = [], []
@@ -269,7 +275,7 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     max_step_ratio = 0.0
     prev_s2 = None
 
-    for n in range(1, n_max + 1):
+    for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
         step = model.step(n)
         a_n = norms.a(n)
         s_n = norms.s(n)
@@ -287,13 +293,12 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
         term_unb = (g_unb / a_n ** p) * (ms.lam(n) / a_n ** p) ** d
         run_bar += term_bar
         run_unb += term_unb
-        e2 = step.upper_expectation(lambda v: v * v)
         term_var = e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0)
         run_var += term_var
-        term_wit = step.upper_expectation(lambda v: abs(v) ** power_p) / a_n ** power_p
+        term_wit = e_pow / a_n ** power_p
         run_wit += term_wit
-        run_mean_u += abs(step.upper_expectation(lambda v: v))
-        run_mean_l += abs(step.lower_expectation(lambda v: v))
+        run_mean_u += abs(mean_u)
+        run_mean_l += abs(mean_l)
 
         if eps <= 1.0 and eps * a_n / 2.0 > alpha * s_n / t_n:
             termwise_checked += 1

@@ -222,6 +222,17 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or any non-number is a
+    ``ValueError``, never parsed or read as 0 and 1."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def _snap_index(value: float, delta: float, what: str) -> int:
     """Nearest lattice index for value; errors when the snap is visible."""
     idx = round(value / delta)

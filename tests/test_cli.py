@@ -266,6 +266,14 @@ _WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
     ("eval", {"state_cap": 1000.5}),
     ("capacity", {"event": {"window": {"n": 1.5, "N": 2},
                             "threshold": {"kind": "const", "c": 3.0}}}),
+    ("lil", {"experiment": "lower", "eps": "0.5"}),
+    ("lil", {"experiment": "lower", "eps": True}),
+    ("lil", {"experiment": "lower", "eps": 10 ** 400}),
+    ("capacity", {"event": {"window": {"n": 1, "N": 2},
+                            "threshold": {"kind": "const", "c": "3"}}}),
+    ("capacity", {"event": {"window": {"n": 1, "N": 2},
+                            "threshold": {"kind": "d_n", "scale": False}}}),
+    ("bc", {"thresholds": [2.0, "2.0"]}),
 ])
 def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
                                                  command, cfg):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from ambigil.engine import (BreveResult, ExpectationPair, FullVectorPayoff,
                             StateSpaceError, TerminalSumPayoff, WindowEvent,
-                            breve_expectation, evaluate_lower, evaluate_pair,
-                            evaluate_upper, sum_lower_mean, sum_upper_mean)
+                            _fired_ranges, breve_expectation, evaluate_lower,
+                            evaluate_pair, evaluate_upper, sum_lower_mean,
+                            sum_upper_mean)
 from ambigil.gnormal import clt_capacity
+from ambigil.lil import cluster_probe, lil_lower_experiment
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
 
@@ -289,6 +291,80 @@ def test_zero_weight_lattice_matches_generic_bits():
     r = clt_capacity(make_rademacher_interval(1, 2, 5), 125, 0.3)
     assert _bits(r.bracket_low) == _bits(0.5699674654008193)
     assert _bits(r.bracket_high) == _bits(0.5938002507979722)
+
+
+@st.composite
+def _row_and_threshold(draw):
+    """A layer (low, width, delta) and a threshold: on a lattice point, one
+    ulp off it, anywhere, a signed zero or an infinity."""
+    delta = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+    low = draw(st.integers(-60, 60))
+    width = draw(st.integers(1, 70))
+    point = delta * float(draw(st.integers(-80, 80)))
+    thr = draw(st.one_of(
+        st.just(point),
+        st.just(math.nextafter(point, math.inf)),
+        st.just(math.nextafter(point, -math.inf)),
+        st.floats(-30.0, 30.0),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf])))
+    return low, width, delta, thr
+
+
+def _runs(mask):
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return [(int(i), int(j)) for i, j in zip(edges[::2], edges[1::2])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_and_threshold(), st.sampled_from(["ge", "gt", "le", "lt"]),
+       st.sampled_from(["S", "-S", "absS"]))
+def test_fired_ranges_are_the_trigger_mask_runs(row, side, stat):
+    low, width, delta, thr = row
+    ev = WindowEvent(lo=2, hi=4, threshold=lambda m: thr, side=side, stat=stat)
+    for k in (1, 2, 4, 5):  # before, at both ends of and after the window
+        mask = ev.trigger_mask(k, delta * np.arange(low, low + width, dtype=float))
+        assert _fired_ranges(ev, k, low, width, delta) == _runs(mask), (k, mask)
+
+
+def test_band_kernel_matches_generic_bits_long_horizons():
+    """Horizons 40-80 with thresholds that jump across the row (and to
+    ±inf), every stat, ``absS <=``, complements and negations."""
+    rng = np.random.default_rng(40)
+    s11 = StepAmbiguity(LatticeSupport(0.5, (-1, 1)), ((0.5, 0.5), (0.25, 0.75)))
+    skew = StepAmbiguity(LatticeSupport(0.5, (-1, 0, 2)),
+                         ((0.5, 0.25, 0.25), (0.0, 0.75, 0.25), (0.5, 0.5, 0.0)))
+    cases = [(SequenceModel.iid(s11, 80), "le", "absS"),
+             (SequenceModel.iid(s11, 64), "ge", "S"),
+             (SequenceModel.iid(skew, 48), "lt", "absS"),
+             (SequenceModel.iid(skew, 40), "gt", "-S"),
+             (SequenceModel(60, steps=[s11, skew] * 30), "ge", "absS"),
+             (SequenceModel(50, steps=[skew, s11] * 25), "le", "S"),
+             (SequenceModel.iid(STEP12, 40), "lt", "-S"),
+             (SequenceModel.iid(STEP12, 40), "le", "absS")]
+    for m, side, stat in cases:
+        reach = 2.0 * m.delta * m.horizon
+        table = rng.uniform(-reach, reach, m.horizon + 1) * rng.uniform(0, 1, m.horizon + 1)
+        table[rng.random(m.horizon + 1) < 0.1] = math.inf
+        table[rng.random(m.horizon + 1) < 0.05] = -math.inf
+        lo = int(rng.integers(1, 9))
+        hi = int(rng.integers(m.horizon - 12, m.horizon + 1))
+        ev = WindowEvent(lo=lo, hi=hi, threshold=lambda k: float(table[k]), side=side, stat=stat)
+        for payoff in (ev, ev.complement(), ev.negate(), ev.complement().negate()):
+            lat = evaluate_upper(m, payoff, method="lattice")
+            gen = evaluate_upper(m, payoff, method="generic")
+            assert _bits(lat) == _bits(gen), (m.horizon, side, stat, payoff.values, lat, gen)
+
+
+def test_window_experiments_pinned():
+    """Values of the full-row kernel, bit for bit."""
+    assert _bits(lil_lower_experiment(SequenceModel.iid(STEP12, 1024), 16, 1024, 0.45)) == \
+        _bits(0.674718441785309)
+    rows = cluster_probe(STEP12, 256, (0.7, 1.3, 2.9))
+    want = [(0.9141223431886067, 0.6736909528181242),
+            (0.7701029133872186, 0.17128061898170865),
+            (0.11640282307984227, 9.386586069748404e-06)]
+    assert [(_bits(r.upper), _bits(r.lower)) for r in rows] == \
+        [(_bits(u), _bits(lo)) for u, lo in want]
 
 
 def test_state_cap():

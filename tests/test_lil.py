@@ -149,6 +149,20 @@ def test_check_conditions_validation():
             check_conditions(m, [5, 10], **{key: math.nan})
 
 
+def test_api_integer_arguments_are_not_truncated():
+    m = SequenceModel.iid(STEP11, 10)
+    for bad in ([2.5, 4.9], [2, "4"], [True, 4]):
+        with pytest.raises(ValueError, match="checkpoint"):
+            check_conditions(m, bad)
+    assert check_conditions(m, [2.0, 4]) == check_conditions(m, [2, 4])
+    fam = lambda n: SequenceModel.iid(STEP12, n)
+    for runner in (converse_rate_check, conjecture_probe):
+        for bad in ([8.7], ["8"], [True]):
+            with pytest.raises(ValueError, match="n_list"):
+                runner(fam, 0.1, 1.0, bad)
+        assert runner(fam, 0.1, 1.0, [8.0]) == runner(fam, 0.1, 1.0, [8])
+
+
 def test_lil_upper_monotone_in_eps():
     m = SequenceModel.iid(STEP11, 128)
     hi = lil_upper_experiment(m, 16, 128, 1.0)
