@@ -20,7 +20,7 @@ import numpy as np
 
 from . import iterlog
 from .engine import _SIDES, _STATS, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
-from .model import SequenceModel, _integer, _real
+from .model import SequenceModel, _integer, _real, running_sums
 from .rng import substream
 
 _SIDE_ALIASES = {
@@ -57,8 +57,9 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     """Automaton for {exists m in [n, N]: stat(S_m) <side> threshold(m)}.
 
     ``threshold_fn`` may be a constant or a callable of the step index m;
-    state is (triggered flag, lattice partial sum).  A NaN threshold raises
-    ``ValueError``; ``±inf`` gives the sure or the never event.
+    state is (triggered flag, lattice partial sum).  A constant that is NaN
+    or not a real number (a string or a bool) raises ``ValueError``;
+    ``±inf`` gives the sure or the never event.
     """
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
@@ -67,7 +68,7 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     if callable(threshold_fn):
         thr = threshold_fn
     else:
-        const = float(threshold_fn)
+        const = _real(threshold_fn, "window threshold")
         if math.isnan(const):
             raise ValueError("window threshold is NaN")
         thr = lambda m: const
@@ -179,9 +180,10 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
     On finite models with indicator test functions the lower capacity of the
     intersection of complements equals the product of per-event complements
     exactly; both are returned together with the union's upper capacity.
-    A NaN threshold raises ``ValueError``.
+    A threshold that is NaN or not a real number (a string or a bool) raises
+    ``ValueError``.
     """
-    ths = [float(t) for t in thresholds]
+    ths = [_real(t, "bc threshold") for t in thresholds]
     n = len(ths)
     if n < 1 or n > model.horizon:
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
@@ -350,27 +352,9 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     return window_max_event(n, N, fn, side=side, on=stat)
 
 
-def _per_step(model: SequenceModel, upto: int, fn: Callable) -> list:
-    """[fn(step_1), ..., fn(step_upto)], with ``fn`` called once per distinct
-    step object: an i.i.d. model pays for one step."""
-    seen: dict[int, object] = {}
-    out = []
-    for k in range(1, upto + 1):
-        step = model.step(k)
-        if id(step) not in seen:
-            seen[id(step)] = fn(step)
-        out.append(seen[id(step)])
-    return out
-
-
 def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
     """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
-    out = [0.0]
-    acc = 0.0
-    for e2 in _per_step(model, model.horizon, lambda s: s.upper_expectation(lambda v: v * v)):
-        acc += e2
-        out.append(acc)
-    return out
+    return running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v * v)))
 
 
 def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float]:
@@ -384,12 +368,7 @@ def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float
         one = lambda s: s.lower_expectation(lambda v: v)
     else:
         raise ValueError(f"unknown centering {center!r}")
-    out = [0.0]
-    acc = 0.0
-    for mean in _per_step(model, upto, one):
-        acc += mean
-        out.append(acc)
-    return out
+    return running_sums(model.per_step(one, upto))
 
 
 def centered_max_sum_event(model: SequenceModel, x: float, n: int | None = None,

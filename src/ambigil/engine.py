@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SequenceModel, StepAmbiguity, TruncationSpec, clamp
+from .model import SequenceModel, StepAmbiguity, TruncationSpec, clamp, running_sums
 
 DEFAULT_STATE_CAP = 2 ** 28
 
@@ -381,17 +381,15 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     The result gets ``+ 0.0`` once (see the module docstring for why neither
     the skipped terms nor the missing ``0.0 +`` per sum changes a bit).
     Each distinct step object becomes its ``(q, offset)`` pairs once per
-    call, and the band is computed into preallocated buffers.
+    call (``SequenceModel.per_step``), and the band is computed into
+    preallocated buffers.
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
-    steps = list(model.steps())
-    sparse = {}  # id of each distinct step -> its nonzero weights
+    sparse = model.per_step(_sparse_terms)
     lows, widths = [0], [1]
     reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
-    for step in steps:
-        if id(step) not in sparse:
-            sparse[id(step)] = _sparse_terms(step)
+    for step in model.steps():
         pts = step.support.points
         lows.append(lows[-1] + pts[0])
         widths.append(widths[-1] + pts[-1] - pts[0])
@@ -416,7 +414,7 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         left = right = event.values[0]
         fired = event.values[1]
     for k in range(model.horizon, 0, -1):
-        terms, mn, mx = sparse[id(steps[k - 1])]
+        terms, mn, mx = sparse[k - 1]
         if event is not None:
             w = widths[k]
             for i, j in _fired_ranges(event, k, lows[k], w, model.delta):
@@ -590,8 +588,8 @@ def breve_expectation(step: StepAmbiguity, payoff: Callable[[float], float],
 
 def sum_upper_mean(model: SequenceModel, k: int) -> float:
     """Upper expectation of S_k: sum of per-step upper means (independence)."""
-    return sum(model.step(i).upper_expectation(lambda v: v) for i in range(1, k + 1))
+    return running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v), k))[-1]
 
 
 def sum_lower_mean(model: SequenceModel, k: int) -> float:
-    return sum(model.step(i).lower_expectation(lambda v: v) for i in range(1, k + 1))
+    return running_sums(model.per_step(lambda s: s.lower_expectation(lambda v: v), k))[-1]

@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 
 from . import iterlog
 from .bounds import _rate_table, kolmogorov_bound, RateTable
-from .capacity import (_per_step, _running_centers, capacity_pair,
+from .capacity import (_running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
 from .engine import Automaton
-from .model import SequenceModel, StepAmbiguity, _integer
+from .model import SequenceModel, StepAmbiguity, _integer, running_sums
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,6 @@ def normalizers(source) -> NormalizerSeries:
             return cum[n]
 
         return NormalizerSeries(s2)
-    if callable(source):
-        return NormalizerSeries(source)
     seq = [float(v) for v in source]
     if not seq or seq[0] < 0:
         raise ValueError("s2 series must be nonempty with s2(1) >= 0")
@@ -133,7 +131,7 @@ class MomentSeries(object):
         thr = self._threshold(n)
         if self.model.is_iid:
             return n * self._term(self.model.step(1), thr, cap)
-        return sum(_per_step(self.model, n, lambda s: self._term(s, thr, cap)))
+        return running_sums(self.model.per_step(lambda s: self._term(s, thr, cap), n))[-1]
 
     def lam(self, n: int) -> float:
         return self._lam(n, None)
@@ -244,6 +242,7 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     for name, value in (("eps", eps), ("delta", delta), ("power_p", power_p)):
         if math.isnan(value):
             raise ValueError(f"{name} is NaN")
+    d = _integer(d, "d")
     cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ValueError("checkpoints must be a strictly increasing list of n >= 1")
@@ -253,30 +252,22 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     ms = MomentSeries(model, p, alpha)
     norms = ms.norms
     # step-only moments: E[X^2], E[|X|^power_p], upper and lower mean
-    moments = _per_step(model, n_max, lambda s: (
+    moments = model.per_step(lambda s: (
         s.upper_expectation(lambda v: v * v),
         s.upper_expectation(lambda v: abs(v) ** power_p),
         s.upper_expectation(lambda v: v),
-        s.lower_expectation(lambda v: v)))
-    cpset = set(cps)
+        s.lower_expectation(lambda v: v)), n_max)
 
-    tail_partial, tail_terms = [], []
-    bar_partial, bar_terms = [], []
-    unb_partial, unb_terms = [], []
-    var_partial, var_terms = [], []
-    wit_partial, wit_terms = [], []
-    mean_ratios, alpha_ratios = [], []
-    s2_at = []
-
-    run_tail = run_bar = run_unb = run_var = run_wit = 0.0
-    run_mean_u = run_mean_l = 0.0
+    # terms[key][n - 1] is the n-th term of a series; running_sums folds each
+    terms = {key: [] for key in ("tail-sum", "capped-overshoot", "overshoot",
+                                 "variance-divergence", "power-moment",
+                                 "mean-upper", "mean-lower")}
     termwise_checked = 0
     termwise_viol = []
     max_step_ratio = 0.0
     prev_s2 = None
 
     for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
-        step = model.step(n)
         a_n = norms.a(n)
         s_n = norms.s(n)
         s2_n = norms.s2(n)
@@ -285,20 +276,16 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
             max_step_ratio = max(max_step_ratio, s2_n / prev_s2)
         prev_s2 = s2_n
 
-        tail_n = step.upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
-        run_tail += tail_n
+        tail_n = model.step(n).upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
         g_bar = ms.gamma_bar(n)
         g_unb = ms.gamma(n)
-        term_bar = (g_bar / a_n ** p) * (ms.lam_bar(n) / a_n ** p) ** d
-        term_unb = (g_unb / a_n ** p) * (ms.lam(n) / a_n ** p) ** d
-        run_bar += term_bar
-        run_unb += term_unb
-        term_var = e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0)
-        run_var += term_var
-        term_wit = e_pow / a_n ** power_p
-        run_wit += term_wit
-        run_mean_u += abs(mean_u)
-        run_mean_l += abs(mean_l)
+        terms["tail-sum"].append(tail_n)
+        terms["capped-overshoot"].append((g_bar / a_n ** p) * (ms.lam_bar(n) / a_n ** p) ** d)
+        terms["overshoot"].append((g_unb / a_n ** p) * (ms.lam(n) / a_n ** p) ** d)
+        terms["variance-divergence"].append(e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0))
+        terms["power-moment"].append(e_pow / a_n ** power_p)
+        terms["mean-upper"].append(abs(mean_u))
+        terms["mean-lower"].append(abs(mean_l))
 
         if eps <= 1.0 and eps * a_n / 2.0 > alpha * s_n / t_n:
             termwise_checked += 1
@@ -309,54 +296,45 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
                 termwise_viol.append(
                     f"n={n}: ({lo!r}, {mid!r}, {hi!r}) breaks the termwise chain")
 
-        if n in cpset:
-            tail_partial.append(run_tail)
-            tail_terms.append(tail_n)
-            bar_partial.append(run_bar)
-            bar_terms.append(term_bar)
-            unb_partial.append(run_unb)
-            unb_terms.append(term_unb)
-            var_partial.append(run_var)
-            var_terms.append(term_var)
-            wit_partial.append(run_wit)
-            wit_terms.append(term_wit)
-            mean_ratios.append((run_mean_u + run_mean_l) / a_n)
-            alpha_ratios.append(step.support.radius * t_n / s_n)
-            s2_at.append(s2_n)
-
+    sums = {key: running_sums(ts) for key, ts in terms.items()}
     cps_t = tuple(cps)
 
-    def series_rec(rec_id, partial, terms, details=None):
+    def series_rec(rec_id, details):
+        partial = [sums[rec_id][c] for c in cps]
+        at = [terms[rec_id][c - 1] for c in cps]
         return ConditionRecord(id=rec_id, kind="series", checkpoints=cps_t,
-                               values=tuple(partial), terms=tuple(terms),
-                               verdict=series_verdict(cps, partial, terms),
-                               details=details or {})
+                               values=tuple(partial), terms=tuple(at),
+                               verdict=series_verdict(cps, partial, at),
+                               details=details)
 
-    def ratio_rec(rec_id, values, details=None):
+    def ratio_rec(rec_id, values, details):
         return ConditionRecord(id=rec_id, kind="ratio", checkpoints=cps_t,
                                values=tuple(values), terms=(),
                                verdict=ratio_verdict(cps, values),
-                               details=details or {})
+                               details=details)
 
+    s2_at = [norms.s2(c) for c in cps]
+    var_at = [sums["variance-divergence"][c] for c in cps]
     records = (
-        series_rec("tail-sum", tail_partial, tail_terms, {"eps": eps}),
-        series_rec("capped-overshoot", bar_partial, bar_terms,
-                   {"p": p, "alpha": alpha, "d": d}),
-        series_rec("overshoot", unb_partial, unb_terms,
-                   {"p": p, "alpha": alpha, "d": d}),
-        series_rec("variance-divergence", var_partial, var_terms, {"delta": delta}),
-        series_rec("power-moment", wit_partial, wit_terms, {"p": power_p}),
-        ratio_rec("mean-ratio", mean_ratios),
-        ratio_rec("boundedness-ratio", alpha_ratios, {"s2": tuple(s2_at)}),
+        series_rec("tail-sum", {"eps": eps}),
+        series_rec("capped-overshoot", {"p": p, "alpha": alpha, "d": d}),
+        series_rec("overshoot", {"p": p, "alpha": alpha, "d": d}),
+        series_rec("variance-divergence", {"delta": delta}),
+        series_rec("power-moment", {"p": power_p}),
+        ratio_rec("mean-ratio",
+                  [(sums["mean-upper"][c] + sums["mean-lower"][c]) / norms.a(c) for c in cps],
+                  {}),
+        ratio_rec("boundedness-ratio",
+                  [model.step(c).support.radius * norms.t(c) / norms.s(c) for c in cps],
+                  {"s2": tuple(s2_at)}),
     )
     growth = {
-        "max_onestep_s2_ratio": float(max_step_ratio),
-        "s2_first": float(s2_at[0]) if s2_at else 0.0,
-        "s2_last": float(s2_at[-1]) if s2_at else 0.0,
-        "variance_series_first": float(var_partial[0]) if var_partial else 0.0,
-        "variance_series_last": float(var_partial[-1]) if var_partial else 0.0,
-        "variance_series_growing":
-            bool(var_partial and var_partial[-1] > var_partial[0]),
+        "max_onestep_s2_ratio": max_step_ratio,
+        "s2_first": s2_at[0],
+        "s2_last": s2_at[-1],
+        "variance_series_first": var_at[0],
+        "variance_series_last": var_at[-1],
+        "variance_series_growing": var_at[-1] > var_at[0],
     }
     return ConditionReport(records=records, termwise_checked=termwise_checked,
                            termwise_violations=tuple(termwise_viol),
@@ -419,10 +397,10 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
         hi = min(N, 2 * lo)
         x_j = min((1.0 + eps) * a[m] + cents[m] - upper_means[m] for m in range(lo, hi + 1))
         y_j = norms.s(hi) / norms.t(hi)
-        b2 = sum(_per_step(model, hi, lambda s: s.upper_expectation(
-            lambda v: min(v, y_j) ** 2)))
-        mt = min(1.0, sum(_per_step(model, hi, lambda s: s.upper_expectation(
-            lambda v: 1.0 if v > y_j else 0.0))))
+        b2 = running_sums(model.per_step(lambda s: s.upper_expectation(
+            lambda v: min(v, y_j) ** 2), hi))[-1]
+        mt = min(1.0, running_sums(model.per_step(lambda s: s.upper_expectation(
+            lambda v: 1.0 if v > y_j else 0.0), hi))[-1])
         if x_j <= 0:
             bound = 1.0
         else:

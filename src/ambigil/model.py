@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -159,6 +160,19 @@ class SequenceModel(object):
         for k in range(1, self.horizon + 1):
             yield self.step(k)
 
+    def per_step(self, fn: Callable[[StepAmbiguity], object], upto: int | None = None) -> list:
+        """[fn(step_1), ..., fn(step_upto)], ``upto`` defaulting to the horizon,
+        with ``fn`` called once per distinct step object: an i.i.d. model pays
+        for one step.  The cache lives for this call only."""
+        seen: dict[int, object] = {}
+        out = []
+        for k in range(1, (self.horizon if upto is None else upto) + 1):
+            step = self.step(k)
+            if id(step) not in seen:
+                seen[id(step)] = fn(step)
+            out.append(seen[id(step)])
+        return out
+
     def to_dict(self) -> dict:
         def enc(step: StepAmbiguity) -> dict:
             return {"points": list(step.support.points),
@@ -210,6 +224,13 @@ class SequenceModel(object):
     def load(cls, path) -> "SequenceModel":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json(f.read())
+
+
+def running_sums(terms: Iterable[float]) -> list[float]:
+    """[0.0, t_1, t_1 + t_2, ...]: the left fold from 0.0 behind every sum
+    over steps.  Not the builtin ``sum()``: from Python 3.12 on it
+    compensates float sums, so its last bits depend on the version."""
+    return list(accumulate(terms, initial=0.0))
 
 
 def _integer(value, what: str) -> int:

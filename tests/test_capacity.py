@@ -54,6 +54,22 @@ def test_nan_threshold_rejected():
             capacity_pair(m, ev, method=method)
 
 
+def test_threshold_strings_and_bools_rejected():
+    m = SequenceModel.iid(STEP12, 3)
+    for bad in ("3", True, None, [3.0]):
+        with pytest.raises(ValueError, match="window threshold"):
+            window_max_event(1, 8, bad)
+    # ints and numpy floats read as reals, and ±inf stays the never or sure event
+    assert upper_capacity(m, window_max_event(2, 2, 3)) == 0.25
+    assert upper_capacity(m, window_max_event(2, 2, np.float64(3.0))) == 0.25
+    assert upper_capacity(m, window_max_event(1, 3, math.inf)) == 0.0
+    assert upper_capacity(m, window_max_event(1, 3, -math.inf)) == 1.0
+    for bad in (["1", "2", "3"], [1.0, True, 2.0], [1.0, 2.0, None]):
+        with pytest.raises(ValueError, match="bc threshold"):
+            bc_product_check(m, bad)
+    assert bc_product_check(m, [2, np.float64(2.0), 2.0]) == bc_product_check(m, [2.0] * 3)
+
+
 def test_window_equals_terminal_when_unreachable_early():
     # S_1 <= 2 < 3, so {max(S_1, S_2) >= 3} is exactly {S_2 >= 3}
     m = SequenceModel.iid(STEP12, 2)

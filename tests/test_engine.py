@@ -384,7 +384,7 @@ def test_state_cap_counts_held_states():
     with pytest.raises(StateSpaceError) as ei:
         evaluate_upper(m, ev, state_cap=4097)
     assert ei.value.estimate == 4098
-    # layers after the window's end are held one column wide
+    # the estimate stops at the window's end, 2 * (4 * 128 + 1): later layers hold no band
     early = WindowEvent(lo=1, hi=128, threshold=lambda k: 20.0)
     assert 0.0 < evaluate_upper(m, early, state_cap=1026) < 1.0
     with pytest.raises(StateSpaceError) as ei:

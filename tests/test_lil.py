@@ -155,6 +155,13 @@ def test_api_integer_arguments_are_not_truncated():
         with pytest.raises(ValueError, match="checkpoint"):
             check_conditions(m, bad)
     assert check_conditions(m, [2.0, 4]) == check_conditions(m, [2, 4])
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            check_conditions(m, [2, 4], d=bad)
+    by_float = check_conditions(m, [2, 4], d=2.0)
+    assert by_float == check_conditions(m, [2, 4], d=2)
+    assert by_float.record("overshoot").details["d"] == 2
+    assert type(by_float.record("overshoot").details["d"]) is int
     fam = lambda n: SequenceModel.iid(STEP12, n)
     for runner in (converse_rate_check, conjecture_probe):
         for bad in ([8.7], ["8"], [True]):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            TruncationSpec, clamp, make_rademacher_interval,
-                           truncate_model, truncate_step)
+                           running_sums, truncate_model, truncate_step)
 
 from oracles import random_model, random_step
 
@@ -203,3 +203,33 @@ def test_from_dict_errors():
         (bad["iid"] if key == "points" else bad)[key] = value
         with pytest.raises(ValueError):
             SequenceModel.from_dict(bad)
+
+
+def test_running_sums_is_a_plain_left_fold():
+    # a compensated sum (builtin sum() from Python 3.12 on, math.fsum) gives 1.0 in both
+    assert running_sums([0.1] * 10)[-1] == 0.9999999999999999
+    assert running_sums([1e16, 1.0, -1e16])[-1] == 0.0
+    assert running_sums([]) == [0.0]
+    assert running_sums([1.5, -0.5, 2.0]) == [0.0, 1.5, 1.0, 3.0]
+
+
+def test_per_step_calls_fn_once_per_distinct_step():
+    s12, s13 = make_rademacher_interval(1, 2, 2), make_rademacher_interval(1, 3, 3)
+    sched = SequenceModel(96, steps=[s12 if k % 2 else s13 for k in range(96)])
+    iid = SequenceModel.iid(s12, 96)
+    for model, distinct in ((sched, 2), (iid, 1)):
+        calls = []
+
+        def radius(step):
+            calls.append(step)
+            return step.support.radius
+
+        assert model.per_step(radius) == [s.support.radius for s in model.steps()]
+        assert len(calls) == distinct
+        calls.clear()
+        assert model.per_step(radius, 5) == [s.support.radius for s in model.steps()][:5]
+        assert len(calls) == distinct
+        calls.clear()
+        assert model.per_step(radius, 0) == [] and calls == []
+    with pytest.raises(IndexError):
+        iid.per_step(lambda s: 0.0, 97)
