@@ -16,10 +16,9 @@ from .capacity import (BCProductReport, CapacityPair, MCResult, OutcomeFlagEvent
                        event_from_config, lower_capacity,
                        mc_capacity_lower_bound, upper_capacity,
                        window_max_event)
-from .engine import (DEFAULT_STATE_CAP, Automaton, BreveResult, ExpectationPair,
+from .engine import (DEFAULT_STATE_CAP, Automaton, ExpectationPair,
                      FullVectorPayoff, StateSpaceError, TerminalSumPayoff,
-                     WindowEvent, breve_expectation,
-                     evaluate_lower, evaluate_pair, evaluate_upper,
+                     WindowEvent, evaluate_lower, evaluate_pair, evaluate_upper,
                      sum_lower_mean, sum_upper_mean)
 from .gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,
                       gnormal_density, gnormal_lower_tail, gnormal_upper_tail,
@@ -31,7 +30,6 @@ from .lil import (ClusterRow, ConditionReport, ContinuityProbeResult,
                   lil_lower_experiment, lil_upper_experiment, moment_series,
                   normalizers)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity,
-                    TruncationSpec, clamp, make_rademacher_interval,
-                    truncate_model, truncate_step)
+                    make_rademacher_interval)
 
 __version__ = "0.1.0"

@@ -59,8 +59,11 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     ``threshold_fn`` may be a constant or a callable of the step index m;
     state is (triggered flag, lattice partial sum).  A constant that is NaN
     or not a real number (a string or a bool) raises ``ValueError``;
-    ``±inf`` gives the sure or the never event.
+    ``±inf`` gives the sure or the never event.  ``n`` and ``N`` must be
+    integers (``2.0`` reads as 2); a bool, a string or ``2.5`` raises
+    ``ValueError``.
     """
+    n, N = _integer(n, "window n"), _integer(N, "window N")
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
     if on not in _STATS:

@@ -54,11 +54,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .model import SequenceModel, StepAmbiguity, TruncationSpec, clamp, running_sums
+from .model import SequenceModel, StepAmbiguity, _integer, running_sums
 
 DEFAULT_STATE_CAP = 2 ** 28
 
@@ -548,48 +548,21 @@ def evaluate_pair(model: SequenceModel, payoff, **kw) -> ExpectationPair:
                            upper=evaluate_upper(model, payoff, **kw))
 
 
-@dataclass(frozen=True)
-class BreveResult:
-    """Clamped-expectation sweep along a truncation schedule."""
-
-    schedule: tuple[float, ...]
-    values: tuple[float, ...]
-    value: float
-    stabilized: bool
-    stabilized_at: int | None
-
-
-def breve_expectation(step: StepAmbiguity, payoff: Callable[[float], float],
-                      c_schedule: Sequence[float]) -> BreveResult:
-    """Upper expectation of the clamped payoff along an increasing c schedule.
-
-    On a finite support the sweep is exact as soon as c exceeds the payoff's
-    sup-norm over the support, so the limit value is computed directly and
-    the first schedule entry attaining it is reported.  A sweep that never
-    reaches the exact value comes back with ``stabilized=False``.
-    """
-    cs = tuple(float(c) for c in c_schedule)
-    if any(b <= a for a, b in zip(cs, cs[1:])):
-        raise ValueError(f"c schedule must be strictly increasing, got {cs}")
-    exact = step.upper_expectation(payoff)
-    values = []
-    for c in cs:
-        spec = TruncationSpec(c)
-        values.append(step.upper_expectation(lambda v: clamp(payoff(v), spec)))
-    stab_at = None
-    for i, v in enumerate(values):
-        if v == exact:
-            stab_at = i
-            break
-    return BreveResult(schedule=cs, values=tuple(values),
-                       value=values[-1] if values else exact,
-                       stabilized=stab_at is not None, stabilized_at=stab_at)
+def _step_count(model: SequenceModel, k) -> int:
+    """``k`` as an int in 0..horizon; anything else is a ``ValueError``."""
+    k = _integer(k, "step count k")
+    if not 0 <= k <= model.horizon:
+        raise ValueError(f"step count k={k} outside 0..{model.horizon}")
+    return k
 
 
 def sum_upper_mean(model: SequenceModel, k: int) -> float:
-    """Upper expectation of S_k: sum of per-step upper means (independence)."""
+    """Upper expectation of S_k: sum of per-step upper means (independence).
+    ``k = 0`` gives 0.0."""
+    k = _step_count(model, k)
     return running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v), k))[-1]
 
 
 def sum_lower_mean(model: SequenceModel, k: int) -> float:
+    k = _step_count(model, k)
     return running_sums(model.per_step(lambda s: s.lower_expectation(lambda v: v), k))[-1]

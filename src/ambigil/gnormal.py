@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, evaluate_upper
-from .model import SequenceModel, StepAmbiguity
+from .model import SequenceModel, StepAmbiguity, _integer, _real, _require_centered
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -184,15 +184,14 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     upper ramp rises on [x - w, x], the lower on [x, x + w], so their upper
     expectations bracket the capacity exactly.
     """
-    mean_lo, mean_hi = step.expectation_interval(lambda v: v)
-    if abs(mean_lo) > 1e-12 or abs(mean_hi) > 1e-12:
-        raise ValueError("clt bridge needs a centered step: both mean bounds zero")
+    _require_centered(step, "clt bridge")
+    n, x = _integer(n, "n"), _real(x, "x")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     params = step_gnormal_params(step)
     model = SequenceModel.iid(step, n)
     sq = math.sqrt(float(n))
-    w = (4.0 * step.support.delta / sq) if ramp_width is None else float(ramp_width)
+    w = (4.0 * step.support.delta / sq) if ramp_width is None else _real(ramp_width, "ramp width")
     if w <= 0:
         raise ValueError("ramp width must be positive")
     t = x * sq

@@ -23,7 +23,8 @@ from .capacity import (_running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
 from .engine import Automaton
-from .model import SequenceModel, StepAmbiguity, _integer, running_sums
+from .model import (SequenceModel, StepAmbiguity, _integer, _real, _require_centered,
+                    running_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +99,14 @@ class MomentSeries(object):
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
+        p, alpha = _real(p, "p"), _real(alpha, "alpha")
         if not p >= 2:
             raise ValueError(f"p must be >= 2, got {p}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.model = model
-        self.p = float(p)
-        self.alpha = float(alpha)
+        self.p = p
+        self.alpha = alpha
         self.norms = normalizers(model)
 
     def _threshold(self, n: int) -> float:
@@ -236,9 +238,10 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 
     at every n where eps a_n / 2 > alpha s_n / t_n and eps <= 1, and probes
     the bounded-growth derivation (growing s_n^2 with bounded one-step
-    ratios forces the variance series to diverge).  A NaN parameter raises
-    ``ValueError``.
+    ratios forces the variance series to diverge).  A NaN parameter, or one
+    that is not a real number (a string or a bool), raises ``ValueError``.
     """
+    eps, delta, power_p = _real(eps, "eps"), _real(delta, "delta"), _real(power_p, "power_p")
     for name, value in (("eps", eps), ("delta", delta), ("power_p", power_p)):
         if math.isnan(value):
             raise ValueError(f"{name} is NaN")
@@ -250,7 +253,7 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     if n_max > model.horizon:
         raise ValueError(f"checkpoint {n_max} exceeds horizon {model.horizon}")
     ms = MomentSeries(model, p, alpha)
-    norms = ms.norms
+    p, alpha, norms = ms.p, ms.alpha, ms.norms
     # step-only moments: E[X^2], E[|X|^power_p], upper and lower mean
     moments = model.per_step(lambda s: (
         s.upper_expectation(lambda v: v * v),
@@ -368,6 +371,15 @@ class LILUpperResult:
     blocks: tuple[BlockDiagnostic, ...]
 
 
+def _window(model: SequenceModel, n, N) -> tuple[int, int]:
+    """The experiment window ``(n, N)`` as ints with 1 <= n <= N <= horizon;
+    anything else is a ``ValueError``."""
+    n, N = _integer(n, "window n"), _integer(N, "window N")
+    if not 1 <= n <= N <= model.horizon:
+        raise ValueError(f"window [{n}, {N}] invalid for horizon {model.horizon}")
+    return n, N
+
+
 def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
                          center: str = "upper-mean", **engine_kw) -> LILUpperResult:
     """Exact upper capacity of {sup_{n<=m<=N} (S_m - c_m)/a_m > 1+eps}.
@@ -379,8 +391,8 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     It is a true upper bound for any block/y choice, so capacity <= crosscheck
     must hold in every run (diagnostics, not a tight estimate).
     """
-    if not 1 <= n <= N <= model.horizon:
-        raise ValueError(f"window [{n}, {N}] invalid for horizon {model.horizon}")
+    n, N = _window(model, n, N)
+    eps = _real(eps, "eps")
     norms = normalizers(model)
     cents = _running_centers(model, N, center)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
@@ -419,8 +431,8 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
 
     Nondecreasing in N by event inclusion (exact, a self-check for grids).
     """
-    if not 1 <= n <= N <= model.horizon:
-        raise ValueError(f"window [{n}, {N}] invalid for horizon {model.horizon}")
+    n, N = _window(model, n, N)
+    eps = _real(eps, "eps")
     norms = normalizers(model)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
     ev = window_max_event(n, N, lambda m: (1.0 - eps) * a[m], side="ge", on="S")
@@ -434,12 +446,6 @@ class ClusterRow:
     lower: float
 
 
-def _require_centered(step: StepAmbiguity):
-    lo, hi = step.expectation_interval(lambda v: v)
-    if abs(lo) > 1e-12 or abs(hi) > 1e-12:
-        raise ValueError("experiment needs a centered step: both mean bounds zero")
-
-
 def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
                   **engine_kw) -> list[ClusterRow]:
     """Capacity pair of {max_{m<=N} S_m / d_m >= sigma} over a sigma grid.
@@ -447,11 +453,11 @@ def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
     Desk-scale shadow of the cluster-set statements: no asymptotic verdicts,
     just exact window capacities, anti-monotone in sigma.
     """
-    _require_centered(step)
+    _require_centered(step, "experiment")
+    sigmas = [_real(sigma, "sigma") for sigma in sigma_grid]
     model = SequenceModel.iid(step, N)
     rows = []
-    for sigma in sigma_grid:
-        s = float(sigma)
+    for s in sigmas:
         ev = window_max_event(1, N, lambda m: s * iterlog.d_n(m), side="ge", on="S")
         pair = capacity_pair(model, ev, **engine_kw)
         rows.append(ClusterRow(sigma=s, upper=pair.upper, lower=pair.lower))
@@ -475,6 +481,7 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
     the payoff's upper and lower means differ.  A NaN ``eps``, or a payoff
     whose lower or upper mean is not finite, raises ``ValueError``.
     """
+    m, eps = _integer(m, "m"), _real(eps, "eps")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if math.isnan(eps):

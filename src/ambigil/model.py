@@ -98,22 +98,6 @@ class StepAmbiguity:
         return self.lower_expectation(fn), self.upper_expectation(fn)
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Two-sided clamp level: x is replaced by (-c) ∨ x ∧ c."""
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"truncation level must be positive, got {self.c}")
-
-
-def clamp(x: float, spec: TruncationSpec) -> float:
-    """(-c) ∨ x ∧ c."""
-    return max(-spec.c, min(x, spec.c))
-
-
 class SequenceModel(object):
     """A horizon-N schedule of steps, i.i.d. or per-step, on one lattice.
 
@@ -254,6 +238,14 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
+def _require_centered(step: StepAmbiguity, what: str) -> None:
+    """``ValueError``, naming the caller ``what``, unless both mean bounds
+    of ``step`` are within 1e-12 of zero."""
+    lo, hi = step.expectation_interval(lambda v: v)
+    if abs(lo) > 1e-12 or abs(hi) > 1e-12:
+        raise ValueError(f"{what} needs a centered step: both mean bounds zero")
+
+
 def _snap_index(value: float, delta: float, what: str) -> int:
     """Nearest lattice index for value; errors when the snap is visible."""
     idx = round(value / delta)
@@ -309,51 +301,3 @@ def make_rademacher_interval(sigma_lo: float, sigma_hi: float, grid: int) -> Ste
         m[pos[idx]] = 0.5
         measures.append(tuple(m))
     return StepAmbiguity(LatticeSupport(delta, points), tuple(measures))
-
-
-def truncate_step(step: StepAmbiguity, spec: TruncationSpec) -> StepAmbiguity:
-    """Push the clamp through the support, merging masses that collide at ±c.
-
-    A clamp level above the support radius is the identity.  When c does not
-    sit on the step's lattice, the lattice is refined by the smallest integer
-    factor that carries both the old points and ±c (error with a snap
-    diagnostic if no small factor works).  Total mass per measure is
-    preserved exactly up to float regrouping.
-    """
-    if spec.c >= step.support.radius:
-        return step
-    delta = step.support.delta
-    ratio = spec.c / delta
-    from fractions import Fraction
-    # refinements beyond 64x would silently blow up downstream DP lattices
-    frac = Fraction(ratio).limit_denominator(64)
-    err = abs(ratio - float(frac)) * delta
-    if err > _SNAP_REL_TOL * max(1.0, spec.c):
-        raise ValueError(
-            f"truncation level c={spec.c!r} is not representable on the lattice "
-            f"delta={delta!r} or a refinement of it by a factor <= 64; "
-            f"best snap distance {err:.3e}")
-    q = frac.denominator
-    c_idx = frac.numerator
-    if q == 1:
-        new_delta = delta
-        pts = step.support.points
-    else:
-        new_delta = delta / q
-        pts = tuple(p * q for p in step.support.points)
-    new_points = sorted({min(max(p, -c_idx), c_idx) for p in pts})
-    pos = {p: j for j, p in enumerate(new_points)}
-    measures = []
-    for m in step.measures:
-        out = [0.0] * len(new_points)
-        for p, mass in zip(pts, m):
-            out[pos[min(max(p, -c_idx), c_idx)]] += mass
-        measures.append(tuple(out))
-    return StepAmbiguity(LatticeSupport(new_delta, tuple(new_points)), tuple(measures))
-
-
-def truncate_model(model: SequenceModel, spec: TruncationSpec) -> SequenceModel:
-    """Apply truncate_step to every step of a model."""
-    if model.is_iid:
-        return SequenceModel.iid(truncate_step(model.step(1), spec), model.horizon)
-    return SequenceModel(model.horizon, steps=[truncate_step(s, spec) for s in model.steps()])

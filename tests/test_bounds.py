@@ -9,8 +9,6 @@ from ambigil.bounds import (BoundInputs, DominationGrid, converse_rate_check,
                             verify_domination)
 from ambigil.model import SequenceModel, make_rademacher_interval
 
-from oracles import random_model
-
 
 def test_kolmogorov_examples():
     v = kolmogorov_bound(1.0, 1.0, 1.0)

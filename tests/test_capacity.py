@@ -70,6 +70,16 @@ def test_threshold_strings_and_bools_rejected():
     assert bc_product_check(m, [2, np.float64(2.0), 2.0]) == bc_product_check(m, [2.0] * 3)
 
 
+def test_window_bounds_must_be_integers():
+    for n, N in ((2.5, 8), (True, 8), ("1", 8), (1, "8"), (1, 8.5), (1, None)):
+        with pytest.raises(ValueError, match="window"):
+            window_max_event(n, N, 3.0)
+    ev = window_max_event(2.0, np.int64(8), 3.0)
+    assert (ev.lo, ev.hi) == (2, 8) and type(ev.lo) is type(ev.hi) is int
+    m = SequenceModel.iid(STEP12, 8)
+    assert capacity_pair(m, ev) == capacity_pair(m, window_max_event(2, 8, 3.0))
+
+
 def test_window_equals_terminal_when_unreachable_early():
     # S_1 <= 2 < 3, so {max(S_1, S_2) >= 3} is exactly {S_2 >= 3}
     m = SequenceModel.iid(STEP12, 2)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigil.engine import (BreveResult, ExpectationPair, FullVectorPayoff,
-                            StateSpaceError, TerminalSumPayoff, WindowEvent,
-                            _fired_ranges, breve_expectation, evaluate_lower,
-                            evaluate_pair, evaluate_upper, sum_lower_mean,
-                            sum_upper_mean)
+from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
+                            TerminalSumPayoff, WindowEvent, _fired_ranges,
+                            evaluate_lower, evaluate_pair, evaluate_upper,
+                            sum_lower_mean, sum_upper_mean)
 from ambigil.gnormal import clt_capacity
 from ambigil.lil import cluster_probe, lil_lower_experiment
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
@@ -170,6 +169,18 @@ def test_independence_additivity():
         lo = evaluate_lower(m, ident)
         assert abs(up - sum_upper_mean(m, m.horizon)) <= 1e-10
         assert abs(lo - sum_lower_mean(m, m.horizon)) <= 1e-10
+
+
+def test_sum_means_check_the_step_count():
+    step = StepAmbiguity(LatticeSupport(1.0, (0, 1)), ((0.5, 0.5), (0.25, 0.75)))
+    m = SequenceModel.iid(step, 4)
+    for f, per_step in ((sum_upper_mean, 0.75), (sum_lower_mean, 0.5)):
+        assert f(m, 0) == 0.0
+        assert f(m, 2) == f(m, 2.0) == 2 * per_step
+        assert f(m, 4) == 4 * per_step
+        for bad in (-3, 5, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match="step count"):
+                f(m, bad)
 
 
 def test_linear_reduction_matches_convolution():
@@ -433,29 +444,3 @@ def test_window_event_values():
         with pytest.raises(ValueError):
             WindowEvent(lo=1, hi=2, threshold=lambda m: 0.0, values=bad)
 
-
-def test_breve_symmetric_payoff():
-    r = breve_expectation(STEP12, lambda x: x, (1.0, 2.0, 4.0))
-    assert r.values == (0.0, 0.0, 0.0)
-    assert r.value == 0.0
-    assert r.stabilized and r.stabilized_at == 0
-
-
-def test_breve_square_payoff():
-    r = breve_expectation(STEP12, lambda x: x * x, (1.0, 2.0, 4.0, 8.0))
-    assert r.values == (1.0, 2.0, 4.0, 4.0)
-    assert r.value == 4.0
-    assert r.stabilized_at == 2
-
-
-def test_breve_unstabilized():
-    r = breve_expectation(STEP12, lambda x: x * x, (1.0,))
-    assert r.values == (1.0,)
-    assert not r.stabilized and r.stabilized_at is None
-    with pytest.raises(ValueError):
-        breve_expectation(STEP12, lambda x: x, (2.0, 1.0))
-
-
-def test_breve_result_type():
-    r = breve_expectation(STEP12, lambda x: x, (1.0,))
-    assert isinstance(r, BreveResult)

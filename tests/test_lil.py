@@ -11,6 +11,7 @@ from ambigil.lil import (ConditionReport, check_conditions, cluster_probe,
                          lil_lower_experiment, lil_upper_experiment,
                          moment_series, normalizers)
 from ambigil.bounds import converse_rate_check
+from ambigil.gnormal import clt_capacity
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
 
@@ -168,6 +169,46 @@ def test_api_integer_arguments_are_not_truncated():
             with pytest.raises(ValueError, match="n_list"):
                 runner(fam, 0.1, 1.0, bad)
         assert runner(fam, 0.1, 1.0, [8.0]) == runner(fam, 0.1, 1.0, [8])
+
+
+def test_api_real_arguments_are_checked():
+    m = SequenceModel.iid(STEP11, 8)
+    for bad in ("0.5", True):
+        for key in ("eps", "p", "alpha", "delta", "power_p"):
+            with pytest.raises(ValueError, match=key):
+                check_conditions(m, [2, 4], **{key: bad})
+        for key in ("p", "alpha"):
+            with pytest.raises(ValueError, match=key):
+                moment_series(m, **{"p": 2.0, "alpha": 1.0, key: bad})
+        for run in (lil_upper_experiment, lil_lower_experiment):
+            with pytest.raises(ValueError, match="eps"):
+                run(m, 2, 8, bad)
+        with pytest.raises(ValueError, match="sigma"):
+            cluster_probe(STEP11, 8, [1.0, bad])
+        with pytest.raises(ValueError, match="eps"):
+            continuity_probe(STEP12, lambda v: v * v, 3, bad)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            continuity_probe(STEP12, lambda v: v * v, bad, 0.5)
+        for args, kw in (((bad, 0.5), {}), ((8, bad), {}), ((8, 0.5), {"ramp_width": bad})):
+            with pytest.raises(ValueError, match="must be (an integer|a real number)"):
+                clt_capacity(STEP12, *args, **kw)
+    for n, N in ((2.5, 8), (True, 8), (2, "8"), (2, 7.5)):
+        for run in (lil_upper_experiment, lil_lower_experiment):
+            with pytest.raises(ValueError, match="window"):
+                run(m, n, N, 0.5)
+    # ints and integral floats read as the same numbers; ints show as floats
+    rep = check_conditions(m, [2, 4], p=3, alpha=1, eps=1, delta=1, power_p=3)
+    assert rep == check_conditions(m, [2, 4], p=3.0, alpha=1.0, eps=1.0, delta=1.0, power_p=3.0)
+    assert type(rep.record("overshoot").details["p"]) is float
+    assert type(rep.record("tail-sum").details["eps"]) is float
+    up = lil_upper_experiment(m, 2.0, 8, 1)
+    assert up == lil_upper_experiment(m, 2, 8, 1.0) and type(up.eps) is float
+    assert lil_lower_experiment(m, 2, 8.0, 1) == lil_lower_experiment(m, 2, 8, 1.0)
+    assert cluster_probe(STEP11, 8, [1, np.float64(1.5)]) == cluster_probe(STEP11, 8, [1.0, 1.5])
+    assert continuity_probe(STEP12, lambda v: v * v, 3.0, 1) == \
+        continuity_probe(STEP12, lambda v: v * v, 3, 1.0)
+    clt = clt_capacity(STEP12, 8.0, 1, ramp_width=1)
+    assert clt == clt_capacity(STEP12, 8, 1.0, ramp_width=1.0) and type(clt.n) is int
 
 
 def test_lil_upper_monotone_in_eps():

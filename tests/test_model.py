@@ -3,14 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
-                           TruncationSpec, clamp, make_rademacher_interval,
-                           running_sums, truncate_model, truncate_step)
+                           make_rademacher_interval, running_sums)
 
-from oracles import random_model, random_step
+from oracles import random_model
 
 
 def test_lattice_validation():
@@ -103,67 +100,6 @@ def test_rademacher_errors():
         make_rademacher_interval(2, 1, 2)
     with pytest.raises(ValueError):
         make_rademacher_interval(0.1, 10.0, 2)  # lo collapses onto 0
-
-
-def test_clamp():
-    spec = TruncationSpec(1.0)
-    assert clamp(-3.0, spec) == -1.0
-    assert clamp(0.5, spec) == 0.5
-    assert clamp(2.0, spec) == 1.0
-    with pytest.raises(ValueError):
-        TruncationSpec(0.0)
-
-
-def test_truncate_all_mass_clipped():
-    step = make_rademacher_interval(2, 2, 1)
-    t = truncate_step(step, TruncationSpec(1.0))
-    assert t.support.delta == 1.0
-    assert t.support.points == (-1, 1)
-    assert t.measures == ((0.5, 0.5),)
-
-
-def test_truncate_identity_when_large():
-    step = make_rademacher_interval(1, 1, 1)
-    assert truncate_step(step, TruncationSpec(5.0)) is step
-
-
-def test_truncate_symmetric_clip():
-    step = StepAmbiguity(LatticeSupport(1.0, (-2, 0, 2)), ((0.25, 0.5, 0.25),))
-    t = truncate_step(step, TruncationSpec(1.0))
-    assert t.support.points == (-1, 0, 1)
-    assert t.measures == ((0.25, 0.5, 0.25),)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9), st.floats(0.3, 3.0))
-def test_truncate_properties(seed, c):
-    rng = np.random.default_rng(seed)
-    step = random_step(rng, delta=float(rng.choice([0.5, 1.0])), max_points=4)
-    spec = TruncationSpec(c)
-    try:
-        t = truncate_step(step, spec)
-    except ValueError:
-        # c not representable on a <= 64x refinement of the lattice
-        assert c < step.support.radius
-        return
-    # mass preserved, support inside [-c, c] union original radius
-    for m_old, m_new in zip(step.measures, t.measures):
-        assert math.isclose(sum(m_old), sum(m_new), abs_tol=1e-12)
-    tol = 1e-8 * max(1.0, c)
-    assert t.support.radius <= max(c + tol, step.support.radius)
-    if c < step.support.radius:
-        assert t.support.radius <= c + tol
-    # idempotent
-    t2 = truncate_step(t, spec)
-    assert t2.support.points == t.support.points
-    assert t2.measures == t.measures
-
-
-def test_truncate_model():
-    m = SequenceModel.iid(make_rademacher_interval(1, 2, 2), 4)
-    t = truncate_model(m, TruncationSpec(1.0))
-    assert t.horizon == 4
-    assert t.step(1).support.points == (-1, 1)
 
 
 def test_json_roundtrip_bit_exact(tmp_path):
