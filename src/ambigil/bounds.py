@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 from . import iterlog
 from .capacity import (OutcomeFlagEvent, centered_max_sum_event, lower_capacity,
                        upper_capacity, window_max_event)
-from .model import LatticeSupport, SequenceModel, StepAmbiguity, _integer, running_sums
+from .model import LatticeSupport, SequenceModel, StepAmbiguity, _integer, _real, running_sums
 from .rng import SplitMix64
 
 _VIOL_TOL = 1e-12
@@ -39,7 +39,8 @@ _VIOL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs shared by the exponential bounds."""
+    """Inputs shared by the exponential bounds; each field goes through
+    ``_real`` and is stored as given."""
 
     x: float
     y: float
@@ -50,17 +51,17 @@ class BoundInputs:
     max_tail: float = 0.0      # upper capacity of {max_i X_i > y}
 
     def __post_init__(self):
-        if not self.x > 0:
+        if not _real(self.x, "x") > 0:
             raise ValueError(f"x must be positive, got {self.x}")
-        if not self.y > 0:
+        if not _real(self.y, "y") > 0:
             raise ValueError(f"y must be positive, got {self.y}")
-        if not self.p >= 2:
+        if not _real(self.p, "p") >= 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if not 0 < self.delta <= 1:
+        if not 0 < _real(self.delta, "delta") <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.v2 < 0 or self.a_moment < 0:
+        if _real(self.v2, "v2") < 0 or _real(self.a_moment, "a_moment") < 0:
             raise ValueError("variance proxy and moment sum must be nonnegative")
-        if not 0 <= self.max_tail <= 1:
+        if not 0 <= _real(self.max_tail, "max_tail") <= 1:
             raise ValueError(f"max_tail must be in [0, 1], got {self.max_tail}")
 
 
@@ -82,8 +83,9 @@ def kolmogorov_bound(x: float, y: float, v2: float) -> float:
     """Exponential term of the maximal-sum bound (caller adds the max tail).
 
     Decreasing in x, increasing in v2.  The v2 -> 0 limit is 0 for x > 0 and
-    is returned exactly; x -> 0 gives 1.
+    is returned exactly; x -> 0 gives 1.  Each argument goes through ``_real``.
     """
+    x, y, v2 = _real(x, "x"), _real(y, "y"), _real(v2, "v2")
     if x < 0 or y <= 0 or v2 < 0:
         raise ValueError(f"need x >= 0, y > 0, v2 >= 0; got ({x}, {y}, {v2})")
     if x == 0.0:
@@ -112,8 +114,10 @@ def simplified_bound(x: float, p: float, delta: float, c_p: float,
     """Two-term bound with a caller-supplied leading constant C_p.
 
     Degenerates to +inf as x -> 0 when the moment sum is positive; the raw
-    value is returned regardless.
+    value is returned regardless.  Each argument goes through ``_real``.
     """
+    x, p, delta, c_p = _real(x, "x"), _real(p, "p"), _real(delta, "delta"), _real(c_p, "c_p")
+    abs_moment_sum, v2 = _real(abs_moment_sum, "abs_moment_sum"), _real(v2, "v2")
     if not c_p > 0:
         raise ValueError(f"c_p must be positive, got {c_p}")
     if x <= 0:
@@ -136,8 +140,9 @@ def pi_gamma(gamma: float) -> float:
     delta = min{(sqrt(1+gamma)-1)/(sqrt(1+gamma)+1), 0.2499} makes
     (1+delta)^2/(1-delta)^2 <= 1+gamma while staying strictly below 1/4;
     the returned value is delta^2 / (16 (1+delta)^2), nondecreasing in gamma
-    and capped at ~2.4984e-3.
+    and capped at ~2.4984e-3.  ``gamma`` goes through ``_real``.
     """
+    gamma = _real(gamma, "gamma")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     r = math.sqrt(1.0 + gamma)
@@ -181,14 +186,15 @@ def _model_radius(model: SequenceModel) -> float:
 def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: float,
                 n_list: Sequence[int], x_fn, alpha, slack: float, side: str,
                 **engine_kw) -> RateTable:
-    if not z > 0:
+    # checked, not converted: the table stores the arguments as given
+    if not _real(z, "z") > 0:
         raise ValueError(f"z must be positive, got {z}")
-    if not math.isfinite(slack):
+    if not math.isfinite(_real(slack, "slack")):
         raise ValueError(f"slack must be finite, got {slack!r}")
     pg = pi_gamma(gamma)
     if alpha is None:
         alpha = pg / z
-    elif not math.isfinite(alpha):
+    elif not math.isfinite(_real(alpha, "alpha")):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if z * alpha > pg * (1.0 + 1e-12):
         raise ValueError(
@@ -361,7 +367,9 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
 
     Case i is generated and checked from the derived stream substream(seed, i),
     so the report is reproducible.  The cases run in order on one thread.
+    ``case_count`` and ``seed`` go through ``_integer``.
     """
+    case_count, seed = _integer(case_count, "case_count"), _integer(seed, "seed")
     if case_count < 1:
         raise ValueError(f"case_count must be >= 1, got {case_count}")
     grid = grid or DominationGrid()

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import _SIDES, _STATS, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
+from .engine import _SIDES, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
 from .model import SequenceModel, _integer, _real, running_sums
 from .rng import substream
 
@@ -57,23 +57,18 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     """Automaton for {exists m in [n, N]: stat(S_m) <side> threshold(m)}.
 
     ``threshold_fn`` may be a constant or a callable of the step index m;
-    state is (triggered flag, lattice partial sum).  A constant that is NaN
-    or not a real number (a string or a bool) raises ``ValueError``;
-    ``±inf`` gives the sure or the never event.  ``n`` and ``N`` must be
-    integers (``2.0`` reads as 2); a bool, a string or ``2.5`` raises
-    ``ValueError``.
+    state is (triggered flag, lattice partial sum).  A constant goes
+    through ``_real`` (NaN, a string or a bool raises ``ValueError``);
+    ``±inf`` gives the sure or the never event.  ``n`` and ``N`` go through
+    ``_integer`` (``2.0`` reads as 2; a bool, a string or ``2.5`` raises).
     """
     n, N = _integer(n, "window n"), _integer(N, "window N")
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
-    if on not in _STATS:
-        raise ValueError(f"unknown stat {on!r}")
     if callable(threshold_fn):
         thr = threshold_fn
     else:
         const = _real(threshold_fn, "window threshold")
-        if math.isnan(const):
-            raise ValueError("window threshold is NaN")
         thr = lambda m: const
     return WindowEvent(lo=n, hi=N, threshold=thr, side=_SIDE_ALIASES[side], stat=on)
 
@@ -108,57 +103,37 @@ def _check_nonincreasing(ts, vs):
 
 
 def choquet_integral(tail_capacity: Callable[[float], float],
-                     lower_bound: float, upper_bound: float,
-                     quadrature_step: float | None = None,
-                     atoms: Sequence[float] | None = None) -> float:
-    """Two-piece tail integral of V(X >= t).
+                     atoms: Sequence[float]) -> float:
+    """Exact Choquet integral of a lattice-valued X from its tail V(X >= t).
 
-    The positive piece integrates V(X >= t) over t > 0 and the negative piece
-    integrates V(X >= t) - 1 over t <= 0.  With ``atoms`` supplied the
-    variable is lattice-valued and the integral is the exact finite sum over
-    inter-atom intervals, the tail being constant on each (a_i, a_{i+1}];
-    otherwise a trapezoid rule with ``quadrature_step`` is used on
-    [lower_bound, upper_bound].
+    ``atoms`` are the values X can take; each goes through ``_real``, and
+    the list must be nonempty.  The tail is constant on every interval
+    (a_i, a_{i+1}] between consecutive atoms (0 counted as one), so the
+    integral is the finite sum of V(X >= t) times the interval length over
+    t > 0, plus (V(X >= t) - 1) times the length over t <= 0, with
+    ``tail_capacity`` called once at each right end.  A tail that increases
+    by more than 1e-9 between atoms raises ``ValueError``.
     """
-    if atoms is not None:
-        if len(atoms) == 0:
-            raise ValueError("atom list must be nonempty")
-        bounds = sorted(set(float(a) for a in atoms) | {0.0})
-        ts = [b for b in bounds if b > 0] or []
-        vs_pos = [float(tail_capacity(t)) for t in ts]
-        neg = [b for b in bounds if b < 0]
-        ts_neg = neg[1:] + [0.0] if neg else []
-        vs_neg = [float(tail_capacity(t)) for t in ts_neg]
-        _check_nonincreasing(ts_neg + ts, vs_neg + vs_pos)
-        total = 0.0
-        prev = 0.0
-        for t, v in zip(ts, vs_pos):
-            total += (t - prev) * v
+    if len(atoms) == 0:
+        raise ValueError("atom list must be nonempty")
+    bounds = sorted({_real(a, "atom") for a in atoms} | {0.0})
+    ts = [b for b in bounds if b > 0]
+    vs_pos = [float(tail_capacity(t)) for t in ts]
+    neg = [b for b in bounds if b < 0]
+    ts_neg = neg[1:] + [0.0] if neg else []
+    vs_neg = [float(tail_capacity(t)) for t in ts_neg]
+    _check_nonincreasing(ts_neg + ts, vs_neg + vs_pos)
+    total = 0.0
+    prev = 0.0
+    for t, v in zip(ts, vs_pos):
+        total += (t - prev) * v
+        prev = t
+    if neg:
+        prev = neg[0]
+        for t, v in zip(ts_neg, vs_neg):
+            total += (t - prev) * (v - 1.0)
             prev = t
-        if neg:
-            prev = neg[0]
-            for t, v in zip(ts_neg, vs_neg):
-                total += (t - prev) * (v - 1.0)
-                prev = t
-        return total
-
-    if quadrature_step is None or quadrature_step <= 0:
-        raise ValueError("quadrature_step must be positive when no atoms are given")
-    if upper_bound < lower_bound:
-        raise ValueError("upper_bound below lower_bound")
-
-    def trapz(a: float, b: float, shift: float) -> float:
-        if b <= a:
-            return 0.0
-        n = max(1, int(math.ceil((b - a) / quadrature_step)))
-        ts = np.linspace(a, b, n + 1)
-        vs = np.array([float(tail_capacity(t)) for t in ts])
-        _check_nonincreasing(ts, vs)
-        vs = vs + shift
-        return float(np.sum((vs[1:] + vs[:-1]) * 0.5 * np.diff(ts)))
-
-    return trapz(max(lower_bound, 0.0), upper_bound, 0.0) + \
-        trapz(lower_bound, min(upper_bound, 0.0), -1.0)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +158,12 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
     On finite models with indicator test functions the lower capacity of the
     intersection of complements equals the product of per-event complements
     exactly; both are returned together with the union's upper capacity.
-    A threshold that is NaN or not a real number (a string or a bool) raises
-    ``ValueError``.
+    Each threshold goes through ``_real``.
     """
     ths = [_real(t, "bc threshold") for t in thresholds]
     n = len(ths)
     if n < 1 or n > model.horizon:
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
-    if any(math.isnan(c) for c in ths):
-        raise ValueError(f"bc thresholds have a NaN: {ths}")
     if side not in _SIDE_ALIASES:
         raise ValueError(f"unknown side {side!r}")
     cmp_fn = _SIDES[_SIDE_ALIASES[side]]
@@ -237,7 +209,8 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     induces a probability measure dominated by the upper capacity, so the
     estimate is a statistical lower bound for it.  ``event`` must be a
     ``WindowEvent`` (complemented or negated ones included); any other
-    event raises ``ValueError``.  Strategies:
+    event raises ``ValueError``.  ``replications`` and ``seed`` go through
+    ``_integer``.  Strategies:
 
     * ``("constant", i)`` — measure index i at every step;
     * ``"greedy-one-step"`` — maximize the immediate trigger probability of
@@ -251,6 +224,7 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
     is at least 0.5.
     """
+    replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
     sched = _parse_strategy(strategy, model)
@@ -331,7 +305,7 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     """
     try:
         win = cfg["window"]
-        n, N = _integer(win["n"], "window n"), _integer(win["N"], "window N")
+        n, N = win["n"], win["N"]
         thr = cfg["threshold"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"bad event description: missing {e}") from None

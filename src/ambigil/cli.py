@@ -30,16 +30,6 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-def _number(kind, value, name: str):
-    """``kind(value)`` for the config key ``name``, where ``kind`` is int or
-    float, by the model's rules: an int key takes an integral float such as
-    2.0 as 2 and rejects a fraction, and either kind rejects a string, a
-    bool or any other JSON type with a ``ValueError``, never converted."""
-    if kind is int:
-        return _integer(value, f"'{name}'")
-    return _real(value, f"'{name}'")
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -106,7 +96,7 @@ def _payoff_from_config(cfg: dict) -> tuple[str, TerminalSumPayoff]:
         raise ConfigError(f"'payoff' must be an object, got {type(p).__name__}")
     kind = p.get("kind")
     if kind == "sum-power":
-        k = _number(float, p.get("power", 2), "power")
+        k = _real(p.get("power", 2), "'power'")
         return f"S^{k:g}", TerminalSumPayoff(lambda s: s ** k)
     if kind == "sum-abs":
         return "|S|", TerminalSumPayoff(abs)
@@ -128,12 +118,12 @@ def _windows(cfg: dict, horizon: int) -> list[tuple[int, int]]:
     wins = _list(cfg, "windows", [[1, horizon]])
     if not all(isinstance(w, list) and len(w) == 2 for w in wins):
         raise ConfigError(f"'windows' must be a list of [n, N] pairs, got {wins!r}")
-    return [(_number(int, n, "windows"), _number(int, N, "windows")) for n, N in wins]
+    return [(_integer(n, "'windows'"), _integer(N, "'windows'")) for n, N in wins]
 
 
 def _engine_kw(cfg: dict) -> dict:
     if "state_cap" in cfg:
-        return {"state_cap": _number(int, cfg["state_cap"], "state_cap")}
+        return {"state_cap": _integer(cfg["state_cap"], "'state_cap'")}
     return {}
 
 
@@ -178,8 +168,8 @@ def _run_capacity(cfg: dict):
 def _run_bounds_verify(cfg: dict):
     if "seed" not in cfg:
         raise ConfigError("bounds-verify needs a seed")
-    cases = _number(int, cfg.get("cases", 1000), "cases")
-    report = bounds.verify_domination(cases, _number(int, cfg["seed"], "seed"))
+    cases = _integer(cfg.get("cases", 1000), "'cases'")
+    report = bounds.verify_domination(cases, _integer(cfg["seed"], "'seed'"))
     rows = list(bounds.domination_rows(report))
     extras = {"cases": cases, "violations": report.violation_count}
     return (bounds.DOMINATION_CSV_HEADER, rows,
@@ -189,8 +179,8 @@ def _run_bounds_verify(cfg: dict):
 
 def _run_gnormal(cfg: dict):
     try:
-        params = gnormal.GNormalParams(_number(float, cfg["sigma_lo"], "sigma_lo"),
-                                       _number(float, cfg["sigma_hi"], "sigma_hi"))
+        params = gnormal.GNormalParams(_real(cfg["sigma_lo"], "'sigma_lo'"),
+                                       _real(cfg["sigma_hi"], "'sigma_hi'"))
     except (KeyError, ValueError) as e:
         raise ConfigError(f"gnormal needs valid sigma_lo/sigma_hi: {e}") from None
     xs = cfg.get("x", 0.0)
@@ -198,7 +188,7 @@ def _run_gnormal(cfg: dict):
         xs = [xs]
     rows = []
     for x in xs:
-        x = _number(float, x, "x")
+        x = _real(x, "'x'")
         rows.append((x, gnormal.gnormal_upper_tail(params, x),
                      gnormal.gnormal_lower_tail(params, x),
                      gnormal.gnormal_density(params, x)))
@@ -212,7 +202,7 @@ def _run_lil(cfg: dict):
     kind = cfg.get("experiment")
     kw = _engine_kw(cfg)
     if kind == "upper":
-        eps = _number(float, cfg.get("eps", 1.0), "eps")
+        eps = _real(cfg.get("eps", 1.0), "'eps'")
         center = cfg.get("center", "upper-mean")
         rows = []
         for n, N in _windows(cfg, model.horizon):
@@ -221,7 +211,7 @@ def _run_lil(cfg: dict):
         return (("n", "N", "eps", "center", "capacity", "bound_crosscheck"), rows,
                 ["lil.lil_upper_experiment (exact window capacity + blocked bound)"], {})
     if kind == "lower":
-        eps = _number(float, cfg.get("eps", 0.5), "eps")
+        eps = _real(cfg.get("eps", 0.5), "'eps'")
         rows = [(n, N, eps, lil.lil_lower_experiment(model, n, N, eps, **kw))
                 for n, N in _windows(cfg, model.horizon)]
         return (("n", "N", "eps", "capacity"), rows,
@@ -229,22 +219,22 @@ def _run_lil(cfg: dict):
     if kind == "cluster":
         if not model.is_iid:
             raise ConfigError("cluster experiment needs an iid model")
-        N = _number(int, cfg.get("N", model.horizon), "N")
-        grid = [_number(float, s, "sigma_grid") for s in _list(cfg, "sigma_grid", [0.5, 1.0, 1.5])]
+        N = _integer(cfg.get("N", model.horizon), "'N'")
+        grid = [_real(s, "'sigma_grid'") for s in _list(cfg, "sigma_grid", [0.5, 1.0, 1.5])]
         rows = [(r.sigma, r.upper, r.lower)
                 for r in lil.cluster_probe(model.step(1), N, grid, **kw)]
         return (("sigma", "upper", "lower"), rows,
                 ["lil.cluster_probe (window max against sqrt(2 m loglog m))"], {})
     if kind == "conditions":
-        cps = [_number(int, c, "checkpoints")
+        cps = [_integer(c, "'checkpoints'")
                for c in _list(cfg, "checkpoints", [10, 100, min(1000, model.horizon)])]
         rep = lil.check_conditions(model, cps,
-                                   p=_number(float, cfg.get("p", 2.0), "p"),
-                                   alpha=_number(float, cfg.get("alpha", 1.0), "alpha"),
-                                   d=_number(int, cfg.get("d", 1), "d"),
-                                   eps=_number(float, cfg.get("eps", 1.0), "eps"),
-                                   delta=_number(float, cfg.get("delta", 0.5), "delta"),
-                                   power_p=_number(float, cfg.get("power_p", 3.0), "power_p"))
+                                   p=_real(cfg.get("p", 2.0), "'p'"),
+                                   alpha=_real(cfg.get("alpha", 1.0), "'alpha'"),
+                                   d=_integer(cfg.get("d", 1), "'d'"),
+                                   eps=_real(cfg.get("eps", 1.0), "'eps'"),
+                                   delta=_real(cfg.get("delta", 0.5), "'delta'"),
+                                   power_p=_real(cfg.get("power_p", 3.0), "'power_p'"))
         rows = []
         for rec in rep.records:
             for i, cp in enumerate(rec.checkpoints):
@@ -264,7 +254,7 @@ def _run_bc(cfg: dict):
     thresholds = _list(cfg, "thresholds", [])
     if not thresholds:
         raise ConfigError("bc command needs per-step 'thresholds'")
-    rep = capacity.bc_product_check(model, [_number(float, t, "thresholds") for t in thresholds],
+    rep = capacity.bc_product_check(model, [_real(t, "'thresholds'") for t in thresholds],
                                     side=cfg.get("side", ">="), **_engine_kw(cfg))
     rows = [(rep.intersection_lower, rep.product_bound, rep.union_upper)]
     extras = {"per_event_upper": json.dumps([v for v in rep.per_event_upper])}
@@ -279,9 +269,9 @@ def _run_probe(cfg: dict):
         model = _load_model(cfg)
         if not model.is_iid:
             raise ConfigError("continuity probe needs an iid model")
-        power = _number(float, cfg.get("power", 2), "power")
-        m = _number(int, cfg.get("m", 3), "m")
-        eps = _number(float, cfg.get("eps", 0.5), "eps")
+        power = _real(cfg.get("power", 2), "'power'")
+        m = _integer(cfg.get("m", 3), "'m'")
+        eps = _real(cfg.get("eps", 0.5), "'eps'")
         r = lil.continuity_probe(model.step(1), lambda v: v ** power, m, eps, **kw)
         rows = [(r.phi_lower, r.phi_upper, r.high_event_upper, r.low_event_upper,
                  r.high_event_lower, r.low_event_lower)]
@@ -294,17 +284,17 @@ def _run_probe(cfg: dict):
             raise ConfigError(f"{kind} probe needs an iid model family")
         step = model.step(1)
         fam = lambda n: SequenceModel.iid(step, n)
-        z = _number(float, cfg.get("z", 0.1), "z")
-        gamma = _number(float, cfg.get("gamma", 1.0), "gamma")
-        n_list = [_number(int, n, "n_list") for n in _list(cfg, "n_list", [256, 1024])]
+        z = _real(cfg.get("z", 0.1), "'z'")
+        gamma = _real(cfg.get("gamma", 1.0), "'gamma'")
+        n_list = [_integer(n, "'n_list'") for n in _list(cfg, "n_list", [256, 1024])]
         fn = _x_fn_from_config(cfg)
         alpha = cfg.get("alpha")
         if alpha is not None:
-            alpha = _number(float, alpha, "alpha")
+            alpha = _real(alpha, "'alpha'")
         runner = (bounds.converse_rate_check if kind == "converse-rate"
                   else lil.conjecture_probe)
         table = runner(fam, z, gamma, n_list, x_fn=fn,
-                       alpha=alpha, slack=_number(float, cfg.get("slack", 0.1), "slack"),
+                       alpha=alpha, slack=_real(cfg.get("slack", 0.1), "'slack'"),
                        **kw)
         rows = [(r.n, r.x_n, r.scale, r.threshold, r.capacity, r.lhs, r.rhs,
                  r.alpha_n, r.bounded) for r in table.rows]
@@ -327,8 +317,8 @@ def _run_probe(cfg: dict):
         elif strat != "greedy-one-step":
             raise ConfigError(f"unknown strategy {strat!r}")
         r = capacity.mc_capacity_lower_bound(
-            model, ev, strat, _number(int, cfg.get("replications", 10000), "replications"),
-            _number(int, cfg["seed"], "seed"))
+            model, ev, strat, _integer(cfg.get("replications", 10000), "'replications'"),
+            _integer(cfg["seed"], "'seed'"))
         rows = [(r.estimate, r.std_error, r.replications, r.accepted)]
         return (("estimate", "std_error", "replications", "accepted"), rows,
                 ["capacity.mc_capacity_lower_bound (splitmix64 streams)"], {})

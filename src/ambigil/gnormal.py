@@ -106,6 +106,8 @@ class GNormalParams:
     sigma_hi: float
 
     def __post_init__(self):
+        _real(self.sigma_lo, "sigma_lo")
+        _real(self.sigma_hi, "sigma_hi")
         if not (0 < self.sigma_lo <= self.sigma_hi < math.inf):
             raise ValueError(
                 f"need 0 < sigma_lo <= sigma_hi < inf, got ({self.sigma_lo}, {self.sigma_hi})")
@@ -119,25 +121,19 @@ class GNormalParams:
         return 2.0 * self.sigma_lo / (self.sigma_lo + self.sigma_hi)
 
 
-def _not_nan(x: float) -> float:
-    if math.isnan(x):
-        raise ValueError("gnormal argument is NaN")
-    return x
-
-
 def gnormal_upper_tail(params: GNormalParams, x: float) -> float:
     """Upper tail capacity of {xi > x} for xi ~ N(0, [sigma_lo^2, sigma_hi^2]).
 
-    ``x`` may be ±inf; NaN raises ``ValueError``, here and in the lower tail
-    and the density."""
-    if _not_nan(x) >= 0:
+    ``x`` may be ±inf; it goes through ``_real``, so NaN raises
+    ``ValueError``, here and in the lower tail and the density."""
+    if _real(x, "gnormal argument") >= 0:
         return params.weight_hi * (1.0 - std_normal_cdf(x / params.sigma_hi))
     return 1.0 - params.weight_lo * std_normal_cdf(x / params.sigma_lo)
 
 
 def gnormal_lower_tail(params: GNormalParams, x: float) -> float:
     """Lower tail capacity of {xi >= x}; equals 1 - gnormal_upper_tail(-x)."""
-    if _not_nan(x) >= 0:
+    if _real(x, "gnormal argument") >= 0:
         return params.weight_lo * (1.0 - std_normal_cdf(x / params.sigma_lo))
     return 1.0 - params.weight_hi * std_normal_cdf(x / params.sigma_hi)
 
@@ -149,7 +145,7 @@ def gnormal_density(params: GNormalParams, z: float) -> float:
     normalization constant makes the density integrate to 1 over the line.
     """
     scale = 2.0 / (params.sigma_lo + params.sigma_hi)
-    sig = params.sigma_hi if _not_nan(z) >= 0 else params.sigma_lo
+    sig = params.sigma_hi if _real(z, "gnormal argument") >= 0 else params.sigma_lo
     return scale * std_normal_density(z / sig)
 
 
@@ -182,7 +178,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     The indicator is sandwiched between two Lipschitz ramps of width
     ``ramp_width`` (default 4 delta / sqrt(n), in S_n/sqrt(n) units): the
     upper ramp rises on [x - w, x], the lower on [x, x + w], so their upper
-    expectations bracket the capacity exactly.
+    expectations bracket the capacity exactly.  ``x`` and an explicit
+    ``ramp_width`` go through ``_real``; the width must be positive and finite.
     """
     _require_centered(step, "clt bridge")
     n, x = _integer(n, "n"), _real(x, "x")
@@ -192,8 +189,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     model = SequenceModel.iid(step, n)
     sq = math.sqrt(float(n))
     w = (4.0 * step.support.delta / sq) if ramp_width is None else _real(ramp_width, "ramp width")
-    if w <= 0:
-        raise ValueError("ramp width must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError(f"ramp width must be positive and finite, got {w!r}")
     t = x * sq
     hw = w * sq
 

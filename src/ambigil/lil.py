@@ -238,13 +238,10 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 
     at every n where eps a_n / 2 > alpha s_n / t_n and eps <= 1, and probes
     the bounded-growth derivation (growing s_n^2 with bounded one-step
-    ratios forces the variance series to diverge).  A NaN parameter, or one
-    that is not a real number (a string or a bool), raises ``ValueError``.
+    ratios forces the variance series to diverge).  Every real parameter
+    goes through ``_real`` (NaN, a string or a bool raises ``ValueError``).
     """
     eps, delta, power_p = _real(eps, "eps"), _real(delta, "delta"), _real(power_p, "power_p")
-    for name, value in (("eps", eps), ("delta", delta), ("power_p", power_p)):
-        if math.isnan(value):
-            raise ValueError(f"{name} is NaN")
     d = _integer(d, "d")
     cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
@@ -484,8 +481,6 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
     m, eps = _integer(m, "m"), _real(eps, "eps")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if math.isnan(eps):
-        raise ValueError("continuity probe eps is NaN")
     lo, hi = step.expectation_interval(payoff)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"continuity probe payoff has a non-finite mean: ({lo!r}, {hi!r})")

@@ -228,13 +228,18 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; a bool, a string or any non-number is a
-    ``ValueError``, never parsed or read as 0 and 1."""
+    """``value`` as a float; NaN, a bool, a string, an int too large for a
+    float or any non-number is a ``ValueError``, never parsed or read as 0
+    and 1.  ``±inf`` passes: callers that need a finite value check it."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
-            return float(value)
+            out = float(value)
         except OverflowError:
             pass
+        else:
+            if math.isnan(out):
+                raise ValueError(f"{what} is NaN")
+            return out
     raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
@@ -263,8 +268,12 @@ def make_rademacher_interval(sigma_lo: float, sigma_hi: float, grid: int) -> Ste
     The grid is the arithmetic progression with ``grid`` points including both
     endpoints; the lattice spacing is the grid step (or sigma_lo when grid=1).
     This is the canonical variance-uncertainty step: every law has mean 0 and
-    variance θ².
+    variance θ².  The sigmas are checked by ``_real`` but used as given, so
+    an int sigma stays an int lattice delta; ``grid`` goes through ``_integer``.
     """
+    _real(sigma_lo, "sigma_lo")
+    _real(sigma_hi, "sigma_hi")
+    grid = _integer(grid, "grid")
     if not 0 < sigma_lo <= sigma_hi:
         raise ValueError(f"need 0 < sigma_lo <= sigma_hi, got ({sigma_lo}, {sigma_hi})")
     if grid < 1:

@@ -7,6 +7,8 @@ from ambigil.bounds import (BoundInputs, DominationGrid, converse_rate_check,
                             domination_case, domination_rows, fuk_nagaev_bound,
                             kolmogorov_bound, pi_gamma, simplified_bound,
                             verify_domination)
+from ambigil.capacity import choquet_integral, mc_capacity_lower_bound, window_max_event
+from ambigil.gnormal import GNormalParams
 from ambigil.model import SequenceModel, make_rademacher_interval
 
 
@@ -176,3 +178,44 @@ def test_domination_grid_override():
     rep = verify_domination(20, seed=3, grid=DominationGrid(n_range=(2, 4)))
     assert all(c.n <= 4 for c in rep.cases)
     assert rep.violation_count == 0
+
+
+def test_api_numeric_arguments_are_read_at_entry():
+    # a NaN, a bool, a string or a fraction fails at entry with the argument's
+    # name, never as a silent NaN, a bool read as 1 or a TypeError
+    nan = math.nan
+    model = SequenceModel.iid(make_rademacher_interval(1, 2, 2), 4)
+    event = window_max_event(1, 4, 2.0)
+    mc = lambda reps, seed: mc_capacity_lower_bound(model, event, ("constant", 1), reps, seed)
+    bad = [
+        ("x is NaN", lambda: kolmogorov_bound(nan, 1, 1)),
+        ("x is NaN", lambda: simplified_bound(nan, 2.0, 0.5, 1.0, 1.0, 1.0)),
+        ("v2 is NaN", lambda: fuk_nagaev_bound(BoundInputs(x=1, y=1, v2=nan))),
+        ("a_moment is NaN", lambda: fuk_nagaev_bound(BoundInputs(x=1, y=1, a_moment=nan))),
+        ("atom is NaN", lambda: choquet_integral(lambda t: 0.5, [nan, 1.0])),
+        ("x must be a real", lambda: kolmogorov_bound(True, 1, 1)),
+        ("z must be a real", lambda: converse_rate_check(FAM, True, 1.0, [16])),
+        ("case_count must be an integer", lambda: verify_domination(True, 1)),
+        ("sigma_lo must be a real", lambda: GNormalParams(True, 2)),
+        ("x must be a real", lambda: BoundInputs(x="1", y=1)),
+        ("gamma must be a real", lambda: pi_gamma("1")),
+        ("z must be a real", lambda: converse_rate_check(FAM, "0.1", 1.0, [16])),
+        ("case_count must be an integer", lambda: verify_domination(2.5, 1)),
+        ("seed must be an integer", lambda: verify_domination(1, 1.5)),
+        ("replications must be an integer", lambda: mc(100.5, 1)),
+        ("seed must be an integer", lambda: mc(100, 1.5)),
+        ("seed must be an integer", lambda: mc(100, "1")),
+        ("sigma_lo must be a real", lambda: GNormalParams("1", 2)),
+        ("sigma_lo must be a real", lambda: make_rademacher_interval("1", 2, 2)),
+        ("grid must be an integer", lambda: make_rademacher_interval(1, 2, 2.5)),
+        ("grid must be an integer", lambda: make_rademacher_interval(1, 2, True)),
+    ]
+    for match, call in bad:
+        with pytest.raises(ValueError, match=match):
+            call()
+    # integral floats read as ints; stored parameters keep the type they were given
+    assert mc(200.0, 1) == mc(200, 1) and type(mc(200.0, 1).replications) is int
+    assert verify_domination(2.0, 1) == verify_domination(2, 1)
+    assert kolmogorov_bound(1, 1, 1) == kolmogorov_bound(1.0, 1.0, 1.0)
+    assert type(BoundInputs(x=1, y=1).x) is int
+    assert "delta=1," in repr(make_rademacher_interval(1, 1, 1))

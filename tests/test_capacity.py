@@ -226,29 +226,18 @@ def test_bc_validation():
 
 
 def test_choquet_examples():
-    assert choquet_integral(lambda t: 0.7, 0, 1, atoms=[0, 1]) == 0.7
+    assert choquet_integral(lambda t: 0.7, [0, 1]) == 0.7
 
     def tail(t):
         return 1.0 if t <= 0 else 0.6
 
-    assert choquet_integral(tail, -1, 1, atoms=[-1, 1]) == 0.6
-    assert choquet_integral(lambda t: 1.0, 0, 0.75, atoms=[0.75]) == 0.75
+    assert choquet_integral(tail, [-1, 1]) == 0.6
+    assert choquet_integral(lambda t: 1.0, [0.75]) == 0.75
 
 
 def test_choquet_monotonicity_error():
     with pytest.raises(ValueError):
-        choquet_integral(lambda t: t, 0, 1, atoms=[0.25, 0.75])
-    with pytest.raises(ValueError):
-        choquet_integral(lambda t: t, 0.0, 1.0, quadrature_step=0.1)
-
-
-def test_choquet_trapezoid_close_to_exact():
-    def tail(t):
-        return 1.0 if t <= 0.0 else (0.6 if t <= 1.0 else 0.0)
-
-    exact = choquet_integral(tail, -2, 2, atoms=[0, 1])
-    approx = choquet_integral(tail, -2.0, 2.0, quadrature_step=1e-4)
-    assert abs(exact - approx) <= 1e-3
+        choquet_integral(lambda t: t, [0.25, 0.75])
 
 
 def test_choquet_dominates_upper_expectation():
@@ -263,7 +252,7 @@ def test_choquet_dominates_upper_expectation():
         def tail(t):
             return caps[t]
 
-        cv = choquet_integral(tail, min(atoms), max(atoms), atoms=atoms)
+        cv = choquet_integral(tail, atoms)
         e_up = evaluate_upper(m, TerminalSumPayoff(lambda s: s))
         assert e_up <= cv + 1e-10
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambigil.cli import main
 from ambigil.model import SequenceModel, make_rademacher_interval
@@ -316,3 +321,85 @@ def test_integral_float_in_integer_key_accepted(tmp_path, model12_path):
 def test_gnormal_nan_flag_exits_2(capsys, tmp_path):
     _exits_2_one_line(capsys, tmp_path, ["gnormal", "--sigma-lo", "1", "--sigma-hi", "2",
                                          "--x", "nan"])
+
+
+# A centered i.i.d. step on {-2, -1, 1, 2} over two steps: every command accepts it.
+_MODEL = {"horizon": 2, "delta": 1.0,
+          "iid": {"points": [-2, -1, 1, 2],
+                  "measures": [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]]}}
+_CONST = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 1.0}}
+_RATE = {"z": 0.1, "gamma": 1.0, "slack": 0.1, "n_list": [8]}
+# (command, a config that runs, the numeric keys in it: path and "int" or "real")
+_NUMERIC_KEYS = [
+    ("eval", {"payoff": {"kind": "sum-power", "power": 2}, "state_cap": 1000},
+     [(("payoff", "power"), "real"), (("state_cap",), "int")]),
+    ("capacity", {"event": _CONST, "state_cap": 1000},
+     [(("event", "window", "n"), "int"), (("event", "window", "N"), "int"),
+      (("event", "threshold", "c"), "real"), (("state_cap",), "int")]),
+    ("capacity", {"event": {"window": {"n": 1, "N": 2},
+                            "threshold": {"kind": "a_n", "scale": 1.0}}},
+     [(("event", "threshold", "scale"), "real")]),
+    ("bounds-verify", {"seed": 1, "cases": 1}, [(("seed",), "int"), (("cases",), "int")]),
+    ("gnormal", {"sigma_lo": 1.0, "sigma_hi": 2.0, "x": 0.5},
+     [(("sigma_lo",), "real"), (("sigma_hi",), "real"), (("x",), "real")]),
+    ("lil", {"experiment": "upper", "eps": 1.0, "windows": [[1, 2]]},
+     [(("eps",), "real"), (("windows", 0, 0), "int"), (("windows", 0, 1), "int")]),
+    ("lil", {"experiment": "lower", "eps": 0.5, "windows": [[1, 2]]},
+     [(("eps",), "real"), (("windows", 0, 1), "int")]),
+    ("lil", {"experiment": "cluster", "N": 2, "sigma_grid": [1.0]},
+     [(("N",), "int"), (("sigma_grid", 0), "real")]),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "p": 2.0, "alpha": 1.0,
+             "d": 1, "eps": 1.0, "delta": 0.5, "power_p": 3.0},
+     [(("checkpoints", 1), "int"), (("d",), "int")]
+     + [((key,), "real") for key in ("p", "alpha", "eps", "delta", "power_p")]),
+    ("bc", {"thresholds": [1.0, 1.0]}, [(("thresholds", 1), "real")]),
+    ("probe", {"kind": "continuity", "power": 2, "m": 2, "eps": 0.5},
+     [(("power",), "real"), (("m",), "int"), (("eps",), "real")]),
+    ("probe", {"kind": "mc", "seed": 1, "replications": 100, "event": _CONST},
+     [(("seed",), "int"), (("replications",), "int"), (("event", "threshold", "c"), "real")]),
+] + [
+    # "alpha" is absent from the config that runs: absent (or null) means the default
+    ("probe", {"kind": kind, **_RATE},
+     [(("n_list", 0), "int")] + [((key,), "real") for key in ("z", "gamma", "slack", "alpha")])
+    for kind in ("converse-rate", "conjecture")
+]
+# 10**400 is a valid int, so an integer key such as "cases" would run with it
+_BAD = {"int": [math.nan, "1", True, [1.0], 2.5],
+        "real": [math.nan, "1", True, [1.0], 10 ** 400]}
+
+
+def _with(cfg, path, value):
+    cfg = json.loads(json.dumps({"model": _MODEL, **cfg}))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def test_numeric_key_configs_run(tmp_path):
+    # the bad-value test below is only as strong as these configs are valid
+    for i, (command, cfg, _) in enumerate(_NUMERIC_KEYS):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({"model": _MODEL, **cfg}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / f"out{i}")]) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_bad_value_in_numeric_key_exits_2_one_line(data):
+    command, cfg, keys = data.draw(st.sampled_from(_NUMERIC_KEYS))
+    path, kind = data.draw(st.sampled_from(keys))
+    # gnormal's "x" takes a scalar or a list of them
+    bad = [v for v in _BAD[kind] if not (command == "gnormal" and path == ("x",)
+                                         and isinstance(v, list))]
+    value = data.draw(st.sampled_from(bad))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(_with(cfg, path, value)))  # json writes NaN
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert err.getvalue().startswith("ambigil: error: ") and err.getvalue().count("\n") == 1
+        assert str(path[0] if isinstance(path[-1], int) else path[-1]) in err.getvalue()

@@ -157,3 +157,8 @@ def test_clt_validation():
         clt_capacity(asym, 0, 0.0)
     with pytest.raises(ValueError):
         clt_capacity(asym, 10, 0.0, ramp_width=0.0)
+    with pytest.raises(ValueError, match="x is NaN"):
+        clt_capacity(asym, 10, math.nan)
+    for width in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="ramp width"):
+            clt_capacity(asym, 10, 0.0, ramp_width=width)
