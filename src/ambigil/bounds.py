@@ -206,12 +206,7 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
         n = _integer(n, "n_list entry")
         model = model_family(n)
         x_n = float(x_fn(n)) if x_fn is not None else math.sqrt(2.0 * iterlog.loglog_(float(n)))
-        if side == "upper":
-            e2 = lambda s: s.upper_expectation(lambda v: v * v)
-        else:
-            e2 = lambda s: s.lower_expectation(lambda v: v * v)
-        s2 = running_sums(model.per_step(e2))[-1]
-        scale = math.sqrt(s2)
+        scale = math.sqrt(model.moment_sums(lambda v: v * v, lower=side == "lower")[-1])
         thr = z * scale * x_n
         ev = window_max_event(model.horizon, model.horizon, thr, side="ge", on="S")
         cap = (upper_capacity if side == "upper" else lower_capacity)(model, ev, **engine_kw)
@@ -326,12 +321,9 @@ def random_small_model(stream: SplitMix64, grid: DominationGrid) -> SequenceMode
 def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: float,
                     case_id: int = 0, **engine_kw) -> DominationCase:
     """Exact capacities and all applicable bounds for one (model, x, y, p, delta)."""
-    b2u = running_sums(model.per_step(lambda s: s.upper_expectation(
-        lambda v: min(v, y) ** 2)))[-1]
-    b2l = running_sums(model.per_step(lambda s: s.lower_expectation(
-        lambda v: min(v, y) ** 2)))[-1]
-    a_m = running_sums(model.per_step(lambda s: s.upper_expectation(
-        lambda v: min(max(v, 0.0), y) ** p)))[-1]
+    b2u = model.moment_sums(lambda v: min(v, y) ** 2)[-1]
+    b2l = model.moment_sums(lambda v: min(v, y) ** 2, lower=True)[-1]
+    a_m = model.moment_sums(lambda v: min(max(v, 0.0), y) ** p)[-1]
 
     max_tail = upper_capacity(model, OutcomeFlagEvent(lambda k, v: v > y), **engine_kw)
     ev_upper_centered = centered_max_sum_event(model, x, center="upper-mean")
@@ -379,7 +371,7 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
     def one(i: int) -> DominationCase:
         stream = substream(seed, i)
         model = random_small_model(stream, grid)
-        scale2 = running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v * v)))[-1]
+        scale2 = model.moment_sums(lambda v: v * v)[-1]
         x = (0.2 + 2.8 * stream.uniform()) * max(math.sqrt(scale2), model.delta)
         y = (0.3 + 1.7 * stream.uniform()) * max(_model_radius(model), model.delta)
         p = grid.p_choices[stream.randint(len(grid.p_choices))]

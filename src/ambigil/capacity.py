@@ -19,16 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import _SIDES, DEFAULT_STATE_CAP, Automaton, WindowEvent, evaluate_upper
-from .model import SequenceModel, _integer, _real, running_sums
+from .engine import _SIDES, Automaton, WindowEvent, evaluate_upper
+from .model import SequenceModel, _integer, _real
 from .rng import substream
 
-_SIDE_ALIASES = {
-    "ge": "ge", ">=": "ge",
-    "gt": "gt", ">": "gt",
-    "le": "le", "<=": "le",
-    "lt": "lt", "<": "lt",
-}
 
 @dataclass(frozen=True)
 class CapacityPair:
@@ -61,28 +55,26 @@ def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
     through ``_real`` (NaN, a string or a bool raises ``ValueError``);
     ``±inf`` gives the sure or the never event.  ``n`` and ``N`` go through
     ``_integer`` (``2.0`` reads as 2; a bool, a string or ``2.5`` raises).
+    ``WindowEvent`` checks ``side`` and ``on``.
     """
     n, N = _integer(n, "window n"), _integer(N, "window N")
-    if side not in _SIDE_ALIASES:
-        raise ValueError(f"unknown side {side!r}")
     if callable(threshold_fn):
         thr = threshold_fn
     else:
         const = _real(threshold_fn, "window threshold")
         thr = lambda m: const
-    return WindowEvent(lo=n, hi=N, threshold=thr, side=_SIDE_ALIASES[side], stat=on)
+    return WindowEvent(lo=n, hi=N, threshold=thr, side=side, stat=on)
 
 
-def upper_capacity(model: SequenceModel, event, *,
-                   state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
-    """Exact upper capacity: the upper expectation of the event indicator."""
-    return evaluate_upper(model, event, state_cap=state_cap, method=method)
+def upper_capacity(model: SequenceModel, event, **kw) -> float:
+    """Exact upper capacity: the upper expectation of the event indicator.
+    ``kw`` (``state_cap``, ``method``) goes to ``evaluate_upper``."""
+    return evaluate_upper(model, event, **kw)
 
 
-def lower_capacity(model: SequenceModel, event, *,
-                   state_cap: int = DEFAULT_STATE_CAP, method: str = "auto") -> float:
+def lower_capacity(model: SequenceModel, event, **kw) -> float:
     """Exact lower capacity: 1 - upper capacity of the complement automaton."""
-    return 1.0 - upper_capacity(model, event.complement(), state_cap=state_cap, method=method)
+    return 1.0 - upper_capacity(model, event.complement(), **kw)
 
 
 def capacity_pair(model: SequenceModel, event, **kw) -> CapacityPair:
@@ -106,22 +98,22 @@ def choquet_integral(tail_capacity: Callable[[float], float],
                      atoms: Sequence[float]) -> float:
     """Exact Choquet integral of a lattice-valued X from its tail V(X >= t).
 
-    ``atoms`` are the values X can take; each goes through ``_real``, and
-    the list must be nonempty.  The tail is constant on every interval
-    (a_i, a_{i+1}] between consecutive atoms (0 counted as one), so the
-    integral is the finite sum of V(X >= t) times the interval length over
-    t > 0, plus (V(X >= t) - 1) times the length over t <= 0, with
-    ``tail_capacity`` called once at each right end.  A tail that increases
+    ``atoms`` are the values X can take; each, and each tail value, goes
+    through ``_real``, and the list must be nonempty.  The tail is constant
+    on every interval (a_i, a_{i+1}] between consecutive atoms (0 counted
+    as one), so the integral is the finite sum of V(X >= t) times the
+    interval length over t > 0, plus (V(X >= t) - 1) times the length over
+    t <= 0, with ``tail_capacity`` called once at each right end.  A tail that increases
     by more than 1e-9 between atoms raises ``ValueError``.
     """
     if len(atoms) == 0:
         raise ValueError("atom list must be nonempty")
     bounds = sorted({_real(a, "atom") for a in atoms} | {0.0})
     ts = [b for b in bounds if b > 0]
-    vs_pos = [float(tail_capacity(t)) for t in ts]
+    vs_pos = [_real(tail_capacity(t), "tail capacity") for t in ts]
     neg = [b for b in bounds if b < 0]
     ts_neg = neg[1:] + [0.0] if neg else []
-    vs_neg = [float(tail_capacity(t)) for t in ts_neg]
+    vs_neg = [_real(tail_capacity(t), "tail capacity") for t in ts_neg]
     _check_nonincreasing(ts_neg + ts, vs_neg + vs_pos)
     total = 0.0
     prev = 0.0
@@ -164,9 +156,9 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
     n = len(ths)
     if n < 1 or n > model.horizon:
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
-    if side not in _SIDE_ALIASES:
+    if not (isinstance(side, str) and side in _SIDES):
         raise ValueError(f"unknown side {side!r}")
-    cmp_fn = _SIDES[_SIDE_ALIASES[side]]
+    cmp_fn = _SIDES[side]
     sub = model if model.horizon == n else _prefix_model(model, n)
 
     per = []
@@ -331,7 +323,7 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
 
 def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
     """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
-    return running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v * v)))
+    return model.moment_sums(lambda v: v * v)
 
 
 def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float]:
@@ -339,13 +331,9 @@ def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float
     or zeros for ``center="none"``."""
     if center == "none":
         return [0.0] * (upto + 1)
-    if center == "upper-mean":
-        one = lambda s: s.upper_expectation(lambda v: v)
-    elif center == "lower-mean":
-        one = lambda s: s.lower_expectation(lambda v: v)
-    else:
+    if center not in ("upper-mean", "lower-mean"):
         raise ValueError(f"unknown centering {center!r}")
-    return running_sums(model.per_step(one, upto))
+    return model.moment_sums(lambda v: v, upto, lower=center == "lower-mean")
 
 
 def centered_max_sum_event(model: SequenceModel, x: float, n: int | None = None,

@@ -375,19 +375,9 @@ def _merge_config(args) -> dict:
             raise ConfigError(f"malformed config JSON: {e}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    overrides = {
-        "seed": args.seed,
-        "model": args.model,
-        "sigma_lo": getattr(args, "sigma_lo", None),
-        "sigma_hi": getattr(args, "sigma_hi", None),
-        "x": getattr(args, "x", None),
-        "cases": getattr(args, "cases", None),
-        "experiment": getattr(args, "experiment", None),
-        "eps": getattr(args, "eps", None),
-        "kind": getattr(args, "kind", None),
-    }
-    for k, v in overrides.items():
-        if v is not None:
+    # every other flag's dest is its config key; a flag given overrides the file
+    for k, v in vars(args).items():
+        if k not in ("command", "config", "out") and v is not None:
             cfg[k] = v
     return cfg
 

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import SequenceModel, StepAmbiguity, _integer, running_sums
+from .model import SequenceModel, StepAmbiguity, _integer
 
 DEFAULT_STATE_CAP = 2 ** 28
 
@@ -86,10 +86,6 @@ class ExpectationPair:
             raise ValueError(f"expectation pair has a NaN: ({self.lower!r}, {self.upper!r})")
         if self.lower > self.upper + 1e-12:
             raise ValueError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,8 @@ class TerminalSumPayoff(object):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
 
 
-_SIDES = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt}
+_SIDES = {"ge": operator.ge, ">=": operator.ge, "gt": operator.gt, ">": operator.gt,
+          "le": operator.le, "<=": operator.le, "lt": operator.lt, "<": operator.lt}
 _STATS = ("S", "-S", "absS")
 
 
@@ -174,7 +171,8 @@ class WindowEvent:
     latches once the windowed comparison fires.  ``values`` holds the
     terminal value of a path that never fired and of one that fired: the
     indicator is (0.0, 1.0), the complement event swaps the pair and
-    negation negates it, so both stay on the fast lattice path.
+    negation negates it, so both stay on the fast lattice path.  ``side``
+    is any spelling in ``_SIDES`` (``"ge"`` or ``">="``, ...), kept as given.
     """
 
     lo: int
@@ -186,7 +184,7 @@ class WindowEvent:
     _delta: float | None = None
 
     def __post_init__(self):
-        if self.side not in _SIDES:
+        if not (isinstance(self.side, str) and self.side in _SIDES):
             raise ValueError(f"side must be one of {sorted(_SIDES)}, got {self.side!r}")
         if self.stat not in _STATS:
             raise ValueError(f"stat must be one of {_STATS}, got {self.stat!r}")
@@ -321,7 +319,7 @@ def _fired_ranges(event: WindowEvent, k: int, low: int, width: int, delta: float
         return []
     thr = event._threshold_at(k)
     cmp = _SIDES[event.side]
-    up = event.side in ("ge", "gt")
+    up = cmp in (operator.ge, operator.gt)
 
     def edge(sign: int, lo: int, hi: int) -> int:
         # first i in [lo, hi) with cmp(sign * x_i, thr) == rising, else hi;
@@ -559,10 +557,8 @@ def _step_count(model: SequenceModel, k) -> int:
 def sum_upper_mean(model: SequenceModel, k: int) -> float:
     """Upper expectation of S_k: sum of per-step upper means (independence).
     ``k = 0`` gives 0.0."""
-    k = _step_count(model, k)
-    return running_sums(model.per_step(lambda s: s.upper_expectation(lambda v: v), k))[-1]
+    return model.moment_sums(lambda v: v, _step_count(model, k))[-1]
 
 
 def sum_lower_mean(model: SequenceModel, k: int) -> float:
-    k = _step_count(model, k)
-    return running_sums(model.per_step(lambda s: s.lower_expectation(lambda v: v), k))[-1]
+    return model.moment_sums(lambda v: v, _step_count(model, k), lower=True)[-1]

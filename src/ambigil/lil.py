@@ -58,22 +58,17 @@ class NormalizerSeries(object):
 def normalizers(source) -> NormalizerSeries:
     """Normalizer series from a model or an explicit nondecreasing s^2 series.
 
-    A sequence source is read 1-based: source[n-1] = s_n^2.
+    A sequence source is read 1-based: source[n-1] = s_n^2, each entry
+    through ``_real``.
     """
     if isinstance(source, SequenceModel):
-        cum = cumulative_upper_second_moments(source)
-
-        def s2(n: int) -> float:
-            if not 1 <= n <= source.horizon:
-                raise IndexError(f"n={n} outside 1..{source.horizon}")
-            return cum[n]
-
-        return NormalizerSeries(s2)
-    seq = [float(v) for v in source]
-    if not seq or seq[0] < 0:
-        raise ValueError("s2 series must be nonempty with s2(1) >= 0")
-    if any(b < a for a, b in zip(seq, seq[1:])):
-        raise ValueError("s2 series must be nondecreasing")
+        seq = cumulative_upper_second_moments(source)[1:]
+    else:
+        seq = [_real(v, "s2 series entry") for v in source]
+        if not seq or seq[0] < 0:
+            raise ValueError("s2 series must be nonempty with s2(1) >= 0")
+        if any(b < a for a, b in zip(seq, seq[1:])):
+            raise ValueError("s2 series must be nondecreasing")
 
     def s2(n: int) -> float:
         if not 1 <= n <= len(seq):
@@ -112,8 +107,9 @@ class MomentSeries(object):
     def _threshold(self, n: int) -> float:
         return self.alpha * self.norms.s(n) / self.norms.t(n)
 
-    def _term(self, step: StepAmbiguity, thr: float, cap: float | None) -> float:
-        p = self.p
+    def _overshoot(self, n: int, cap: float | None) -> Callable[[float], float]:
+        """v -> ((|v| ∧ cap - alpha s_n/t_n)^+)^p, uncapped for ``cap=None``."""
+        p, thr = self.p, self._threshold(n)
 
         def fn(v: float) -> float:
             a = abs(v)
@@ -121,19 +117,19 @@ class MomentSeries(object):
                 a = min(a, cap)
             return max(a - thr, 0.0) ** p
 
-        return step.upper_expectation(fn)
+        return fn
 
     def gamma(self, n: int) -> float:
-        return self._term(self.model.step(n), self._threshold(n), None)
+        return self.model.step(n).upper_expectation(self._overshoot(n, None))
 
     def gamma_bar(self, n: int) -> float:
-        return self._term(self.model.step(n), self._threshold(n), self.norms.a(n))
+        return self.model.step(n).upper_expectation(self._overshoot(n, self.norms.a(n)))
 
     def _lam(self, n: int, cap: float | None) -> float:
-        thr = self._threshold(n)
+        fn = self._overshoot(n, cap)
         if self.model.is_iid:
-            return n * self._term(self.model.step(1), thr, cap)
-        return running_sums(self.model.per_step(lambda s: self._term(s, thr, cap), n))[-1]
+            return n * self.model.step(1).upper_expectation(fn)
+        return self.model.moment_sums(fn, n)[-1]
 
     def lam(self, n: int) -> float:
         return self._lam(n, None)
@@ -149,9 +145,6 @@ def moment_series(model: SequenceModel, p: float, alpha: float) -> MomentSeries:
 # ---------------------------------------------------------------------------
 # condition checking
 # ---------------------------------------------------------------------------
-
-VERDICTS = ("convergent-trend", "divergent-trend", "inconclusive")
-
 
 @dataclass(frozen=True)
 class ConditionRecord:
@@ -406,10 +399,8 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
         hi = min(N, 2 * lo)
         x_j = min((1.0 + eps) * a[m] + cents[m] - upper_means[m] for m in range(lo, hi + 1))
         y_j = norms.s(hi) / norms.t(hi)
-        b2 = running_sums(model.per_step(lambda s: s.upper_expectation(
-            lambda v: min(v, y_j) ** 2), hi))[-1]
-        mt = min(1.0, running_sums(model.per_step(lambda s: s.upper_expectation(
-            lambda v: 1.0 if v > y_j else 0.0), hi))[-1])
+        b2 = model.moment_sums(lambda v: min(v, y_j) ** 2, hi)[-1]
+        mt = min(1.0, model.moment_sums(lambda v: 1.0 if v > y_j else 0.0, hi)[-1])
         if x_j <= 0:
             bound = 1.0
         else:
@@ -476,12 +467,17 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
     """Both mean events at full upper capacity while both lower capacities
     vanish: the finite-m mechanism that forbids capacity continuity whenever
     the payoff's upper and lower means differ.  A NaN ``eps``, or a payoff
-    whose lower or upper mean is not finite, raises ``ValueError``.
+    whose lower or upper mean is not finite or raises an ``ArithmeticError``,
+    raises ``ValueError``.
     """
     m, eps = _integer(m, "m"), _real(eps, "eps")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    lo, hi = step.expectation_interval(payoff)
+    try:
+        lo, hi = step.expectation_interval(payoff)
+    except ArithmeticError as e:
+        raise ValueError(f"continuity probe payoff has a non-finite mean: "
+                         f"{type(e).__name__}: {e}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"continuity probe payoff has a non-finite mean: ({lo!r}, {hi!r})")
     model = SequenceModel.iid(step, m)

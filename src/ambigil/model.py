@@ -157,6 +157,15 @@ class SequenceModel(object):
             out.append(seen[id(step)])
         return out
 
+    def moment_sums(self, fn: Callable[[float], float], upto: int | None = None,
+                    lower: bool = False) -> list[float]:
+        """``running_sums`` of the per-step upper (``lower=True``: lower)
+        expectations of ``fn`` over steps 1..upto: the one fold behind
+        every sum over steps, such as s_n^2 and the mean centerings."""
+        if lower:
+            return running_sums(self.per_step(lambda s: s.lower_expectation(fn), upto))
+        return running_sums(self.per_step(lambda s: s.upper_expectation(fn), upto))
+
     def to_dict(self) -> dict:
         def enc(step: StepAmbiguity) -> dict:
             return {"points": list(step.support.points),
@@ -171,13 +180,16 @@ class SequenceModel(object):
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceModel":
-        """Inverse of ``to_dict``; any malformed description raises ``ValueError``."""
+        """Inverse of ``to_dict``; any malformed description raises ``ValueError``.
+        ``delta`` and each measure entry go through ``_real``, so a bool, a
+        string or an int too large for a float is malformed."""
         if not isinstance(d, dict):
             raise ValueError(f"model description must be an object, got {type(d).__name__}")
 
         def dec(sd: dict) -> StepAmbiguity:
             points = tuple(_integer(p, "lattice point") for p in sd["points"])
-            measures = tuple(tuple(float(x) for x in m) for m in sd["measures"])
+            measures = tuple(tuple(_real(x, "measure entry") for x in m) for m in sd["measures"])
+            _real(d["delta"], "delta")  # checked, not converted: an int delta stays an int
             return StepAmbiguity(LatticeSupport(d["delta"], points), measures)
 
         try:

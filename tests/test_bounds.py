@@ -193,6 +193,7 @@ def test_api_numeric_arguments_are_read_at_entry():
         ("v2 is NaN", lambda: fuk_nagaev_bound(BoundInputs(x=1, y=1, v2=nan))),
         ("a_moment is NaN", lambda: fuk_nagaev_bound(BoundInputs(x=1, y=1, a_moment=nan))),
         ("atom is NaN", lambda: choquet_integral(lambda t: 0.5, [nan, 1.0])),
+        ("tail capacity is NaN", lambda: choquet_integral(lambda t: nan, [0, 1, 2])),
         ("x must be a real", lambda: kolmogorov_bound(True, 1, 1)),
         ("z must be a real", lambda: converse_rate_check(FAM, True, 1.0, [16])),
         ("case_count must be an integer", lambda: verify_domination(True, 1)),

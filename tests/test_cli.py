@@ -279,6 +279,14 @@ _WINDOW = {"window": {"n": 1, "N": 2}, "threshold": {"kind": "const", "c": 3.0}}
     ("capacity", {"event": {"window": {"n": 1, "N": 2},
                             "threshold": {"kind": "d_n", "scale": False}}}),
     ("bc", {"thresholds": [2.0, "2.0"]}),
+    ("eval", {"model": {"horizon": 2, "delta": True,
+                        "iid": {"points": [-1, 1], "measures": [[0.5, 0.5]]}}}),
+    ("eval", {"model": {"horizon": 2, "delta": 1.0,
+                        "iid": {"points": [-1, 1], "measures": [["0.5", 0.5]]}}}),
+    ("eval", {"model": {"horizon": 2, "delta": 1.0,
+                        "iid": {"points": [-1, 0, 1], "measures": [[0.0, True, 0.0]]}}}),
+    ("eval", {"model": {"horizon": 2, "delta": 10 ** 400,
+                        "iid": {"points": [-1, 1], "measures": [[0.5, 0.5]]}}}),
 ])
 def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
                                                  command, cfg):
@@ -302,6 +310,10 @@ def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
     ("probe", {"kind": "conjecture", "n_list": [8], "slack": math.nan}),
     ("probe", {"kind": "conjecture", "n_list": [8], "alpha": math.nan}),
     ("probe", {"kind": "continuity", "power": math.nan}),
+    ("probe", {"kind": "continuity", "power": 1e308}),
+    ("capacity", {"event": {"window": {"n": 1, "N": 2}, "side": [">="],
+                            "threshold": {"kind": "const", "c": 1.0}}}),
+    ("bc", {"thresholds": [1.0, 1.0], "side": {}}),
 ])
 def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
     path = tmp_path / "cfg.json"
@@ -332,7 +344,8 @@ _RATE = {"z": 0.1, "gamma": 1.0, "slack": 0.1, "n_list": [8]}
 # (command, a config that runs, the numeric keys in it: path and "int" or "real")
 _NUMERIC_KEYS = [
     ("eval", {"payoff": {"kind": "sum-power", "power": 2}, "state_cap": 1000},
-     [(("payoff", "power"), "real"), (("state_cap",), "int")]),
+     [(("payoff", "power"), "real"), (("state_cap",), "int"), (("model", "delta"), "real"),
+      (("model", "iid", "measures", 1, 0), "real")]),
     ("capacity", {"event": _CONST, "state_cap": 1000},
      [(("event", "window", "n"), "int"), (("event", "window", "N"), "int"),
       (("event", "threshold", "c"), "real"), (("state_cap",), "int")]),

@@ -281,7 +281,9 @@ def test_zero_weight_lattice_matches_generic_bits():
             models.append(SequenceModel(n, steps=[pool[int(j)] for j in rng.integers(0, 3, n)]))
     models += [SequenceModel.iid(STEP12, 30), SequenceModel.iid(s13, 20),
                SequenceModel.iid(g5, 10), SequenceModel(12, steps=[STEP12, s13] * 6)]
-    combos = [(side, stat) for side in ("ge", "gt", "le", "lt") for stat in ("S", "-S", "absS")]
+    # models 12-23 draw the symbolic spelling of the side models 0-11 draw
+    combos = [(side, stat) for side in ("ge", "gt", "le", "lt", ">=", ">", "<=", "<")
+              for stat in ("S", "-S", "absS")]
     for i, m in enumerate(models):
         side, stat = combos[i % len(combos)]
         hi = int(rng.integers(1, m.horizon + 1))
@@ -327,7 +329,7 @@ def _runs(mask):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_row_and_threshold(), st.sampled_from(["ge", "gt", "le", "lt"]),
+@given(_row_and_threshold(), st.sampled_from(["ge", "gt", "le", "lt", ">=", ">", "<=", "<"]),
        st.sampled_from(["S", "-S", "absS"]))
 def test_fired_ranges_are_the_trigger_mask_runs(row, side, stat):
     low, width, delta, thr = row

@@ -54,6 +54,9 @@ def test_normalizers_validation():
         normalizers([2.0, 1.0])
     with pytest.raises(ValueError):
         normalizers([])
+    for bad in ([math.nan, 1.0], ["1", "2"], [True, 2.0], [1.0, 10 ** 400]):
+        with pytest.raises(ValueError, match="s2 series entry"):
+            normalizers(bad)
 
 
 def test_moment_series_examples():
@@ -311,7 +314,8 @@ def test_continuity_probe_nan_eps_rejected():
 
 
 def test_continuity_probe_non_finite_mean_rejected():
-    for payoff in (lambda v: v ** math.nan, lambda v: math.inf if v > 1.5 else v):
+    for payoff in (lambda v: v ** math.nan, lambda v: math.inf if v > 1.5 else v,
+                   lambda v: v ** 1e308):
         with pytest.raises(ValueError, match="non-finite mean"):
             continuity_probe(STEP12, payoff, 3, 0.5)
 

@@ -133,10 +133,15 @@ def test_from_dict_errors():
         SequenceModel.from_dict([1, 2])
     good = {"horizon": 2, "delta": 1.0, "iid": {"points": [-1, 1], "measures": [[0.5, 0.5]]}}
     assert SequenceModel.from_dict(good).horizon == 2
+    # delta and the measure entries take JSON numbers only, never read as 1 or parsed
+    assert type(SequenceModel.from_dict({**good, "delta": 1}).delta) is int  # kept as given
     for key, value in (("horizon", 2.5), ("horizon", "2"), ("delta", math.inf),
-                       ("points", [-1, 1.5]), ("points", ["-1", "1"]), ("points", [-1, True])):
+                       ("points", [-1, 1.5]), ("points", ["-1", "1"]), ("points", [-1, True]),
+                       ("delta", True), ("delta", "1"), ("delta", 10 ** 400),
+                       ("measures", [["0.5", 0.5]]), ("measures", [[True, 0.0]]),
+                       ("measures", [[10 ** 400, 0.0]])):
         bad = json.loads(json.dumps(good))
-        (bad["iid"] if key == "points" else bad)[key] = value
+        (bad["iid"] if key in ("points", "measures") else bad)[key] = value
         with pytest.raises(ValueError):
             SequenceModel.from_dict(bad)
 
