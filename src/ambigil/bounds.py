@@ -83,9 +83,12 @@ def kolmogorov_bound(x: float, y: float, v2: float) -> float:
     """Exponential term of the maximal-sum bound (caller adds the max tail).
 
     Decreasing in x, increasing in v2.  The v2 -> 0 limit is 0 for x > 0 and
-    is returned exactly; x -> 0 gives 1.  Each argument goes through ``_real``.
+    is returned exactly; x -> 0 gives 1.  Each argument goes through ``_real``
+    and must be finite: an infinite one is a ``ValueError``, never a NaN.
     """
     x, y, v2 = _real(x, "x"), _real(y, "y"), _real(v2, "v2")
+    if not all(map(math.isfinite, (x, y, v2))):
+        raise ValueError(f"need finite x, y, v2; got ({x}, {y}, {v2})")
     if x < 0 or y <= 0 or v2 < 0:
         raise ValueError(f"need x >= 0, y > 0, v2 >= 0; got ({x}, {y}, {v2})")
     if x == 0.0:

@@ -209,12 +209,12 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
       the event flag (lowest index wins ties; triggered paths take index 0);
     * ``("schedule", [i_1, ..., i_N])`` — fixed per-step indices.
 
-    All replications advance together, one step at a time: at step k every
-    replication r draws one uniform from its own stream substream(seed, r),
-    so each stream's k-th draw drives step k of its replication whatever
-    the replication count.  A path counts as accepted when the event's
-    terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
-    is at least 0.5.
+    All replications advance together, one step at a time: at step k one
+    ``uniform()`` call on the row stream ``substream(seed, arange(R))`` gives
+    replication r the k-th draw of its own stream substream(seed, r), so
+    that draw drives step k of its replication whatever the replication
+    count.  A path counts as accepted when the event's terminal value for
+    it (``values[1]`` if it fired, ``values[0]`` if not) is at least 0.5.
     """
     replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
@@ -224,21 +224,22 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
         raise ValueError(f"Monte Carlo needs a WindowEvent, got {type(event).__name__}")
     ev = event.bind(model)
 
-    streams = [substream(seed, r) for r in range(replications)]
+    # per distinct step: support points, each measure's cumulative law, measures
+    tables = model.per_step(lambda s: (np.asarray(s.support.points, dtype=np.int64),
+                                       np.array([list(accumulate(m)) for m in s.measures]),
+                                       s.measures))
+    streams = substream(seed, np.arange(replications, dtype=np.uint64))
     pos = np.zeros(replications, dtype=np.int64)
     flag = np.zeros(replications, dtype=bool)
-    for k in range(1, model.horizon + 1):
-        step = model.step(k)
-        pts = np.asarray(step.support.points, dtype=np.int64)
-        cums = np.array([list(accumulate(m)) for m in step.measures])
+    for k, (pts, cums, measures) in enumerate(tables, start=1):
         if sched is None:
             hits = [ev.trigger_mask(k, ev._delta * (pos + pt)) for pt in pts]
-            accs = [sum((q * hit for q, hit in zip(m, hits)), 0.0) for m in step.measures]
+            accs = [sum((q * hit for q, hit in zip(m, hits)), 0.0) for m in measures]
             mi = np.argmax(accs, axis=0)  # first maximum: lowest index wins ties
             mi[flag] = 0
         else:
             mi = sched[k - 1]
-        u = np.array([s.uniform() for s in streams])
+        u = streams.uniform()
         # sums are nondecreasing, so the count <= u is the first j with u < cum[j]
         j = np.minimum(np.count_nonzero(cums[mi] <= u[:, None], axis=1), len(pts) - 1)
         pos += pts[j]

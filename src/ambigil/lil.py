@@ -59,12 +59,14 @@ def normalizers(source) -> NormalizerSeries:
     """Normalizer series from a model or an explicit nondecreasing s^2 series.
 
     A sequence source is read 1-based: source[n-1] = s_n^2, each entry
-    through ``_real``.
+    through ``_real`` and finite.
     """
     if isinstance(source, SequenceModel):
         seq = cumulative_upper_second_moments(source)[1:]
     else:
         seq = [_real(v, "s2 series entry") for v in source]
+        if not all(map(math.isfinite, seq)):
+            raise ValueError("s2 series entry must be finite")
         if not seq or seq[0] < 0:
             raise ValueError("s2 series must be nonempty with s2(1) >= 0")
         if any(b < a for a, b in zip(seq, seq[1:])):
@@ -370,6 +372,14 @@ def _window(model: SequenceModel, n, N) -> tuple[int, int]:
     return n, N
 
 
+def _eps(eps) -> float:
+    """An experiment's ``eps`` through ``_real``; ``±inf`` is a ``ValueError``."""
+    eps = _real(eps, "eps")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    return eps
+
+
 def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
                          center: str = "upper-mean", **engine_kw) -> LILUpperResult:
     """Exact upper capacity of {sup_{n<=m<=N} (S_m - c_m)/a_m > 1+eps}.
@@ -382,7 +392,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     must hold in every run (diagnostics, not a tight estimate).
     """
     n, N = _window(model, n, N)
-    eps = _real(eps, "eps")
+    eps = _eps(eps)
     norms = normalizers(model)
     cents = _running_centers(model, N, center)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
@@ -420,7 +430,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     Nondecreasing in N by event inclusion (exact, a self-check for grids).
     """
     n, N = _window(model, n, N)
-    eps = _real(eps, "eps")
+    eps = _eps(eps)
     norms = normalizers(model)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
     ev = window_max_event(n, N, lambda m: (1.0 - eps) * a[m], side="ge", on="S")

@@ -9,9 +9,21 @@ order they are advanced.
 Stream derivation rule (documented contract, relied on by capacity
 Monte Carlo): replication ``i`` of a run with seed ``s`` uses the stream
 ``SplitMix64(mix64(mix64(s) + i))``.
+
+``mix64``, ``SplitMix64`` and ``substream`` run the same xor, shift,
+multiply and mask code on a Python int or on a 1-D ``np.uint64`` array,
+whose multiplication and addition wrap mod 2**64.  ``substream(s, idx)``
+with an index row ``idx`` is one stream per element: element ``r`` of each
+``next_u64()`` or ``uniform()`` row equals the scalar stream
+``substream(s, idx[r])``'s draw bit for bit.  Scalar streams stay Python
+ints (a 0-d NumPy scalar would warn on overflow); ``randint`` is scalar only.
 """
 
 from __future__ import annotations
+
+import operator
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -19,27 +31,29 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(v: int) -> int:
-    """splitmix64 finalizer: xor-shift/multiply scramble of a 64-bit value."""
-    v &= _MASK
+def mix64(v: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 finalizer: xor-shift/multiply scramble of a 64-bit value,
+    or of each element of a ``uint64`` array (the input is never written)."""
+    v = v & _MASK
     v = ((v ^ (v >> 30)) * _MIX1) & _MASK
     v = ((v ^ (v >> 27)) * _MIX2) & _MASK
     return v ^ (v >> 31)
 
 
 class SplitMix64(object):
-    """Sequential splitmix64 stream over a 64-bit counter."""
+    """Sequential splitmix64 stream over a 64-bit counter, or a row of
+    independent streams over a ``uint64`` counter array."""
 
     __slots__ = ("_state",)
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | np.ndarray):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
+    def next_u64(self) -> int | np.ndarray:
         self._state = (self._state + _GOLDEN) & _MASK
         return mix64(self._state)
 
-    def uniform(self) -> float:
+    def uniform(self) -> float | np.ndarray:
         """Uniform draw in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
@@ -54,8 +68,19 @@ class SplitMix64(object):
                 return u % n
 
 
-def substream(seed: int, index: int) -> SplitMix64:
-    """Derived stream for replication ``index`` of a run seeded with ``seed``."""
-    if index < 0:
-        raise ValueError("substream index must be nonnegative")
+def substream(seed: int, index: int | np.ndarray) -> SplitMix64:
+    """Derived stream for replication ``index`` of a run seeded with ``seed``;
+    for a 1-D integer array ``index``, the row of those streams.  A negative
+    index is a ``ValueError``."""
+    if isinstance(index, np.ndarray):
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError(f"substream index array must be 1-D integers, "
+                             f"got {index.ndim}-D {index.dtype}")
+        if np.any(index < 0):
+            raise ValueError("substream index must be nonnegative")
+        index = index.astype(np.uint64)
+    else:
+        index = operator.index(index)
+        if index < 0:
+            raise ValueError("substream index must be nonnegative")
     return SplitMix64(mix64((mix64(seed) + index) & _MASK))

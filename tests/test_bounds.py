@@ -220,3 +220,10 @@ def test_api_numeric_arguments_are_read_at_entry():
     assert kolmogorov_bound(1, 1, 1) == kolmogorov_bound(1.0, 1.0, 1.0)
     assert type(BoundInputs(x=1, y=1).x) is int
     assert "delta=1," in repr(make_rademacher_interval(1, 1, 1))
+
+
+def test_kolmogorov_bound_rejects_non_finite_arguments():
+    inf = math.inf
+    for args in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf), (-inf, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            kolmogorov_bound(*args)

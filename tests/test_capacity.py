@@ -349,20 +349,23 @@ def test_mc_matches_scalar_reference():
 
 
 def test_mc_draws_one_uniform_per_step(monkeypatch):
-    calls = []
+    # each next_u64 call draws one row; record how many values each row holds:
+    # one row of 123 per step, 123 x 7 values in all
+    rows = []
     draw = SplitMix64.next_u64
 
     def counted(stream):
-        calls.append(1)
-        return draw(stream)
+        out = draw(stream)
+        rows.append(np.size(out))
+        return out
 
     monkeypatch.setattr(SplitMix64, "next_u64", counted)
     m = SequenceModel.iid(STEP12, 7)
     ev = window_max_event(2, 5, 3.0)
     for strat in (("constant", 1), ("schedule", [0, 1] * 3 + [0]), "greedy-one-step"):
-        calls.clear()
+        rows.clear()
         mc_capacity_lower_bound(m, ev, strat, 123, seed=4)
-        assert len(calls) == 123 * 7
+        assert rows == [123] * 7
 
 
 def test_mc_rejects_non_window_event():

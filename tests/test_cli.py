@@ -314,6 +314,8 @@ def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
     ("capacity", {"event": {"window": {"n": 1, "N": 2}, "side": [">="],
                             "threshold": {"kind": "const", "c": 1.0}}}),
     ("bc", {"thresholds": [1.0, 1.0], "side": {}}),
+    ("lil", {"experiment": "upper", "windows": [[1, 2]], "eps": math.inf}),
+    ("lil", {"experiment": "lower", "windows": [[1, 2]], "eps": -math.inf}),
 ])
 def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
     path = tmp_path / "cfg.json"

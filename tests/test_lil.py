@@ -54,7 +54,8 @@ def test_normalizers_validation():
         normalizers([2.0, 1.0])
     with pytest.raises(ValueError):
         normalizers([])
-    for bad in ([math.nan, 1.0], ["1", "2"], [True, 2.0], [1.0, 10 ** 400]):
+    for bad in ([math.nan, 1.0], ["1", "2"], [True, 2.0], [1.0, 10 ** 400],
+                [1.0, math.inf]):
         with pytest.raises(ValueError, match="s2 series entry"):
             normalizers(bad)
 
@@ -261,6 +262,15 @@ def test_lil_upper_validation():
     for center in ("upper", "lower"):
         with pytest.raises(ValueError):
             lil_upper_experiment(m, 2, 8, 1.0, center=center)
+
+
+def test_lil_experiments_reject_non_finite_eps():
+    m = SequenceModel.iid(STEP11, 16)
+    for eps in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            lil_upper_experiment(m, 2, 8, eps)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            lil_lower_experiment(m, 2, 8, eps)
 
 
 def test_lil_lower_monotone_in_N():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ambigil.rng import SplitMix64, mix64, substream
@@ -39,3 +40,37 @@ def test_substreams_differ_and_replay():
 
 def test_mix64_masks_to_64_bits():
     assert 0 <= mix64(2 ** 70 + 123) < 2 ** 64
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_array_stream_matches_scalar_streams(seed):
+    # indices 0..3, then six where mix64(seed) + i wraps past 2**64; mix64(0)
+    # is 0, so seed 0 cannot wrap and takes the six largest indices instead
+    start = min(2 ** 64 - mix64(seed) - 3, 2 ** 64 - 6)
+    idx = np.array(list(range(4)) + [start + i for i in range(6)], dtype=np.uint64)
+    assert any(mix64(seed) + int(i) >= 2 ** 64 for i in idx) == (seed != 0)
+    before = idx.copy()
+    row = substream(seed, idx)
+    scalars = [substream(seed, int(i)) for i in idx]
+    for _ in range(3):
+        assert row.next_u64().tolist() == [s.next_u64() for s in scalars]
+        u = row.uniform()
+        assert u.dtype == np.float64
+        assert u.tolist() == [s.uniform() for s in scalars]
+    assert np.array_equal(idx, before)  # the caller's array is never written
+    assert np.array_equal(substream(seed, idx[:4].astype(np.int64)).next_u64(),
+                          substream(seed, idx[:4]).next_u64())
+
+
+def test_substream_index_checks():
+    with pytest.raises(ValueError, match="nonnegative"):
+        substream(7, np.array([0, -1, 2], dtype=np.int64))
+    with pytest.raises(ValueError, match="nonnegative"):
+        substream(7, -1)
+    with pytest.raises(ValueError, match="1-D integers"):
+        substream(7, np.zeros((2, 2), dtype=np.uint64))
+    with pytest.raises(ValueError, match="1-D integers"):
+        substream(7, np.array([0.0, 1.0]))
+    # a NumPy integer scalar index gives the Python-int stream
+    assert substream(7, np.int64(3)).next_u64() == substream(7, 3).next_u64()
+    assert type(substream(7, np.uint64(3)).next_u64()) is int
