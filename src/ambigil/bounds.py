@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 from . import iterlog
 from .capacity import (OutcomeFlagEvent, centered_max_sum_event, lower_capacity,
                        upper_capacity, window_max_event)
-from .model import LatticeSupport, SequenceModel, StepAmbiguity, _integer, _real, running_sums
+from .model import (LatticeSupport, SequenceModel, StepAmbiguity, _finite, _integer, _real,
+                    running_sums)
 from .rng import SplitMix64
 
 _VIOL_TOL = 1e-12
@@ -83,12 +84,10 @@ def kolmogorov_bound(x: float, y: float, v2: float) -> float:
     """Exponential term of the maximal-sum bound (caller adds the max tail).
 
     Decreasing in x, increasing in v2.  The v2 -> 0 limit is 0 for x > 0 and
-    is returned exactly; x -> 0 gives 1.  Each argument goes through ``_real``
-    and must be finite: an infinite one is a ``ValueError``, never a NaN.
+    is returned exactly; x -> 0 gives 1.  Each argument goes through
+    ``_finite``: an infinite one is a ``ValueError``, never a NaN.
     """
-    x, y, v2 = _real(x, "x"), _real(y, "y"), _real(v2, "v2")
-    if not all(map(math.isfinite, (x, y, v2))):
-        raise ValueError(f"need finite x, y, v2; got ({x}, {y}, {v2})")
+    x, y, v2 = _finite(x, "x"), _finite(y, "y"), _finite(v2, "v2")
     if x < 0 or y <= 0 or v2 < 0:
         raise ValueError(f"need x >= 0, y > 0, v2 >= 0; got ({x}, {y}, {v2})")
     if x == 0.0:
@@ -192,13 +191,12 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
     # checked, not converted: the table stores the arguments as given
     if not _real(z, "z") > 0:
         raise ValueError(f"z must be positive, got {z}")
-    if not math.isfinite(_real(slack, "slack")):
-        raise ValueError(f"slack must be finite, got {slack!r}")
+    _finite(slack, "slack")
     pg = pi_gamma(gamma)
     if alpha is None:
         alpha = pg / z
-    elif not math.isfinite(_real(alpha, "alpha")):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    else:
+        _finite(alpha, "alpha")
     if z * alpha > pg * (1.0 + 1e-12):
         raise ValueError(
             f"precondition z*alpha <= pi(gamma) violated: z*alpha = {z * alpha!r}, "

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import _SIDES, Automaton, WindowEvent, evaluate_upper
+from .engine import Automaton, WindowEvent, _side, evaluate_upper
 from .model import SequenceModel, _integer, _real
 from .rng import substream
 
@@ -48,22 +48,12 @@ def OutcomeFlagEvent(trigger: Callable[[int, float], bool]) -> Automaton:
 
 def window_max_event(n: int, N: int, threshold_fn, side: str = "ge",
                      on: str = "S") -> WindowEvent:
-    """Automaton for {exists m in [n, N]: stat(S_m) <side> threshold(m)}.
+    """{exists m in [n, N]: stat(S_m) <side> threshold(m)}, the positional
+    spelling of ``WindowEvent``, which reads and checks every argument.
 
-    ``threshold_fn`` may be a constant or a callable of the step index m;
-    state is (triggered flag, lattice partial sum).  A constant goes
-    through ``_real`` (NaN, a string or a bool raises ``ValueError``);
-    ``±inf`` gives the sure or the never event.  ``n`` and ``N`` go through
-    ``_integer`` (``2.0`` reads as 2; a bool, a string or ``2.5`` raises).
-    ``WindowEvent`` checks ``side`` and ``on``.
+    ``threshold_fn`` may be a constant or a callable of the step index m.
     """
-    n, N = _integer(n, "window n"), _integer(N, "window N")
-    if callable(threshold_fn):
-        thr = threshold_fn
-    else:
-        const = _real(threshold_fn, "window threshold")
-        thr = lambda m: const
-    return WindowEvent(lo=n, hi=N, threshold=thr, side=side, stat=on)
+    return WindowEvent(lo=n, hi=N, threshold=threshold_fn, side=side, stat=on)
 
 
 def upper_capacity(model: SequenceModel, event, **kw) -> float:
@@ -156,9 +146,7 @@ def bc_product_check(model: SequenceModel, thresholds: Sequence[float],
     n = len(ths)
     if n < 1 or n > model.horizon:
         raise ValueError(f"need 1 <= len(thresholds) <= horizon, got {n}")
-    if not (isinstance(side, str) and side in _SIDES):
-        raise ValueError(f"unknown side {side!r}")
-    cmp_fn = _SIDES[side]
+    cmp_fn = _side(side)
     sub = model if model.horizon == n else _prefix_model(model, n)
 
     per = []
@@ -233,7 +221,7 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     flag = np.zeros(replications, dtype=bool)
     for k, (pts, cums, measures) in enumerate(tables, start=1):
         if sched is None:
-            hits = [ev.trigger_mask(k, ev._delta * (pos + pt)) for pt in pts]
+            hits = [ev.trigger_mask(k, model.delta * (pos + pt)) for pt in pts]
             accs = [sum((q * hit for q, hit in zip(m, hits)), 0.0) for m in measures]
             mi = np.argmax(accs, axis=0)  # first maximum: lowest index wins ties
             mi[flag] = 0
@@ -243,7 +231,7 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
         # sums are nondecreasing, so the count <= u is the first j with u < cum[j]
         j = np.minimum(np.count_nonzero(cums[mi] <= u[:, None], axis=1), len(pts) - 1)
         pos += pts[j]
-        flag |= ev.trigger_mask(k, ev._delta * pos)
+        flag |= ev.trigger_mask(k, model.delta * pos)
 
     accepted = int(np.count_nonzero(np.where(flag, ev.values[1] >= 0.5, ev.values[0] >= 0.5)))
     p = accepted / replications
@@ -306,20 +294,19 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     side = cfg.get("side", ">=")
     kind = thr.get("kind") if isinstance(thr, dict) else None
     if kind == "const":
-        c = _real(thr.get("c"), "threshold c")
-        fn = lambda m: c
+        threshold = _real(thr.get("c"), "threshold c")
     elif kind == "d_n":
         scale = _real(thr.get("scale", 1.0), "threshold scale")
-        fn = lambda m: scale * iterlog.d_n(m)
+        threshold = lambda m: scale * iterlog.d_n(m)
     elif kind == "a_n":
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
         scale = _real(thr.get("scale", 1.0), "threshold scale")
         s2 = cumulative_upper_second_moments(model)
-        fn = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
+        threshold = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
-    return window_max_event(n, N, fn, side=side, on=stat)
+    return window_max_event(n, N, threshold, side=side, on=stat)
 
 
 def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:

@@ -203,10 +203,11 @@ def _run_lil(cfg: dict):
     kw = _engine_kw(cfg)
     if kind == "upper":
         eps = _real(cfg.get("eps", 1.0), "'eps'")
-        center = cfg.get("center", "upper-mean")
+        if "center" in cfg:
+            kw["center"] = cfg["center"]
         rows = []
         for n, N in _windows(cfg, model.horizon):
-            r = lil.lil_upper_experiment(model, n, N, eps, center, **kw)
+            r = lil.lil_upper_experiment(model, n, N, eps, **kw)
             rows.append((r.n, r.N, r.eps, r.center, r.capacity, r.bound_crosscheck))
         return (("n", "N", "eps", "center", "capacity", "bound_crosscheck"), rows,
                 ["lil.lil_upper_experiment (exact window capacity + blocked bound)"], {})
@@ -228,13 +229,11 @@ def _run_lil(cfg: dict):
     if kind == "conditions":
         cps = [_integer(c, "'checkpoints'")
                for c in _list(cfg, "checkpoints", [10, 100, min(1000, model.horizon)])]
-        rep = lil.check_conditions(model, cps,
-                                   p=_real(cfg.get("p", 2.0), "'p'"),
-                                   alpha=_real(cfg.get("alpha", 1.0), "'alpha'"),
-                                   d=_integer(cfg.get("d", 1), "'d'"),
-                                   eps=_real(cfg.get("eps", 1.0), "'eps'"),
-                                   delta=_real(cfg.get("delta", 0.5), "'delta'"),
-                                   power_p=_real(cfg.get("power_p", 3.0), "'power_p'"))
+        # a key the config leaves out takes the library default
+        params = {key: read(cfg[key], f"'{key}'") for key, read in (
+            ("p", _real), ("alpha", _real), ("d", _integer), ("eps", _real),
+            ("delta", _real), ("power_p", _real)) if key in cfg}
+        rep = lil.check_conditions(model, cps, **params)
         rows = []
         for rec in rep.records:
             for i, cp in enumerate(rec.checkpoints):

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import SequenceModel, StepAmbiguity, _integer
+from .model import SequenceModel, StepAmbiguity, _integer, _real
 
 DEFAULT_STATE_CAP = 2 ** 28
 
@@ -163,6 +163,14 @@ _SIDES = {"ge": operator.ge, ">=": operator.ge, "gt": operator.gt, ">": operator
 _STATS = ("S", "-S", "absS")
 
 
+def _side(side):
+    """The comparison operator a side spelling in ``_SIDES`` names; any other
+    value is a ``ValueError``."""
+    if not (isinstance(side, str) and side in _SIDES):
+        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+    return _SIDES[side]
+
+
 @dataclass(frozen=True)
 class WindowEvent:
     """Path event {exists m in [lo, hi]: stat(S_m) <side> threshold(m)}.
@@ -171,21 +179,30 @@ class WindowEvent:
     latches once the windowed comparison fires.  ``values`` holds the
     terminal value of a path that never fired and of one that fired: the
     indicator is (0.0, 1.0), the complement event swaps the pair and
-    negation negates it, so both stay on the fast lattice path.  ``side``
-    is any spelling in ``_SIDES`` (``"ge"`` or ``">="``, ...), kept as given.
+    negation negates it, so both stay on the fast lattice path.
+
+    This is the one reader of a window event's arguments.  ``lo`` and ``hi``
+    go through ``_integer`` and are stored as ints.  ``threshold`` is a
+    callable of the step index m, or a constant that goes through ``_real``
+    and is stored as a float (``±inf`` gives the sure or the never event).
+    ``side`` is any spelling in ``_SIDES`` (``"ge"`` or ``">="``, ...),
+    kept as given.
     """
 
     lo: int
     hi: int
-    threshold: Callable[[int], float]
+    threshold: Callable[[int], float] | float
     side: str = "ge"
     stat: str = "S"
     values: tuple[float, float] = (0.0, 1.0)
     _delta: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.side, str) and self.side in _SIDES):
-            raise ValueError(f"side must be one of {sorted(_SIDES)}, got {self.side!r}")
+        object.__setattr__(self, "lo", _integer(self.lo, "window n"))
+        object.__setattr__(self, "hi", _integer(self.hi, "window N"))
+        if not callable(self.threshold):
+            object.__setattr__(self, "threshold", _real(self.threshold, "window threshold"))
+        _side(self.side)
         if self.stat not in _STATS:
             raise ValueError(f"stat must be one of {_STATS}, got {self.stat!r}")
         if not 1 <= self.lo <= self.hi:
@@ -213,20 +230,24 @@ class WindowEvent:
         return replace(self, _delta=model.delta)
 
     def _threshold_at(self, m: int) -> float:
+        if not callable(self.threshold):
+            return self.threshold
         thr = float(self.threshold(m))
         if math.isnan(thr):
             raise ValueError(f"window threshold at step {m} is NaN")
         return thr
 
-    def trigger_mask(self, m: int, positions: np.ndarray) -> np.ndarray:
+    def trigger_mask(self, m: int, positions):
+        """Whether the event fires at step m at each real partial sum in
+        ``positions`` (an array, or one float)."""
         if m < self.lo or m > self.hi:
-            return np.zeros(len(positions), dtype=bool)
+            return np.zeros(np.shape(positions), dtype=bool)
         if self.stat == "S":
             sv = positions
         elif self.stat == "-S":
             sv = -positions
         else:
-            sv = np.abs(positions)
+            sv = abs(positions)
         return _SIDES[self.side](sv, self._threshold_at(m))
 
     def advance(self, state, k, point, value):
@@ -234,7 +255,7 @@ class WindowEvent:
         s2 = s + point
         if flag:
             return (1, s2)
-        return (1 if self.trigger_mask(k, np.array([self._delta * s2]))[0] else 0, s2)
+        return (1 if self.trigger_mask(k, self._delta * s2) else 0, s2)
 
     def terminal(self, state):
         return self.values[state[0]]
@@ -523,8 +544,9 @@ def evaluate_upper(model: SequenceModel, payoff, *,
     scalar.  ``state_cap`` bounds the widest reachable layer up to the
     window's end (the horizon for a terminal payoff) on the lattice path,
     counted twice for a window event (not yet fired, fired), and all
-    layers on the generic path.
+    layers on the generic path.  ``state_cap`` goes through ``_integer``.
     """
+    state_cap = _integer(state_cap, "state_cap")
     bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")

@@ -23,8 +23,8 @@ from .capacity import (_running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
                        upper_capacity, window_max_event)
 from .engine import Automaton
-from .model import (SequenceModel, StepAmbiguity, _integer, _real, _require_centered,
-                    running_sums)
+from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
+                    _require_centered, running_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +59,12 @@ def normalizers(source) -> NormalizerSeries:
     """Normalizer series from a model or an explicit nondecreasing s^2 series.
 
     A sequence source is read 1-based: source[n-1] = s_n^2, each entry
-    through ``_real`` and finite.
+    through ``_finite``.
     """
     if isinstance(source, SequenceModel):
         seq = cumulative_upper_second_moments(source)[1:]
     else:
-        seq = [_real(v, "s2 series entry") for v in source]
-        if not all(map(math.isfinite, seq)):
-            raise ValueError("s2 series entry must be finite")
+        seq = [_finite(v, "s2 series entry") for v in source]
         if not seq or seq[0] < 0:
             raise ValueError("s2 series must be nonempty with s2(1) >= 0")
         if any(b < a for a, b in zip(seq, seq[1:])):
@@ -363,23 +361,6 @@ class LILUpperResult:
     blocks: tuple[BlockDiagnostic, ...]
 
 
-def _window(model: SequenceModel, n, N) -> tuple[int, int]:
-    """The experiment window ``(n, N)`` as ints with 1 <= n <= N <= horizon;
-    anything else is a ``ValueError``."""
-    n, N = _integer(n, "window n"), _integer(N, "window N")
-    if not 1 <= n <= N <= model.horizon:
-        raise ValueError(f"window [{n}, {N}] invalid for horizon {model.horizon}")
-    return n, N
-
-
-def _eps(eps) -> float:
-    """An experiment's ``eps`` through ``_real``; ``±inf`` is a ``ValueError``."""
-    eps = _real(eps, "eps")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
-    return eps
-
-
 def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
                          center: str = "upper-mean", **engine_kw) -> LILUpperResult:
     """Exact upper capacity of {sup_{n<=m<=N} (S_m - c_m)/a_m > 1+eps}.
@@ -391,14 +372,15 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     It is a true upper bound for any block/y choice, so capacity <= crosscheck
     must hold in every run (diagnostics, not a tight estimate).
     """
-    n, N = _window(model, n, N)
-    eps = _eps(eps)
+    # the event reads the window and bind checks it against the horizon;
+    # the threshold's eps, a and cents are set below, before its first call
+    ev = window_max_event(n, N, lambda m: (1.0 + eps) * a[m] + cents[m],
+                          side="gt", on="S").bind(model)
+    n, N = ev.lo, ev.hi
+    eps = _finite(eps, "eps")
     norms = normalizers(model)
     cents = _running_centers(model, N, center)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
-
-    ev = window_max_event(n, N, lambda m: (1.0 + eps) * a[m] + cents[m],
-                          side="gt", on="S")
     cap = upper_capacity(model, ev, **engine_kw)
 
     upper_means = cents if center == "upper-mean" else _running_centers(model, N, "upper-mean")
@@ -429,11 +411,11 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
 
     Nondecreasing in N by event inclusion (exact, a self-check for grids).
     """
-    n, N = _window(model, n, N)
-    eps = _eps(eps)
+    # as in lil_upper_experiment, eps and a are set before the first call
+    ev = window_max_event(n, N, lambda m: (1.0 - eps) * a[m], side="ge", on="S").bind(model)
+    eps = _finite(eps, "eps")
     norms = normalizers(model)
-    a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
-    ev = window_max_event(n, N, lambda m: (1.0 - eps) * a[m], side="ge", on="S")
+    a = [0.0] + [norms.a(m) for m in range(1, ev.hi + 1)]
     return upper_capacity(model, ev, **engine_kw)
 
 

@@ -34,14 +34,15 @@ class LatticeSupport:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"lattice delta must be positive and finite, got {self.delta}")
-        if len(self.points) == 0:
+        # delta is checked, not converted: an int delta stays an int
+        if not _finite(self.delta, "lattice delta") > 0:
+            raise ValueError(f"lattice delta must be positive, got {self.delta}")
+        points = tuple(_integer(p, "lattice point") for p in self.points)
+        object.__setattr__(self, "points", points)
+        if len(points) == 0:
             raise ValueError("lattice support must be nonempty")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError(f"lattice points must be strictly increasing, got {self.points}")
-        if any(int(p) != p for p in self.points):
-            raise ValueError("lattice points must be integers (multiples of delta)")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(f"lattice points must be strictly increasing, got {points}")
 
     def values(self) -> np.ndarray:
         """Real support values delta * points."""
@@ -67,8 +68,8 @@ class StepAmbiguity:
         for i, m in enumerate(self.measures):
             if len(m) != npts:
                 raise ValueError(f"measure {i} has length {len(m)}, support has {npts} points")
-            if not all(math.isfinite(x) for x in m):
-                raise ValueError(f"measure {i} has non-finite entries: {m}")
+            for x in m:
+                _finite(x, "measure entry")
             if min(m) < 0.0 or max(m) > 1.0:
                 raise ValueError(f"measure {i} has entries outside [0, 1]: {m}")
             if abs(sum(m) - 1.0) > PROB_TOL:
@@ -181,16 +182,15 @@ class SequenceModel(object):
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceModel":
         """Inverse of ``to_dict``; any malformed description raises ``ValueError``.
-        ``delta`` and each measure entry go through ``_real``, so a bool, a
-        string or an int too large for a float is malformed."""
+        Each measure entry goes through ``_real`` and ``LatticeSupport``
+        reads ``delta`` and the points, so a bool, a string or an int too
+        large for a float is malformed."""
         if not isinstance(d, dict):
             raise ValueError(f"model description must be an object, got {type(d).__name__}")
 
         def dec(sd: dict) -> StepAmbiguity:
-            points = tuple(_integer(p, "lattice point") for p in sd["points"])
             measures = tuple(tuple(_real(x, "measure entry") for x in m) for m in sd["measures"])
-            _real(d["delta"], "delta")  # checked, not converted: an int delta stays an int
-            return StepAmbiguity(LatticeSupport(d["delta"], points), measures)
+            return StepAmbiguity(LatticeSupport(d["delta"], sd["points"]), measures)
 
         try:
             if "iid" in d:
@@ -253,6 +253,14 @@ def _real(value, what: str) -> float:
                 raise ValueError(f"{what} is NaN")
             return out
     raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+def _finite(value, what: str) -> float:
+    """``value`` through ``_real``; ``±inf`` is a ``ValueError`` too."""
+    out = _real(value, what)
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def _require_centered(step: StepAmbiguity, what: str) -> None:

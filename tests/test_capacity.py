@@ -8,7 +8,7 @@ from ambigil.capacity import (BCProductReport, CapacityPair, OutcomeFlagEvent,
                               event_from_config, lower_capacity,
                               mc_capacity_lower_bound, upper_capacity,
                               window_max_event)
-from ambigil.engine import Automaton, TerminalSumPayoff, evaluate_upper
+from ambigil.engine import Automaton, TerminalSumPayoff, WindowEvent, evaluate_upper
 from ambigil.lil import continuity_probe
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
@@ -78,6 +78,36 @@ def test_window_bounds_must_be_integers():
     assert (ev.lo, ev.hi) == (2, 8) and type(ev.lo) is type(ev.hi) is int
     m = SequenceModel.iid(STEP12, 8)
     assert capacity_pair(m, ev) == capacity_pair(m, window_max_event(2, 8, 3.0))
+    # WindowEvent itself reads the window: window_max_event adds nothing
+    for lo in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="window n"):
+            WindowEvent(lo, 4, lambda k: 3.0)
+    for hi in (4.5, False, "4", None):
+        with pytest.raises(ValueError, match="window N"):
+            WindowEvent(1, hi, lambda k: 3.0)
+    f = lambda k: 1.0 + 0.5 * k
+    direct = WindowEvent(1, 4.0, f)
+    assert (direct.lo, direct.hi) == (1, 4) and type(direct.hi) is int
+    m4 = SequenceModel.iid(STEP12, 4)
+    for method in ("lattice", "generic"):
+        assert capacity_pair(m4, direct, method=method) == \
+            capacity_pair(m4, window_max_event(1, 4, f), method=method)
+
+
+def test_window_event_takes_a_constant_threshold():
+    m = SequenceModel.iid(STEP12, 4)
+    ev = WindowEvent(1, 4, 3.0)
+    assert ev.threshold == 3.0 and type(ev.threshold) is float
+    want = window_max_event(1, 4, 3.0)
+    for method in ("lattice", "generic"):
+        for a, b in ((ev, want), (ev.complement(), want.complement()),
+                     (ev.negate(), want.negate())):
+            got, ref = evaluate_upper(m, a, method=method), evaluate_upper(m, b, method=method)
+            assert got.hex() == ref.hex()
+    assert type(WindowEvent(1, 4, np.float64(3.0)).threshold) is float
+    for bad in (math.nan, "3", True, None):
+        with pytest.raises(ValueError, match="window threshold"):
+            WindowEvent(1, 4, bad)
 
 
 def test_window_equals_terminal_when_unreachable_early():

@@ -207,6 +207,24 @@ def test_lil_conditions_command(tmp_path):
     assert any(r["condition"] == "mean-ratio" for r in rows)
 
 
+@pytest.mark.parametrize("experiment, defaults", [
+    ("conditions", {"p": 2.0, "alpha": 1.0, "d": 1, "eps": 1.0, "delta": 0.5, "power_p": 3.0}),
+    ("upper", {"center": "upper-mean"}),
+])
+def test_lil_absent_keys_take_library_defaults(tmp_path, experiment, defaults):
+    model = tmp_path / "m.json"
+    SequenceModel.iid(make_rademacher_interval(1, 2, 2), 32).save(model)
+    base = {"model": str(model), "experiment": experiment, "eps": 1.0,
+            "checkpoints": [4, 16, 32], "windows": [[4, 32]]}
+    outs = []
+    for i, cfg in enumerate((base, {**base, **defaults})):
+        path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        path.write_text(json.dumps(cfg))
+        assert main(["lil", "--config", str(path), "--out", str(out)]) == 0
+        outs.append((out / "result.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_probe_converse_rate_command(tmp_path):
     model = tmp_path / "m.json"
     SequenceModel.iid(make_rademacher_interval(1, 1, 1), 4).save(model)

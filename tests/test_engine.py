@@ -389,6 +389,15 @@ def test_state_cap():
         evaluate_upper(m, FullVectorPayoff(lambda xs: 0.0), state_cap=1000)
 
 
+def test_state_cap_read_as_integer():
+    m = SequenceModel.iid(STEP12, 4)
+    for cap in ("9", 100.5, True, None):
+        with pytest.raises(ValueError, match="state_cap"):
+            evaluate_upper(m, TerminalSumPayoff(lambda s: s), state_cap=cap)
+    sq = TerminalSumPayoff(lambda s: s * s)
+    assert evaluate_upper(m, sq, state_cap=100.0) == evaluate_upper(m, sq, state_cap=100)
+
+
 def test_state_cap_counts_held_states():
     # two rows of the widest reachable layer, 2 * (4 * 512 + 1), not all layers
     m = SequenceModel.iid(STEP12, 512)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ambigil.engine import StateSpaceError
 from ambigil.gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,
                              gnormal_density, gnormal_lower_tail,
                              gnormal_upper_tail, std_normal_cdf,
@@ -144,6 +145,14 @@ def test_clt_error_trend():
     step = make_rademacher_interval(1, 2, 2)
     errs = [clt_capacity(step, n, 0.5).abs_error for n in (500, 1000, 2000)]
     assert errs[0] >= errs[1] >= errs[2]
+
+
+def test_clt_forwards_engine_keywords():
+    step = make_rademacher_interval(1, 2, 2)
+    assert clt_capacity(step, 8, 0.5, method="generic") == clt_capacity(step, 8, 0.5)
+    assert clt_capacity(step, 8, 0.5, state_cap=1000) == clt_capacity(step, 8, 0.5)
+    with pytest.raises(StateSpaceError):
+        clt_capacity(step, 8, 0.5, state_cap=10)
 
 
 def test_clt_validation():

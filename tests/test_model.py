@@ -30,6 +30,31 @@ def test_lattice_validation():
     assert sup.radius == 1.5
 
 
+def test_lattice_points_read_as_ints():
+    sup = LatticeSupport(1.0, (0, 1.0))
+    assert sup.points == (0, 1) and all(type(p) is int for p in sup.points)
+    assert LatticeSupport(1.0, [-1, np.int64(1)]).points == (-1, 1)
+    assert hash(LatticeSupport(1.0, [-1, 1])) == hash(LatticeSupport(1.0, (-1, 1)))
+    for points in ((False, True), (0, "1")):
+        with pytest.raises(ValueError, match="lattice point"):
+            LatticeSupport(1.0, points)
+
+
+def test_lattice_delta_checked_not_converted():
+    for delta in ("1", True, [1.0], -math.inf):
+        with pytest.raises(ValueError, match="lattice delta"):
+            LatticeSupport(delta, (-1, 1))
+    assert type(LatticeSupport(1, (-1, 1)).delta) is int
+
+
+def test_measure_entries_checked():
+    sup = LatticeSupport(1.0, (-1, 1))
+    for bad in (("0.5", 0.5), (True, 0.0), (0.5, [0.5]), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="measure entry"):
+            StepAmbiguity(sup, (bad,))
+    assert StepAmbiguity(sup, ((1, 0),)).measures == ((1, 0),)
+
+
 def test_step_validation():
     sup = LatticeSupport(1.0, (-1, 1))
     with pytest.raises(ValueError):
