@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import TerminalSumPayoff, evaluate_upper
+from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, evaluate_upper
 from .model import SequenceModel, StepAmbiguity, _integer, _real, _require_centered
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -172,7 +172,7 @@ class CLTBridgeResult:
 
 
 def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | None = None,
-                 **engine_kw) -> CLTBridgeResult:
+                 state_cap: int = DEFAULT_STATE_CAP) -> CLTBridgeResult:
     """Bracketed DP capacity of {S_n/sqrt(n) >= x} and its limiting closed form.
 
     The indicator is sandwiched between two Lipschitz ramps of width
@@ -180,7 +180,6 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     upper ramp rises on [x - w, x], the lower on [x, x + w], so their upper
     expectations bracket the capacity exactly.  ``x`` and an explicit
     ``ramp_width`` go through ``_real``; the width must be positive and finite.
-    ``engine_kw`` (``state_cap``, ``method``) goes to ``evaluate_upper``.
     """
     _require_centered(step, "clt bridge")
     n, x = _integer(n, "n"), _real(x, "x")
@@ -204,8 +203,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
             return (s - lo_edge) / hw
         return fn
 
-    hi = evaluate_upper(model, TerminalSumPayoff(ramp(t - hw)), **engine_kw)
-    lo = evaluate_upper(model, TerminalSumPayoff(ramp(t)), **engine_kw)
+    hi = evaluate_upper(model, TerminalSumPayoff(ramp(t - hw)), state_cap=state_cap)
+    lo = evaluate_upper(model, TerminalSumPayoff(ramp(t)), state_cap=state_cap)
     mid = 0.5 * (lo + hi)
     target = gnormal_upper_tail(params, x)
     return CLTBridgeResult(n=n, x=x, ramp_width=w, bracket_low=lo, bracket_high=hi,

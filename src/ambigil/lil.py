@@ -14,7 +14,7 @@ loglog x = 1 for any x <= e**e and all normalizers are positive from n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import iterlog
@@ -372,15 +372,13 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     It is a true upper bound for any block/y choice, so capacity <= crosscheck
     must hold in every run (diagnostics, not a tight estimate).
     """
-    # the event reads the window and bind checks it against the horizon;
-    # the threshold's eps, a and cents are set below, before its first call
-    ev = window_max_event(n, N, lambda m: (1.0 + eps) * a[m] + cents[m],
-                          side="gt", on="S").bind(model)
-    n, N = ev.lo, ev.hi
+    win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
+    n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
     norms = normalizers(model)
     cents = _running_centers(model, N, center)
     a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
+    ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
     cap = upper_capacity(model, ev, **engine_kw)
 
     upper_means = cents if center == "upper-mean" else _running_centers(model, N, "upper-mean")
@@ -411,11 +409,11 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
 
     Nondecreasing in N by event inclusion (exact, a self-check for grids).
     """
-    # as in lil_upper_experiment, eps and a are set before the first call
-    ev = window_max_event(n, N, lambda m: (1.0 - eps) * a[m], side="ge", on="S").bind(model)
+    win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
     norms = normalizers(model)
-    a = [0.0] + [norms.a(m) for m in range(1, ev.hi + 1)]
+    a = [0.0] + [norms.a(m) for m in range(1, win.hi + 1)]
+    ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 
 

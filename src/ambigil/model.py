@@ -62,14 +62,14 @@ class StepAmbiguity:
     measures: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.measures) == 0:
+        measures = tuple(tuple(_finite(x, "measure entry") for x in m) for m in self.measures)
+        object.__setattr__(self, "measures", measures)
+        if len(measures) == 0:
             raise ValueError("a step needs at least one probability vector")
         npts = len(self.support.points)
-        for i, m in enumerate(self.measures):
+        for i, m in enumerate(measures):
             if len(m) != npts:
                 raise ValueError(f"measure {i} has length {len(m)}, support has {npts} points")
-            for x in m:
-                _finite(x, "measure entry")
             if min(m) < 0.0 or max(m) > 1.0:
                 raise ValueError(f"measure {i} has entries outside [0, 1]: {m}")
             if abs(sum(m) - 1.0) > PROB_TOL:
@@ -182,15 +182,14 @@ class SequenceModel(object):
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceModel":
         """Inverse of ``to_dict``; any malformed description raises ``ValueError``.
-        Each measure entry goes through ``_real`` and ``LatticeSupport``
-        reads ``delta`` and the points, so a bool, a string or an int too
-        large for a float is malformed."""
+        ``LatticeSupport`` reads ``delta`` and the points and ``StepAmbiguity``
+        each measure entry, so a bool, a string or an int too large for a
+        float is malformed."""
         if not isinstance(d, dict):
             raise ValueError(f"model description must be an object, got {type(d).__name__}")
 
         def dec(sd: dict) -> StepAmbiguity:
-            measures = tuple(tuple(_real(x, "measure entry") for x in m) for m in sd["measures"])
-            return StepAmbiguity(LatticeSupport(d["delta"], sd["points"]), measures)
+            return StepAmbiguity(LatticeSupport(d["delta"], sd["points"]), sd["measures"])
 
         try:
             if "iid" in d:

@@ -147,9 +147,8 @@ def test_clt_error_trend():
     assert errs[0] >= errs[1] >= errs[2]
 
 
-def test_clt_forwards_engine_keywords():
+def test_clt_forwards_state_cap():
     step = make_rademacher_interval(1, 2, 2)
-    assert clt_capacity(step, 8, 0.5, method="generic") == clt_capacity(step, 8, 0.5)
     assert clt_capacity(step, 8, 0.5, state_cap=1000) == clt_capacity(step, 8, 0.5)
     with pytest.raises(StateSpaceError):
         clt_capacity(step, 8, 0.5, state_cap=10)

@@ -52,7 +52,8 @@ def test_measure_entries_checked():
     for bad in (("0.5", 0.5), (True, 0.0), (0.5, [0.5]), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="measure entry"):
             StepAmbiguity(sup, (bad,))
-    assert StepAmbiguity(sup, ((1, 0),)).measures == ((1, 0),)
+    stored = StepAmbiguity(sup, [[1, np.float64(0.0)]]).measures
+    assert stored == ((1.0, 0.0),) and all(type(x) is float for x in stored[0])
 
 
 def test_step_validation():
