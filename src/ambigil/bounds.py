@@ -206,7 +206,12 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
     for n in n_list:
         n = _integer(n, "n_list entry")
         model = model_family(n)
-        x_n = float(x_fn(n)) if x_fn is not None else math.sqrt(2.0 * iterlog.loglog_(float(n)))
+        if x_fn is None:
+            x_n = math.sqrt(2.0 * iterlog.loglog_(float(n)))
+        else:
+            x_n = _finite(x_fn(n), f"x_n at n={n}")
+            if not x_n > 0:
+                raise ValueError(f"x_n at n={n} must be positive, got {x_n!r}")
         scale = math.sqrt(model.moment_sums(lambda v: v * v, lower=side == "lower")[-1])
         thr = z * scale * x_n
         ev = window_max_event(model.horizon, model.horizon, thr, side="ge", on="S")
@@ -234,7 +239,8 @@ def converse_rate_check(model_family: Callable[[int], SequenceModel], z: float,
     z * alpha <= pi(gamma); rows where alpha_n exceeds it are flagged as not
     yet inside the bounded regime.  ``x_fn`` defaults to sqrt(2 loglog n); no
     asymptotic claim is made either way.  A NaN or infinite ``slack`` or
-    ``alpha`` raises ``ValueError``.
+    ``alpha``, or an ``x_fn(n)`` that is not a positive finite real, raises
+    ``ValueError``.
     """
     return _rate_table(model_family, z, gamma, n_list, x_fn, alpha, slack,
                        side="upper", **engine_kw)

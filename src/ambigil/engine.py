@@ -54,6 +54,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -282,19 +283,25 @@ def _terminal_values(evaluate: Callable[[], object]):
 
 
 def _sparse_terms(step: StepAmbiguity):
-    """One step's nonzero weights: per measure, its ``(q, offset)`` pairs in
-    support order, ``offset`` being the point minus the lowest point, and the
-    smallest and largest offset that some pair uses."""
+    """One step's row of the per-step table: per measure its ``(q, offset)``
+    pairs of nonzero weights in support order, ``offset`` being the point
+    minus the lowest point; the smallest and largest offset that some pair
+    uses; the lowest point; and every point's offset, the last one being
+    the step's span."""
     pts = step.support.points
+    low = pts[0]
+    # a list: tuple(generator) is resized outside the tuple free list, so
+    # each call would leave one more tuple parked in it
+    offsets = [pt - low for pt in pts]
     terms, used = [], set()
     for m in step.measures:  # loops, not comprehensions: per-step models redo this per call
         pairs = []
-        for q, pt in zip(m, pts):
+        for q, off in zip(m, offsets):
             if q != 0:
-                pairs.append((q, pt - pts[0]))
-                used.add(pt - pts[0])
+                pairs.append((q, off))
+                used.add(off)
         terms.append(pairs)
-    return terms, min(used), max(used)
+    return terms, min(used), max(used), low, offsets
 
 
 def _scalar_step(terms, x: float) -> float:
@@ -311,6 +318,21 @@ def _scalar_step(terms, x: float) -> float:
         if best is None or acc > best:
             best = acc
     return best
+
+
+def _flank_step(memo: dict, terms, x: float) -> float:
+    """``_scalar_step(terms, x)``, memoized in ``memo`` per ``(terms, x)``.
+
+    A ±0.0 steps to itself, since every kept weight q is positive: each
+    q * ±0.0 is that zero, and so is each sum and max of them.  It returns
+    before the lookup, because a dict key does not tell 0.0 from -0.0."""
+    if x == 0.0:
+        return x
+    key = (id(terms), x)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _scalar_step(terms, x)
+    return out
 
 
 def _band_step(terms, src, dst, acc, prod, a: int, b: int) -> None:
@@ -330,46 +352,68 @@ def _band_step(terms, src, dst, acc, prod, a: int, b: int) -> None:
         out = acc[:n]
 
 
-def _fired_ranges(event: WindowEvent, k: int, low: int, width: int, delta: float):
-    """The index ranges ``[i, j)`` of layer k, whose index i holds the sum
-    ``low + i``, at which ``event`` fires at step k.  They are the runs of
-    ``event.trigger_mask(k, delta * arange(low, low + width))``: each edge
-    is guessed from the threshold over ``delta`` and walked to with the
-    comparison ``trigger_mask`` makes, on ``delta * float(low + i)``."""
-    if not event.lo <= k <= event.hi:
-        return []
-    thr = event._threshold_at(k)
+_COMPLEMENT = {operator.ge: operator.lt, operator.gt: operator.le,
+               operator.le: operator.gt, operator.lt: operator.ge}
+_TWO52 = 2.0 ** 52
+
+
+def _fired_edges(event: WindowEvent, lows, widths, delta: float):
+    """Where ``event`` fires at each window step, in one pass over all of them.
+
+    Returns the int lists ``starts`` and ``ends`` over k = lo..hi and a flag
+    ``outside``.  Layer k's index i holds the sum ``lows[k] + i``, and the
+    event fires at step k on ``[s, e)`` with ``s, e = starts[k - lo],
+    ends[k - lo]``, or for ``outside`` on ``[0, s)`` and ``[e, w)`` (on the
+    whole layer when ``s == e``); these are the runs of
+    ``event.trigger_mask(k, delta * arange(lows[k], lows[k] + w))``.
+
+    The threshold is read once per step, from ``hi`` down to ``lo``.  Each
+    edge is guessed as the ceiling of the threshold over ``delta`` less the
+    low sum, clipped to its range, and walked to one index at a time with
+    the comparison ``trigger_mask`` makes, on ``delta * float(lows[k] + i)``:
+    the same IEEE products and comparisons, on float64 arrays with one row
+    per step.  Indices are float64 (exact below 2**53), the ceiling rounds
+    through 2**52 and a walk stops when no row moves, because ``np.ceil``,
+    int64 arrays and ``ndarray.any`` each add resident memory on first use
+    (code pages the lattice kernel never touches)."""
+    lo, hi = event.lo, event.hi
+    thr = np.array([event._threshold_at(m) for m in range(hi, lo - 1, -1)][::-1])
+    low = np.array(lows[lo:hi + 1], dtype=float)
+    width = np.array(widths[lo:hi + 1], dtype=float)
     cmp = _SIDES[event.side]
     up = cmp in (operator.ge, operator.gt)
 
-    def edge(sign: int, lo: int, hi: int) -> int:
-        # first i in [lo, hi) with cmp(sign * x_i, thr) == rising, else hi;
-        # sign * x_i is monotone on [lo, hi), so the comparison flips once
-        rising = (sign > 0) == up
-        t = sign * thr / delta - low
-        i = lo if t < lo else hi if t > hi else math.ceil(t)
-        while i > lo and cmp(sign * (delta * float(low + i - 1)), thr) == rising:
-            i -= 1
-        while i < hi and cmp(sign * (delta * float(low + i)), thr) != rising:
-            i += 1
-        return i
+    def edge(sign: int, first, stop) -> list[int]:
+        # per row the first i in [first, stop) whose sign * x_i is on the
+        # fired side of thr, else stop: sign * x_i is monotone there, so the
+        # side flips once; ``hit`` is cmp, or its negation (no NaN here)
+        hit = cmp if (sign > 0) == up else _COMPLEMENT[cmp]
+        at = lambda i: sign * (delta * (low + i))
+        t = np.minimum(np.maximum(sign * thr / delta - low, first), stop)
+        i = (t + _TWO52) - _TWO52  # t rounded to an integer, as 0 <= t < 2**52
+        i = np.where(i < t, i + 1.0, i)  # the ceiling of t
+        while True:  # down while the index below is on the fired side
+            j = np.maximum(np.where(hit(at(i - 1.0), thr), i - 1.0, i), first)
+            if j.tolist() == i.tolist():
+                break
+            i = j
+        while True:  # up while this index is not
+            j = np.minimum(np.where(hit(at(i), thr), i, i + 1.0), stop)
+            if j.tolist() == i.tolist():
+                break
+            i = j
+        return [int(v) for v in i.tolist()]
 
+    zeros = [0] * (hi - lo + 1)
     if event.stat == "S":
-        e = edge(1, 0, width)
-        ranges = ((e, width),) if up else ((0, e),)
-    elif event.stat == "-S":
-        e = edge(-1, 0, width)
-        ranges = ((0, e),) if up else ((e, width),)
-    else:  # |x| is -x left of the zero sum and x from it on
-        c = min(max(-low, 0), width)
-        e1, e2 = edge(-1, 0, c), edge(1, c, width)
-        if not up:
-            ranges = ((e1, e2),)
-        elif e1 == e2:
-            ranges = ((0, width),)
-        else:
-            ranges = ((0, e1), (e2, width))
-    return [(i, j) for i, j in ranges if i < j]
+        e = edge(1, 0.0, width)
+        return (e, widths[lo:hi + 1], False) if up else (zeros, e, False)
+    if event.stat == "-S":
+        e = edge(-1, 0.0, width)
+        return (zeros, e, False) if up else (e, widths[lo:hi + 1], False)
+    # |x| is -x left of the zero sum and x from it on
+    c = np.minimum(np.maximum(0.0 - low, 0.0), width)
+    return edge(-1, 0.0, c), edge(1, c, width), up
 
 
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
@@ -377,43 +421,44 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
 
     Layer k holds the sums [sum of min points, sum of max points] over the
     first k steps, so each support point's slice of layer k lines up with
-    layer k-1 directly.  A layer is a scalar ``left`` at the indices below
-    ``a``, an array band ``[a, b)`` and a scalar ``right`` from ``b`` on.
-    The next band is the indices whose children are not all in one flank,
-    ``[a - max offset, b - min offset)`` clipped to the layer; a state
-    whose children are all in a flank becomes that flank scalar's step.
+    layer k-1 directly.  One per-step table (``_sparse_terms``, once per
+    distinct step object through ``SequenceModel.per_step``) gives each
+    step's ``(q, offset)`` pairs, used offsets, lowest point and point
+    offsets; the layers' low sums and widths are running sums over it.  A
+    layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
+    and a scalar ``right`` from ``b`` on.  The next band is the indices
+    whose children are not all in one flank, ``[a - max offset, b - min
+    offset)`` clipped to the layer; a state whose children are all in a
+    flank becomes that flank scalar's step.
 
     For a bound ``TerminalSumPayoff`` the band is the whole layer: the
     payoff sees only the terminal sums the supports can reach and the gaps
     between them hold 0.0, since a reachable state reads only reachable
     children.  For a bound ``WindowEvent`` the band starts empty, with both
     flanks at the never-fired value; the fired value is one scalar per layer
-    taken through the same step.  Before each step the ranges at which the
-    event fires at step k (``_fired_ranges``) take the fired value: a prefix
-    or a suffix becomes a flank, a middle range is written into the band,
-    and an empty band over a uniform row (``left is right``) first moves to
-    the range's edge, so the band shrinks back to what is still undecided.
+    taken through the same step.  ``_fired_edges`` finds the edges of the
+    fired ranges of all window steps in one vectorized pass before the
+    layer loop.  Before each step, layer k's ranges take the fired value: a
+    prefix or a suffix becomes a flank, a middle range is written into the
+    band, and an empty band over a uniform row (``left is right``) first
+    moves to the range's edge, so the band shrinks back to what is still
+    undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
-    runs in index order; the flank scalars do the same in Python floats.
-    The result gets ``+ 0.0`` once (see the module docstring for why neither
+    runs in index order; the flank scalars do the same in Python floats,
+    memoized per step and value (``_flank_step``).  A ±0.0 flank passes
+    through unstepped: every kept weight is positive, and a dict key does
+    not tell 0.0 from -0.0.  Equal flanks share one memoized object, which
+    can only let an empty band move over a row that is uniform anyway.  The
+    result gets ``+ 0.0`` once (see the module docstring for why neither
     the skipped terms nor the missing ``0.0 +`` per sum changes a bit).
-    Each distinct step object becomes its ``(q, offset)`` pairs once per
-    call (``SequenceModel.per_step``), and the band is computed into
-    preallocated buffers.
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
-    sparse = model.per_step(_sparse_terms)
-    lows, widths = [0], [1]
-    reach = 1  # bit i: terminal sum lows[k] + i is reachable (terminal sums only)
-    for step in model.steps():
-        pts = step.support.points
-        lows.append(lows[-1] + pts[0])
-        widths.append(widths[-1] + pts[-1] - pts[0])
-        if event is None:
-            reach = functools.reduce(operator.or_, (reach << (pt - pts[0]) for pt in pts))
+    table = model.per_step(_sparse_terms)
+    lows = list(accumulate((row[3] for row in table), initial=0))
+    widths = list(accumulate((row[4][-1] for row in table), initial=1))
     estimate = (1 if event is None else 2) * widths[last]
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
@@ -421,6 +466,9 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     cur, nxt, acc, prod = (np.empty(widths[last]) for _ in range(4))
     fired = left = right = None
     if event is None:
+        reach = 1  # bit i: terminal sum lows[n] + i is reachable
+        for row in table:
+            reach = functools.reduce(operator.or_, (reach << off for off in row[4]))
         n = model.horizon
         pos = model.delta * np.arange(lows[n], lows[n] + widths[n], dtype=float)
         hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
@@ -432,11 +480,20 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         a = b = 0
         left = right = event.values[0]
         fired = event.values[1]
+        lo, hi = event.lo, event.hi
+        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
+        memo: dict = {}
     for k in range(model.horizon, 0, -1):
-        terms, mn, mx = sparse[k - 1]
-        if event is not None:
-            w = widths[k]
-            for i, j in _fired_ranges(event, k, lows[k], w, model.delta):
+        terms, mn, mx, _, _ = table[k - 1]
+        if event is not None and lo <= k <= hi:
+            w, s, e = widths[k], starts[k - lo], ends[k - lo]
+            if not outside:
+                ranges = ((s, e),)
+            else:  # absS above a threshold: a prefix and a suffix, or the whole layer
+                ranges = ((0, s), (e, w)) if s < e else ((0, w),)
+            for i, j in ranges:
+                if i >= j:
+                    continue
                 if a == b and left is right:  # a uniform row: the band moves to the edge
                     a = b = j if i == 0 else i
                 if i == 0:  # a prefix becomes the left flank
@@ -467,11 +524,9 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             cur, nxt = nxt, cur
         a, b = a2, b2
         if event is not None:
-            stepped = _scalar_step(terms, fired)
-            new_left = stepped if left is fired else _scalar_step(terms, left)
-            right = stepped if right is fired else new_left if right is left \
-                else _scalar_step(terms, right)
-            left, fired = new_left, stepped
+            left = _flank_step(memo, terms, left)
+            right = _flank_step(memo, terms, right)
+            fired = _flank_step(memo, terms, fired)
     return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
 
 

@@ -339,6 +339,12 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 # ---------------------------------------------------------------------------
 
 
+def _a_table(s2: Sequence[float], upto: int) -> list[float]:
+    """[0.0, a_1, ..., a_upto] with a_m = s_m t_m from the running sums
+    ``s2`` = [0, s_1^2, ...], computed as ``NormalizerSeries.a`` does."""
+    return [0.0] + [math.sqrt(v) * math.sqrt(2.0 * iterlog.loglog_(v)) for v in s2[1:upto + 1]]
+
+
 @dataclass(frozen=True)
 class BlockDiagnostic:
     lo: int
@@ -375,9 +381,9 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
     n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
-    norms = normalizers(model)
+    s2 = cumulative_upper_second_moments(model)
     cents = _running_centers(model, N, center)
-    a = [0.0] + [norms.a(m) for m in range(1, N + 1)]
+    a = _a_table(s2, N)
     ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
     cap = upper_capacity(model, ev, **engine_kw)
 
@@ -388,7 +394,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     while lo <= N:
         hi = min(N, 2 * lo)
         x_j = min((1.0 + eps) * a[m] + cents[m] - upper_means[m] for m in range(lo, hi + 1))
-        y_j = norms.s(hi) / norms.t(hi)
+        y_j = math.sqrt(s2[hi]) / math.sqrt(2.0 * iterlog.loglog_(s2[hi]))
         b2 = model.moment_sums(lambda v: min(v, y_j) ** 2, hi)[-1]
         mt = min(1.0, model.moment_sums(lambda v: 1.0 if v > y_j else 0.0, hi)[-1])
         if x_j <= 0:
@@ -411,8 +417,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     """
     win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
-    norms = normalizers(model)
-    a = [0.0] + [norms.a(m) for m in range(1, win.hi + 1)]
+    a = _a_table(cumulative_upper_second_moments(model), win.hi)
     ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 
@@ -434,9 +439,10 @@ def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
     _require_centered(step, "experiment")
     sigmas = [_real(sigma, "sigma") for sigma in sigma_grid]
     model = SequenceModel.iid(step, N)
+    d = [0.0] + [iterlog.d_n(m) for m in range(1, N + 1)]
     rows = []
     for s in sigmas:
-        ev = window_max_event(1, N, lambda m: s * iterlog.d_n(m), side="ge", on="S")
+        ev = window_max_event(1, N, lambda m: s * d[m], side="ge", on="S")
         pair = capacity_pair(model, ev, **engine_kw)
         rows.append(ClusterRow(sigma=s, upper=pair.upper, lower=pair.lower))
     return rows
@@ -494,6 +500,7 @@ def conjecture_probe(model_family: Callable[[int], SequenceModel], z: float,
     Rows show x_n^{-2} ln v(S_n >= z s_lo_n x_n) against -z^2(1+gamma)/2,
     with the scale built from lower second moments.  The numbers neither
     confirm nor refute the conjectured rate; no verdicts are attached.
+    ``x_fn(n)`` must be a positive finite real, as in ``converse_rate_check``.
     """
     return _rate_table(model_family, z, gamma, n_list, x_fn, alpha, slack,
                        side="lower", **engine_kw)

@@ -148,11 +148,16 @@ class SequenceModel(object):
     def per_step(self, fn: Callable[[StepAmbiguity], object], upto: int | None = None) -> list:
         """[fn(step_1), ..., fn(step_upto)], ``upto`` defaulting to the horizon,
         with ``fn`` called once per distinct step object: an i.i.d. model pays
-        for one step.  The cache lives for this call only."""
+        for one step and gets one value repeated.  The cache lives for this
+        call only.  An ``upto`` past the horizon is an ``IndexError``."""
+        upto = self.horizon if upto is None else upto
+        if upto > self.horizon:
+            raise IndexError(f"step index {self.horizon + 1} outside 1..{self.horizon}")
+        if self._iid is not None:
+            return [fn(self._iid)] * upto if upto >= 1 else []
         seen: dict[int, object] = {}
         out = []
-        for k in range(1, (self.horizon if upto is None else upto) + 1):
-            step = self.step(k)
+        for step in self._steps[:max(upto, 0)]:
             if id(step) not in seen:
                 seen[id(step)] = fn(step)
             out.append(seen[id(step)])

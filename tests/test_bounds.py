@@ -9,6 +9,7 @@ from ambigil.bounds import (BoundInputs, DominationGrid, converse_rate_check,
                             verify_domination)
 from ambigil.capacity import choquet_integral, mc_capacity_lower_bound, window_max_event
 from ambigil.gnormal import GNormalParams
+from ambigil.lil import conjecture_probe
 from ambigil.model import SequenceModel, make_rademacher_interval
 
 
@@ -227,3 +228,20 @@ def test_kolmogorov_bound_rejects_non_finite_arguments():
     for args in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf), (-inf, 1.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             kolmogorov_bound(*args)
+
+
+def test_rate_tables_reject_bad_x_n():
+    """``x_fn(n)`` goes through ``_finite`` and must be positive, on both rate
+    tables: 0, a negative value, NaN and ±inf raise ``ValueError`` naming
+    x_n, never a ``ZeroDivisionError`` or a row with ``lhs=-inf``."""
+    for table in (converse_rate_check, conjecture_probe):
+        for bad, msg in ((0.0, "x_n at n=16 must be positive"),
+                         (-1.5, "x_n at n=16 must be positive"),
+                         (math.nan, "x_n at n=16 is NaN"),
+                         (math.inf, "x_n at n=16 must be finite"),
+                         (-math.inf, "x_n at n=16 must be finite"),
+                         ("2.0", "x_n at n=16 must be a real number")):
+            with pytest.raises(ValueError, match=msg):
+                table(FAM, 0.1, 1.0, [16], x_fn=lambda n: bad)
+        good = table(FAM, 0.1, 1.0, [16], x_fn=lambda n: 2)
+        assert good.rows[0].x_n == 2.0 and isinstance(good.rows[0].x_n, float)

@@ -3,11 +3,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
-                            TerminalSumPayoff, WindowEvent, _fired_ranges,
+                            TerminalSumPayoff, WindowEvent, _fired_edges,
                             evaluate_lower, evaluate_pair, evaluate_upper,
                             sum_lower_mean, sum_upper_mean)
 from ambigil.gnormal import clt_capacity
@@ -307,20 +307,29 @@ def test_zero_weight_lattice_matches_generic_bits():
 
 
 @st.composite
-def _row_and_threshold(draw):
-    """A layer (low, width, delta) and a threshold: on a lattice point, one
-    ulp off it, anywhere, a signed zero or an infinity."""
+def _rows_and_thresholds(draw):
+    """Window steps lo..hi whose layers have their own low sums and widths
+    (lows[k], widths[k]), a delta, and per step a threshold: on a lattice
+    point in or near the layer, one ulp off it, anywhere, a signed zero or
+    an infinity; or one constant threshold."""
     delta = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
-    low = draw(st.integers(-60, 60))
-    width = draw(st.integers(1, 70))
-    point = delta * float(draw(st.integers(-80, 80)))
-    thr = draw(st.one_of(
-        st.just(point),
-        st.just(math.nextafter(point, math.inf)),
-        st.just(math.nextafter(point, -math.inf)),
-        st.floats(-30.0, 30.0),
-        st.sampled_from([0.0, -0.0, math.inf, -math.inf])))
-    return low, width, delta, thr
+    lo = draw(st.integers(1, 4))
+    hi = draw(st.integers(lo, lo + 5))
+    lows = draw(st.lists(st.integers(-60, 60), min_size=hi + 1, max_size=hi + 1))
+    widths = draw(st.lists(st.integers(1, 70), min_size=hi + 1, max_size=hi + 1))
+
+    def threshold(k):
+        point = delta * float(lows[k] + draw(st.integers(-3, widths[k] + 3)))
+        return draw(st.one_of(
+            st.just(point),
+            st.just(math.nextafter(point, math.inf)),
+            st.just(math.nextafter(point, -math.inf)),
+            st.floats(-30.0, 30.0),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf])))
+
+    table = [threshold(k) for k in range(hi + 1)]
+    thr = table[lo] if draw(st.booleans()) else (lambda m: table[m])
+    return lo, hi, lows, widths, delta, thr
 
 
 def _runs(mask):
@@ -329,14 +338,60 @@ def _runs(mask):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_row_and_threshold(), st.sampled_from(["ge", "gt", "le", "lt", ">=", ">", "<=", "<"]),
+@given(_rows_and_thresholds(), st.sampled_from(["ge", "gt", "le", "lt", ">=", ">", "<=", "<"]),
        st.sampled_from(["S", "-S", "absS"]))
-def test_fired_ranges_are_the_trigger_mask_runs(row, side, stat):
-    low, width, delta, thr = row
-    ev = WindowEvent(lo=2, hi=4, threshold=lambda m: thr, side=side, stat=stat)
-    for k in (1, 2, 4, 5):  # before, at both ends of and after the window
-        mask = ev.trigger_mask(k, delta * np.arange(low, low + width, dtype=float))
-        assert _fired_ranges(ev, k, low, width, delta) == _runs(mask), (k, mask)
+@example((1, 1, [0, 1], [1, 35], 0.1, -2.4000000000000004), "gt", "-S")  # guess one above
+@example((1, 1, [0, -4], [1, 16], 1.0, -0.0), "ge", "-S")  # guess one below
+def test_fired_ranges_are_the_trigger_mask_runs(rows, side, stat):
+    """Every window layer's fired ranges, as ``_fired_edges`` documents
+    them, are the runs of ``trigger_mask`` on that layer."""
+    lo, hi, lows, widths, delta, thr = rows
+    ev = WindowEvent(lo=lo, hi=hi, threshold=thr, side=side, stat=stat)
+    starts, ends, outside = _fired_edges(ev, lows, widths, delta)
+    assert len(starts) == len(ends) == hi - lo + 1
+    for k in range(lo, hi + 1):
+        w, s, e = widths[k], starts[k - lo], ends[k - lo]
+        ranges = (((0, s), (e, w)) if s < e else ((0, w),)) if outside else ((s, e),)
+        mask = ev.trigger_mask(k, delta * np.arange(lows[k], lows[k] + w, dtype=float))
+        assert [(i, j) for i, j in ranges if i < j] == _runs(mask), (k, mask)
+
+
+def test_window_thresholds_read_once_per_step_downward():
+    """The lattice path reads a callable threshold once per window step,
+    from hi down to lo and never outside [lo, hi], and only after the state
+    cap check; a NaN at step m raises naming m with no step below m read;
+    ±inf gives the sure or the never event."""
+    model = SequenceModel.iid(STEP12, 12)
+    calls = []
+
+    def thr(m):
+        calls.append(m)
+        return 0.5 * m
+
+    value = evaluate_upper(model, WindowEvent(3, 9, thr), method="lattice")
+    assert calls == list(range(9, 2, -1))
+    assert _bits(value) == _bits(evaluate_upper(model, WindowEvent(3, 9, thr), method="generic"))
+    calls.clear()
+    with pytest.raises(StateSpaceError):
+        evaluate_upper(model, WindowEvent(3, 9, thr), state_cap=8)
+    assert calls == []
+
+    def nan_at_5(m):
+        calls.append(m)
+        return math.nan if m == 5 else 1.0
+
+    with pytest.raises(ValueError, match="window threshold at step 5 is NaN"):
+        evaluate_upper(model, WindowEvent(3, 9, nan_at_5), method="lattice")
+    assert calls == [9, 8, 7, 6, 5]
+
+    for side, stat in (("ge", "S"), ("lt", "-S"), (">", "absS"), ("<=", "absS")):
+        sure = -math.inf if side in ("ge", ">") else math.inf
+        for thr_fn, want in ((lambda m: sure, 1.0), (lambda m: -sure, 0.0),
+                             (lambda m: sure if m == 7 else -sure, 1.0)):
+            ev = WindowEvent(3, 9, thr_fn, side, stat)
+            for method in ("lattice", "generic"):
+                assert evaluate_upper(model, ev, method=method) == want
+                assert evaluate_upper(model, ev.complement(), method=method) == 1.0 - want
 
 
 def test_band_kernel_matches_generic_bits_long_horizons():

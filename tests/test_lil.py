@@ -370,3 +370,23 @@ def test_conjecture_probe_linear_case_matches_converse():
         assert a.rhs == b.rhs
     assert conj.side == "lower"
     assert conjecture_probe(fam, 0.1, 1.0, []).rows == ()
+
+
+def test_window_experiments_pinned_bits():
+    """The window experiments at N=256, bit for bit (``float.hex``), on S12
+    i.i.d. and on the alternating S12/S13 schedule.  The steps are
+    centered, so the three centerings agree."""
+    step13 = make_rademacher_interval(1, 3, 3)
+    iid = SequenceModel.iid(STEP12, 256)
+    alt = SequenceModel(256, steps=[STEP12 if k % 2 == 0 else step13 for k in range(256)])
+    for model, lower, upper in ((iid, "0x1.2e5f9c5778feap-1", "0x1.d4a2bfb5782ebp-4"),
+                                (alt, "0x1.2beebb068e19ap-1", "0x1.a827a1fda7821p-4")):
+        assert lil_lower_experiment(model, 16, 256, 0.45).hex() == lower
+        for center in ("upper-mean", "lower-mean", "none"):
+            r = lil_upper_experiment(model, 16, 256, 0.2, center=center)
+            assert (r.capacity.hex(), r.bound_crosscheck.hex()) == (upper, "0x1.0000000000000p+0")
+    rows = cluster_probe(STEP12, 256, (0.7, 1.3, 2.9))
+    assert [(r.upper.hex(), r.lower.hex()) for r in rows] == [
+        ("0x1.d407d801136ecp-1", "0x1.58ee0543ee0a5p-1"),
+        ("0x1.8a4aedd71ad76p-1", "0x1.5ec85f87b8798p-3"),
+        ("0x1.dcc934e4a3d37p-4", "0x1.3af6290ec0000p-17")]
