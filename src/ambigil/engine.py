@@ -13,9 +13,10 @@ point, value)``, ``terminal(state)``, ``bind(model)`` and ``negate()``, plus
 ``complement()`` for events.  ``Automaton`` is the generic implementation;
 ``FullVectorPayoff`` and ``capacity.OutcomeFlagEvent`` build one.  Terminal
 payoff values must be finite at every reachable terminal state, on both
-paths: a NaN or infinite value, or an ``ArithmeticError`` raised by the
-payoff, is a ``ValueError``.  Unreachable sums are never evaluated.  Two
-representations are evaluated on one vectorized lattice path:
+paths: a NaN or infinite value, a value that is not a real number, or an
+``ArithmeticError`` raised by the payoff, is a ``ValueError``.  Unreachable
+sums are never evaluated.  Two representations are evaluated on one
+vectorized lattice path:
 
 * ``TerminalSumPayoff`` — payoff is a function of the terminal partial sum;
 * ``WindowEvent`` — indicator of a windowed threshold event on partial sums
@@ -264,11 +265,12 @@ class WindowEvent:
 
 def _terminal_values(evaluate: Callable[[], object]):
     """``evaluate()``, the terminal payoff values of one DP, checked at the
-    engine boundary: an ``ArithmeticError`` raised by the payoff, or a NaN
-    or infinite value, is a ``ValueError``."""
+    engine boundary: an ``ArithmeticError`` raised by the payoff, a
+    ``TypeError`` from a value that is not a real number (a complex power,
+    ``None``), or a NaN or infinite value, is a ``ValueError``."""
     try:
         values = evaluate()
-    except ArithmeticError as e:
+    except (ArithmeticError, TypeError) as e:
         raise ValueError(f"payoff terminal value failed: {type(e).__name__}: {e}") from None
     ok = np.isfinite(values)
     if not ok.all():
@@ -352,68 +354,49 @@ def _band_step(terms, src, dst, acc, prod, a: int, b: int) -> None:
         out = acc[:n]
 
 
-_COMPLEMENT = {operator.ge: operator.lt, operator.gt: operator.le,
-               operator.le: operator.gt, operator.lt: operator.ge}
-_TWO52 = 2.0 ** 52
-
-
 def _fired_edges(event: WindowEvent, lows, widths, delta: float):
     """Where ``event`` fires at each window step, in one pass over all of them.
 
     Returns the int lists ``starts`` and ``ends`` over k = lo..hi and a flag
     ``outside``.  Layer k's index i holds the sum ``lows[k] + i``, and the
     event fires at step k on ``[s, e)`` with ``s, e = starts[k - lo],
-    ends[k - lo]``, or for ``outside`` on ``[0, s)`` and ``[e, w)`` (on the
-    whole layer when ``s == e``); these are the runs of
+    ends[k - lo]`` (nowhere when ``s >= e``), or for ``outside`` on ``[0, s)``
+    and ``[e, w)`` (on the whole layer when ``s >= e``); these are the runs of
     ``event.trigger_mask(k, delta * arange(lows[k], lows[k] + w))``.
 
-    The threshold is read once per step, from ``hi`` down to ``lo``.  Each
-    edge is guessed as the ceiling of the threshold over ``delta`` less the
-    low sum, clipped to its range, and walked to one index at a time with
-    the comparison ``trigger_mask`` makes, on ``delta * float(lows[k] + i)``:
-    the same IEEE products and comparisons, on float64 arrays with one row
-    per step.  Indices are float64 (exact below 2**53), the ceiling rounds
-    through 2**52 and a walk stops when no row moves, because ``np.ceil``,
-    int64 arrays and ``ndarray.any`` each add resident memory on first use
-    (code pages the lattice kernel never touches)."""
+    The threshold is read once per step, from ``hi`` down to ``lo``.  One
+    row ``x = delta * arange(base, top)`` spans every window layer, ``base``
+    the lowest low sum and ``top`` the highest end: the IEEE products
+    ``trigger_mask`` compares, nondecreasing since ``delta > 0``.  Each edge
+    is one ``np.searchsorted`` of the threshold into it, the ``"left"`` side
+    stopping before sums equal to it and ``"right"`` after them, shifted to
+    the layer and clipped to ``[0, w]``.  ``-S`` compares ``x`` against
+    ``-t`` on the mirrored side (negation is exact), and ``absS`` is the
+    union of the two half-lines above a threshold or their intersection
+    below one."""
     lo, hi = event.lo, event.hi
     thr = np.array([event._threshold_at(m) for m in range(hi, lo - 1, -1)][::-1])
-    low = np.array(lows[lo:hi + 1], dtype=float)
-    width = np.array(widths[lo:hi + 1], dtype=float)
+    low, width = lows[lo:hi + 1], widths[lo:hi + 1]
+    base = min(low)
+    x = delta * np.arange(base, max(map(operator.add, low, width)), dtype=float)
+    shift = np.array(low) - base
     cmp = _SIDES[event.side]
     up = cmp in (operator.ge, operator.gt)
+    # >= and < split before the sums equal to t, > and <= after them
+    side = "left" if cmp in (operator.ge, operator.lt) else "right"
 
-    def edge(sign: int, first, stop) -> list[int]:
-        # per row the first i in [first, stop) whose sign * x_i is on the
-        # fired side of thr, else stop: sign * x_i is monotone there, so the
-        # side flips once; ``hit`` is cmp, or its negation (no NaN here)
-        hit = cmp if (sign > 0) == up else _COMPLEMENT[cmp]
-        at = lambda i: sign * (delta * (low + i))
-        t = np.minimum(np.maximum(sign * thr / delta - low, first), stop)
-        i = (t + _TWO52) - _TWO52  # t rounded to an integer, as 0 <= t < 2**52
-        i = np.where(i < t, i + 1.0, i)  # the ceiling of t
-        while True:  # down while the index below is on the fired side
-            j = np.maximum(np.where(hit(at(i - 1.0), thr), i - 1.0, i), first)
-            if j.tolist() == i.tolist():
-                break
-            i = j
-        while True:  # up while this index is not
-            j = np.minimum(np.where(hit(at(i), thr), i, i + 1.0), stop)
-            if j.tolist() == i.tolist():
-                break
-            i = j
-        return [int(v) for v in i.tolist()]
+    def edge(t, side: str) -> list[int]:
+        return np.clip(np.searchsorted(x, t, side) - shift, 0, width).tolist()
 
-    zeros = [0] * (hi - lo + 1)
     if event.stat == "S":
-        e = edge(1, 0.0, width)
-        return (e, widths[lo:hi + 1], False) if up else (zeros, e, False)
+        e = edge(thr, side)
+        return (e, width, False) if up else ([0] * len(width), e, False)
+    # -x <cmp> t is x <mirrored cmp> -t
+    neg = edge(-thr, "right" if side == "left" else "left")
     if event.stat == "-S":
-        e = edge(-1, 0.0, width)
-        return (zeros, e, False) if up else (e, widths[lo:hi + 1], False)
-    # |x| is -x left of the zero sum and x from it on
-    c = np.minimum(np.maximum(0.0 - low, 0.0), width)
-    return edge(-1, 0.0, c), edge(1, c, width), up
+        return ([0] * len(width), neg, False) if up else (neg, width, False)
+    # |x| is above t where x or -x is, and below t where both are
+    return neg, edge(thr, side), up
 
 
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
@@ -437,12 +420,14 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     children.  For a bound ``WindowEvent`` the band starts empty, with both
     flanks at the never-fired value; the fired value is one scalar per layer
     taken through the same step.  ``_fired_edges`` finds the edges of the
-    fired ranges of all window steps in one vectorized pass before the
-    layer loop.  Before each step, layer k's ranges take the fired value: a
-    prefix or a suffix becomes a flank, a middle range is written into the
-    band, and an empty band over a uniform row (``left is right``) first
-    moves to the range's edge, so the band shrinks back to what is still
-    undecided.
+    fired ranges of all window steps before the layer buffers are
+    allocated, so its row of the window's sums is never held with them:
+    each edge is one sorted search of its threshold into that row, and an
+    empty or whole layer may come back with ``s > e``.  Before each step,
+    layer k's ranges take the fired value: a prefix or a suffix becomes a
+    flank, a middle range is written into the band, and an empty band over
+    a uniform row (``left is right``) first moves to the range's edge, so
+    the band shrinks back to what is still undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
@@ -463,6 +448,8 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
+    if event is not None:
+        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
     cur, nxt, acc, prod = (np.empty(widths[last]) for _ in range(4))
     fired = left = right = None
     if event is None:
@@ -481,7 +468,6 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         left = right = event.values[0]
         fired = event.values[1]
         lo, hi = event.lo, event.hi
-        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
         memo: dict = {}
     for k in range(model.horizon, 0, -1):
         terms, mn, mx, _, _ = table[k - 1]

@@ -463,15 +463,16 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
     """Both mean events at full upper capacity while both lower capacities
     vanish: the finite-m mechanism that forbids capacity continuity whenever
     the payoff's upper and lower means differ.  A NaN ``eps``, or a payoff
-    whose lower or upper mean is not finite or raises an ``ArithmeticError``,
-    raises ``ValueError``.
+    whose lower or upper mean is not finite, raises an ``ArithmeticError`` or
+    takes a value that is not a real number (a ``TypeError``), raises
+    ``ValueError``.
     """
     m, eps = _integer(m, "m"), _real(eps, "eps")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     try:
         lo, hi = step.expectation_interval(payoff)
-    except ArithmeticError as e:
+    except (ArithmeticError, TypeError) as e:
         raise ValueError(f"continuity probe payoff has a non-finite mean: "
                          f"{type(e).__name__}: {e}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -31,6 +31,18 @@ def test_kolmogorov_monotonicity():
     assert all(b >= a - 1e-15 for a, b in zip(vals2, vals2[1:]))
 
 
+def test_kolmogorov_bound_dominates_bennett():
+    """With u = xy/v2 the exponent is (v2/y^2) u^2 (1 + (2/3) ln(1+u)) / (2(1+u)),
+    which stays at most Bennett's (v2/y^2) ((1+u) ln(1+u) - u): their ratio
+    lies in [0.43, 1) over u in [1e-4, 1e4], tending to 1 as u -> 0."""
+    for y in (0.3, 1.0, 7.0):
+        for v2 in (0.01, 1.0, 50.0):
+            for u in np.logspace(-4, 4, 801):
+                u = float(u)
+                bennett = math.exp(-(v2 / y ** 2) * ((1 + u) * math.log1p(u) - u))
+                assert kolmogorov_bound(u * v2 / y, y, v2) >= bennett, (u, y, v2)
+
+
 def test_fuk_nagaev_examples():
     v = fuk_nagaev_bound(BoundInputs(x=10, y=1, p=2, delta=1, v2=1,
                                      a_moment=0.01, max_tail=0))

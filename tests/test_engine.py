@@ -108,6 +108,17 @@ def test_arithmetic_error_in_payoff_is_value_error():
                 evaluate_lower(m, TerminalSumPayoff(fn), method=method)
 
 
+def test_non_real_payoff_value_is_value_error():
+    """A payoff value that is not a real number (``None``, a complex power
+    of a negative sum) is a ``ValueError`` on both paths, never a
+    ``TypeError``."""
+    m = SequenceModel.iid(STEP12, 2)
+    for fn in (lambda s: None, lambda s: s ** 0.5):
+        for method in ("lattice", "generic"):
+            with pytest.raises(ValueError, match="TypeError"):
+                evaluate_upper(m, TerminalSumPayoff(fn), method=method)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_non_finite_reachable_payoff_raises_on_both_paths(data):
@@ -340,8 +351,12 @@ def _runs(mask):
 @settings(max_examples=400, deadline=None)
 @given(_rows_and_thresholds(), st.sampled_from(["ge", "gt", "le", "lt", ">=", ">", "<=", "<"]),
        st.sampled_from(["S", "-S", "absS"]))
-@example((1, 1, [0, 1], [1, 35], 0.1, -2.4000000000000004), "gt", "-S")  # guess one above
-@example((1, 1, [0, -4], [1, 16], 1.0, -0.0), "ge", "-S")  # guess one below
+@example((1, 1, [0, 1], [1, 35], 0.1, -2.4000000000000004), "gt", "-S")  # -t is 0.1 * 24 rounded
+@example((1, 1, [0, -4], [1, 16], 1.0, -0.0), "ge", "-S")  # -0.0 on the lattice point 0
+@example((1, 1, [0, -3], [1, 7], 1.0, -1.0), "ge", "absS")  # the halves cross: whole layer
+@example((1, 1, [0, -3], [1, 7], 1.0, -1.0), "le", "absS")  # the halves cross: empty middle
+@example((1, 1, [0, -3], [1, 7], 1.0, 0.0), "ge", "-S")  # +0.0 on the lattice point 0
+@example((1, 1, [0, -3], [1, 7], 1.0, -0.0), "gt", "-S")  # -0.0, strict
 def test_fired_ranges_are_the_trigger_mask_runs(rows, side, stat):
     """Every window layer's fired ranges, as ``_fired_edges`` documents
     them, are the runs of ``trigger_mask`` on that layer."""
