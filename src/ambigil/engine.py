@@ -364,39 +364,50 @@ def _fired_edges(event: WindowEvent, lows, widths, delta: float):
     and ``[e, w)`` (on the whole layer when ``s >= e``); these are the runs of
     ``event.trigger_mask(k, delta * arange(lows[k], lows[k] + w))``.
 
-    The threshold is read once per step, from ``hi`` down to ``lo``.  One
-    row ``x = delta * arange(base, top)`` spans every window layer, ``base``
-    the lowest low sum and ``top`` the highest end: the IEEE products
-    ``trigger_mask`` compares, nondecreasing since ``delta > 0``.  Each edge
-    is one ``np.searchsorted`` of the threshold into it, the ``"left"`` side
-    stopping before sums equal to it and ``"right"`` after them, shifted to
-    the layer and clipped to ``[0, w]``.  ``-S`` compares ``x`` against
-    ``-t`` on the mirrored side (negation is exact), and ``absS`` is the
-    union of the two half-lines above a threshold or their intersection
+    The threshold is read once per step, from ``hi`` down to ``lo``.  The
+    products ``delta * n`` that ``trigger_mask`` compares are nondecreasing
+    in the sum n, so each edge is the first sum whose product is at or
+    above t (for ``>=`` and ``<``) or above it (for ``>`` and ``<=``),
+    shifted to the layer and clipped to ``[0, w]``.  For sums below 2**53 in
+    magnitude it is one of seven: -inf, +inf and the five within 2 of
+    ``ceil(t / delta)``, t first clipped to the finite products just
+    outside the layer (a t beyond the layer lands at its end, an infinite
+    one next to the sums whose products overflow).  The edge is the
+    smallest of the seven whose product is not below t (or not at or below
+    it): a search with no row of the layer's sums, so the memory is seven
+    sums per window step wherever the support sits.  ``-S`` compares
+    against ``-t`` on the mirrored side (negation is exact), and ``absS`` is
+    the union of the two half-lines above a threshold or their intersection
     below one."""
     lo, hi = event.lo, event.hi
     thr = np.array([event._threshold_at(m) for m in range(hi, lo - 1, -1)][::-1])
-    low, width = lows[lo:hi + 1], widths[lo:hi + 1]
-    base = min(low)
-    x = delta * np.arange(base, max(map(operator.add, low, width)), dtype=float)
-    shift = np.array(low) - base
+    width = widths[lo:hi + 1]
+    low, wide = np.array(lows[lo:hi + 1], dtype=float), np.array(width, dtype=float)
+    big = np.finfo(float).max
+    # np.minimum and np.maximum rather than np.clip, whose Python-level
+    # argument handling costs more than the search on a short window
+    span = delta * np.array([low - 3.0, low + wide + 2.0])
+    lower, upper = np.maximum(np.minimum(span, big), -big)
+    around = np.array([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0, np.inf])
     cmp = _SIDES[event.side]
     up = cmp in (operator.ge, operator.gt)
     # >= and < split before the sums equal to t, > and <= after them
-    side = "left" if cmp in (operator.ge, operator.lt) else "right"
+    split, mirror = ((operator.lt, operator.le) if cmp in (operator.ge, operator.lt)
+                     else (operator.le, operator.lt))
 
-    def edge(t, side: str) -> list[int]:
-        return np.clip(np.searchsorted(x, t, side) - shift, 0, width).tolist()
+    def edge(t, below) -> list[int]:
+        n = np.ceil(np.minimum(np.maximum(t, lower), upper) / delta)[:, None] + around
+        first = np.where(below(delta * n, t[:, None]), np.inf, n).min(axis=1)
+        return np.minimum(np.maximum(first - low, 0.0), wide).astype(int).tolist()
 
     if event.stat == "S":
-        e = edge(thr, side)
+        e = edge(thr, split)
         return (e, width, False) if up else ([0] * len(width), e, False)
-    # -x <cmp> t is x <mirrored cmp> -t
-    neg = edge(-thr, "right" if side == "left" else "left")
+    neg = edge(-thr, mirror)  # -x <cmp> t is x <mirrored cmp> -t
     if event.stat == "-S":
         return ([0] * len(width), neg, False) if up else (neg, width, False)
     # |x| is above t where x or -x is, and below t where both are
-    return neg, edge(thr, side), up
+    return neg, edge(thr, split), up
 
 
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
@@ -420,14 +431,12 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     children.  For a bound ``WindowEvent`` the band starts empty, with both
     flanks at the never-fired value; the fired value is one scalar per layer
     taken through the same step.  ``_fired_edges`` finds the edges of the
-    fired ranges of all window steps before the layer buffers are
-    allocated, so its row of the window's sums is never held with them:
-    each edge is one sorted search of its threshold into that row, and an
-    empty or whole layer may come back with ``s > e``.  Before each step,
-    layer k's ranges take the fired value: a prefix or a suffix becomes a
-    flank, a middle range is written into the band, and an empty band over
-    a uniform row (``left is right``) first moves to the range's edge, so
-    the band shrinks back to what is still undecided.
+    fired ranges of all window steps in one vectorized pass before the
+    layer loop; an empty or whole layer may come back with ``s > e``.
+    Before each step, layer k's ranges take the fired value: a prefix or a
+    suffix becomes a flank, a middle range is written into the band, and
+    an empty band over a uniform row (``left is right``) first moves to the
+    range's edge, so the band shrinks back to what is still undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
@@ -448,8 +457,6 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
-    if event is not None:
-        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
     cur, nxt, acc, prod = (np.empty(widths[last]) for _ in range(4))
     fired = left = right = None
     if event is None:
@@ -468,6 +475,7 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         left = right = event.values[0]
         fired = event.values[1]
         lo, hi = event.lo, event.hi
+        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
         memo: dict = {}
     for k in range(model.horizon, 0, -1):
         terms, mn, mx, _, _ = table[k - 1]

@@ -472,9 +472,11 @@ def continuity_probe(step: StepAmbiguity, payoff: Callable[[float], float],
         raise ValueError(f"m must be >= 1, got {m}")
     try:
         lo, hi = step.expectation_interval(payoff)
-    except (ArithmeticError, TypeError) as e:
+    except ArithmeticError as e:
         raise ValueError(f"continuity probe payoff has a non-finite mean: "
                          f"{type(e).__name__}: {e}") from None
+    except TypeError as e:
+        raise ValueError(f"continuity probe payoff mean failed: {type(e).__name__}: {e}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"continuity probe payoff has a non-finite mean: ({lo!r}, {hi!r})")
     model = SequenceModel.iid(step, m)

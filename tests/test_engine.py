@@ -357,6 +357,8 @@ def _runs(mask):
 @example((1, 1, [0, -3], [1, 7], 1.0, -1.0), "le", "absS")  # the halves cross: empty middle
 @example((1, 1, [0, -3], [1, 7], 1.0, 0.0), "ge", "-S")  # +0.0 on the lattice point 0
 @example((1, 1, [0, -3], [1, 7], 1.0, -0.0), "gt", "-S")  # -0.0, strict
+# near 2**53 the edge is 2 sums from the guess ceil(t / delta)
+@example((1, 1, [0, 8449485796740958], [1, 30], 1e5, 8.449485796740978e+20), "gt", "S")
 def test_fired_ranges_are_the_trigger_mask_runs(rows, side, stat):
     """Every window layer's fired ranges, as ``_fired_edges`` documents
     them, are the runs of ``trigger_mask`` on that layer."""
@@ -407,6 +409,57 @@ def test_window_thresholds_read_once_per_step_downward():
             for method in ("lattice", "generic"):
                 assert evaluate_upper(model, ev, method=method) == want
                 assert evaluate_upper(model, ev.complement(), method=method) == 1.0 - want
+
+
+def test_window_event_far_from_zero_support():
+    """A support far from 0 puts the window's layers far apart on the
+    lattice (sums 10**12 * m here); the fired edges need memory for the
+    window steps only, and the lattice path equals the generic one bit for
+    bit on every stat, side, complement and negation."""
+    step = StepAmbiguity(LatticeSupport(0.5, (10**12, 10**12 + 1)), ((0.3, 0.7), (0.6, 0.4)))
+    model = SequenceModel.iid(step, 48)
+    centre = lambda m: 0.5 * (10**12 * m + 0.5 * m + 0.8 * math.sqrt(m))
+    spread = set()
+    for stat, thr in (("S", centre), ("-S", lambda m: -centre(m)), ("absS", centre)):
+        for side in ("ge", "gt", "le", "lt"):
+            ev = WindowEvent(4, 48, thr, side, stat)
+            for payoff in (ev, ev.complement(), ev.negate()):
+                for evaluate in (evaluate_upper, evaluate_lower):
+                    lat = evaluate(model, payoff, method="lattice")
+                    assert _bits(lat) == _bits(evaluate(model, payoff, method="generic"))
+                    spread.add(lat)
+    assert any(0.0 < v < 1.0 for v in spread)
+    # points (10**6, 10**6 + 1) over a window of 10**5 steps: the layers'
+    # sums span about 10**11 values, the edges need a few arrays of 10**5
+    N = 10**5
+    lows, widths = [10**6 * k for k in range(N + 1)], [k + 1 for k in range(N + 1)]
+    for side in (">=", "<"):
+        for stat in ("S", "absS"):
+            ev = WindowEvent(1, N, lambda m: 10**6 * m + 0.5 * m + math.sqrt(m), side, stat)
+            starts, ends, outside = _fired_edges(ev, lows, widths, 1.0)
+            for k in (1, 2, 977, 31_415, N - 1, N):
+                w, s, e = widths[k], starts[k - 1], ends[k - 1]
+                ranges = (((0, s), (e, w)) if s < e else ((0, w),)) if outside else ((s, e),)
+                mask = ev.trigger_mask(k, np.arange(lows[k], lows[k] + w, dtype=float))
+                assert [(i, j) for i, j in ranges if i < j] == _runs(mask), (k, side, stat)
+
+
+def test_window_event_overflowing_sums():
+    """Sums whose products overflow to ±inf: an infinite threshold fires
+    exactly where the product is infinite, on both paths."""
+    step = StepAmbiguity(LatticeSupport(1e308, (-1, 0, 1)), ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)))
+    model = SequenceModel.iid(step, 4)
+    spread = set()
+    with np.errstate(over="ignore"):
+        for thr in (math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0):
+            for side in ("ge", "gt", "le", "lt"):
+                for stat in ("S", "-S", "absS"):
+                    ev = WindowEvent(2, 4, thr, side, stat)
+                    for payoff in (ev, ev.complement()):
+                        lat = evaluate_upper(model, payoff, method="lattice")
+                        assert _bits(lat) == _bits(evaluate_upper(model, payoff, method="generic"))
+                        spread.add(lat)
+    assert any(0.0 < v < 1.0 for v in spread)
 
 
 def test_band_kernel_matches_generic_bits_long_horizons():
