@@ -26,13 +26,14 @@ vectorized lattice path:
 Each lattice layer spans only the partial sums its supports can reach, and
 is held as a left scalar, an array band and a right scalar: the flanks of
 a window DP (states that have fired, states that cannot reach the
-threshold any more) hold one value each, and only the band between them
-is computed as an array.  Everything else (full outcome vectors, product
-automata, float-accumulator states) runs through a dictionary-layered
-generic path.  Both paths perform per-state inner sums in a fixed
-left-to-right order over support points and take the max over measures in
-index order, on one thread, so results are bit-identical across the two
-paths and across reruns.
+threshold any more) and of a terminal-sum DP (the terminal row's constant
+prefix and suffix, such as a ramp's flat ends) hold one value each, and
+only the band between them is computed as an array.  Everything else
+(full outcome vectors, product automata, float-accumulator states) runs
+through a dictionary-layered generic path.  Both paths perform per-state
+inner sums in a fixed left-to-right order over support points and take
+the max over measures in index order, on one thread, so results are
+bit-identical across the two paths and across reruns.
 
 The generic path sums densely from 0.0.  The lattice path sums only over
 each measure's nonzero weights, starts each sum at its first product, and
@@ -288,22 +289,30 @@ def _sparse_terms(step: StepAmbiguity):
     """One step's row of the per-step table: per measure its ``(q, offset)``
     pairs of nonzero weights in support order, ``offset`` being the point
     minus the lowest point; the smallest and largest offset that some pair
-    uses; the lowest point; and every point's offset, the last one being
-    the step's span."""
+    uses; the lowest point; every point's offset, the last one being the
+    step's span; and the band plan of ``_band_step``: the step's distinct
+    nonzero weights as a ``(D, 1)`` array in first-seen order, and per
+    measure its ``(weight row, offset - smallest offset)`` terms in support
+    order."""
     pts = step.support.points
     low = pts[0]
     # a list: tuple(generator) is resized outside the tuple free list, so
     # each call would leave one more tuple parked in it
     offsets = [pt - low for pt in pts]
-    terms, used = [], set()
+    terms, plans, rows = [], [], {}
     for m in step.measures:  # loops, not comprehensions: per-step models redo this per call
-        pairs = []
+        pairs, plan = [], []
         for q, off in zip(m, offsets):
             if q != 0:
                 pairs.append((q, off))
-                used.add(off)
+                plan.append((rows.setdefault(q, len(rows)), off))
         terms.append(pairs)
-    return terms, min(used), max(used), low, offsets
+        plans.append(plan)
+    # offsets rise in support order: a measure's first and last pair hold its extremes
+    mn = min(pairs[0][1] for pairs in terms)
+    mx = max(pairs[-1][1] for pairs in terms)
+    plans = [[(r, off - mn) for r, off in plan] for plan in plans]
+    return terms, mn, mx, low, offsets, np.array(list(rows))[:, None], plans
 
 
 def _scalar_step(terms, x: float) -> float:
@@ -337,21 +346,33 @@ def _flank_step(memo: dict, terms, x: float) -> float:
     return out
 
 
-def _band_step(terms, src, dst, acc, prod, a: int, b: int) -> None:
+def _band_step(weights, plans, src, dst, acc, block, a: int, b: int, mn: int, mx: int) -> None:
     """``dst[a:b]``: per measure the left-to-right sum of q * src[i + offset]
     from its first product, and the max over measures in index order, all
-    computed in place in the preallocated ``dst``, ``acc`` and ``prod``."""
-    best, n = dst[a:b], b - a
-    out, prod = best, prod[:n]
-    for pairs in terms:
-        q, off = pairs[0]
-        np.multiply(src[a + off:b + off], q, out=out)
-        for q, off in pairs[1:]:
-            np.multiply(src[a + off:b + off], q, out=prod)
-            np.add(out, prod, out=out)
+    computed in place in the preallocated ``dst``, ``acc`` and ``block``.
+
+    One broadcast multiply writes the products of the step's distinct
+    weights (``_sparse_terms``'s plan) into the rows of ``block``, each
+    computed once however many measures share it; a measure adds row
+    slices left to right, and a one-term measure's slice is copied or
+    max'ed directly.  Subnormal values cost several times normal ones on
+    long DPs, but flushing them to zero would change bits."""
+    n = b - a
+    rows = block[:len(weights), :n + mx - mn]
+    np.multiply(weights, src[a + mn:b + mx], out=rows)
+    best, spare = dst[a:b], acc[:n]
+    out = best
+    for plan in plans:
+        r, j = plan[0]
+        x = rows[r, j:j + n]
+        for r, j in plan[1:]:
+            np.add(x, rows[r, j:j + n], out=out)
+            x = out
         if out is not best:
-            np.maximum(best, out, out=best)
-        out = acc[:n]
+            np.maximum(best, x, out=best)
+        elif x is not best:
+            best[:] = x
+        out = spare
 
 
 def _fired_edges(event: WindowEvent, lows, widths, delta: float):
@@ -396,9 +417,16 @@ def _fired_edges(event: WindowEvent, lows, widths, delta: float):
                      else (operator.le, operator.lt))
 
     def edge(t, below) -> list[int]:
-        n = np.ceil(np.minimum(np.maximum(t, lower), upper) / delta)[:, None] + around
-        first = np.where(below(delta * n, t[:, None]), np.inf, n).min(axis=1)
-        return np.minimum(np.maximum(first - low, 0.0), wide).astype(int).tolist()
+        guess = np.ceil(np.minimum(np.maximum(t, lower), upper) / delta)[:, None]
+        # one float block of seven sums per step: it holds the products,
+        # then the sums again with +inf where the product is below t
+        n = guess + around
+        n *= delta
+        short = below(n, t[:, None])
+        np.add(guess, around, out=n)
+        np.copyto(n, np.inf, where=short)
+        n = n.min(axis=1)  # drops the block before the int conversion
+        return np.minimum(np.maximum(n - low, 0.0), wide).astype(int).tolist()
 
     if event.stat == "S":
         e = edge(thr, split)
@@ -417,36 +445,40 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     first k steps, so each support point's slice of layer k lines up with
     layer k-1 directly.  One per-step table (``_sparse_terms``, once per
     distinct step object through ``SequenceModel.per_step``) gives each
-    step's ``(q, offset)`` pairs, used offsets, lowest point and point
-    offsets; the layers' low sums and widths are running sums over it.  A
-    layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
+    step's ``(q, offset)`` pairs, used offsets, lowest point, point offsets
+    and band plan; the layers' low sums and widths are running sums over it.
+    A layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
     and a scalar ``right`` from ``b`` on.  The next band is the indices
     whose children are not all in one flank, ``[a - max offset, b - min
     offset)`` clipped to the layer; a state whose children are all in a
     flank becomes that flank scalar's step.
 
-    For a bound ``TerminalSumPayoff`` the band is the whole layer: the
-    payoff sees only the terminal sums the supports can reach and the gaps
-    between them hold 0.0, since a reachable state reads only reachable
-    children.  For a bound ``WindowEvent`` the band starts empty, with both
-    flanks at the never-fired value; the fired value is one scalar per layer
-    taken through the same step.  ``_fired_edges`` finds the edges of the
-    fired ranges of all window steps in one vectorized pass before the
-    layer loop; an empty or whole layer may come back with ``s > e``.
+    For a bound ``TerminalSumPayoff`` the payoff sees only the terminal sums
+    the supports can reach and the gaps between them hold 0.0, since a
+    reachable state reads only reachable children.  The row's longest
+    constant prefix and suffix, gap cells included, become the flanks (a
+    constant row is an empty band); cells compare with ``!=``, so a -0.0
+    and a +0.0 may share a flank, which moves no bit (module docstring).
+    For a bound ``WindowEvent`` the band starts empty, with both flanks at
+    the never-fired value; the fired value is one scalar per layer taken
+    through the same step.  ``_fired_edges`` finds the edges of the fired
+    ranges of all window steps in one vectorized pass before the layer
+    loop; an empty or whole layer may come back with ``s > e``.
     Before each step, layer k's ranges take the fired value: a prefix or a
-    suffix becomes a flank, a middle range is written into the band, and
-    an empty band over a uniform row (``left is right``) first moves to the
+    suffix becomes a flank, a middle range is written into the band, and an
+    empty band over a uniform row (``left is right``) first moves to the
     range's edge, so the band shrinks back to what is still undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
-    runs in index order; the flank scalars do the same in Python floats,
-    memoized per step and value (``_flank_step``).  A ±0.0 flank passes
-    through unstepped: every kept weight is positive, and a dict key does
-    not tell 0.0 from -0.0.  Equal flanks share one memoized object, which
-    can only let an empty band move over a row that is uniform anyway.  The
-    result gets ``+ 0.0`` once (see the module docstring for why neither
-    the skipped terms nor the missing ``0.0 +`` per sum changes a bit).
+    runs in index order (``_band_step``); the flank scalars of both payoff
+    kinds do the same in Python floats, memoized per step and value
+    (``_flank_step``).  A ±0.0 flank passes through unstepped: every kept
+    weight is positive, and a dict key does not tell 0.0 from -0.0.  Equal
+    flanks share one memoized object, which can only let an empty band move
+    over a row that is uniform anyway.  The result gets ``+ 0.0`` once (see
+    the module docstring for why neither the skipped terms nor the missing
+    ``0.0 +`` per sum changes a bit).
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
@@ -457,8 +489,10 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
-    cur, nxt, acc, prod = (np.empty(widths[last]) for _ in range(4))
-    fired = left = right = None
+    cur, nxt, acc = (np.empty(widths[last]) for _ in range(3))
+    # a band step at layer k <= last multiplies at most widths[k] children
+    block = np.empty((max(len(row[5]) for row in table[:last]), widths[last]))
+    memo: dict = {}
     if event is None:
         reach = 1  # bit i: terminal sum lows[n] + i is reachable
         for row in table:
@@ -467,18 +501,23 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         pos = model.delta * np.arange(lows[n], lows[n] + widths[n], dtype=float)
         hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
         hit = np.unpackbits(hit, bitorder="little")[:len(pos)].astype(bool)
-        cur[:len(pos)] = 0.0
-        cur[:len(pos)][hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
-        a, b = 0, len(pos)
+        layer = cur[:len(pos)]
+        layer[:] = 0.0
+        layer[hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
+        left, right = float(layer[0]), float(layer[-1])
+        inner = np.flatnonzero(layer != left)
+        if len(inner):
+            a, b = int(inner[0]), int(np.flatnonzero(layer != right)[-1]) + 1
+        else:  # a constant row is all flank
+            a = b = 0
     else:
         a = b = 0
         left = right = event.values[0]
         fired = event.values[1]
         lo, hi = event.lo, event.hi
         starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
-        memo: dict = {}
     for k in range(model.horizon, 0, -1):
-        terms, mn, mx, _, _ = table[k - 1]
+        terms, mn, mx, _, _, weights, plans = table[k - 1]
         if event is not None and lo <= k <= hi:
             w, s, e = widths[k], starts[k - lo], ends[k - lo]
             if not outside:
@@ -514,12 +553,12 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
                 cur[a2 + mn:a] = left
             if b2 + mx > b:
                 cur[b:b2 + mx] = right
-            _band_step(terms, cur, nxt, acc, prod, a2, b2)
+            _band_step(weights, plans, cur, nxt, acc, block, a2, b2, mn, mx)
             cur, nxt = nxt, cur
         a, b = a2, b2
+        left = _flank_step(memo, terms, left)
+        right = _flank_step(memo, terms, right)
         if event is not None:
-            left = _flank_step(memo, terms, left)
-            right = _flank_step(memo, terms, right)
             fired = _flank_step(memo, terms, fired)
     return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
 

@@ -81,7 +81,9 @@ class StepAmbiguity:
 
     def upper_expectation(self, fn) -> float:
         """max over the family of E[fn(X)], fn applied to real support values."""
-        vals = [float(fn(float(v))) for v in self.support.values()]
+        delta = self.support.delta
+        # the products of ``support.values()``, without building its array
+        vals = [float(fn(delta * float(p))) for p in self.support.points]
         best = None
         for m in self.measures:
             acc = 0.0

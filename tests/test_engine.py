@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ambigil import engine
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
                             evaluate_lower, evaluate_pair, evaluate_upper,
@@ -315,6 +316,88 @@ def test_zero_weight_lattice_matches_generic_bits():
     r = clt_capacity(make_rademacher_interval(1, 2, 5), 125, 0.3)
     assert _bits(r.bracket_low) == _bits(0.5699674654008193)
     assert _bits(r.bracket_high) == _bits(0.5938002507979722)
+
+
+def _assert_lattice_is_generic(m, payoff):
+    for evaluate in (evaluate_upper, evaluate_lower):
+        lat = evaluate(m, payoff, method="lattice")
+        gen = evaluate(m, payoff, method="generic")
+        assert _bits(lat) == _bits(gen), (m.horizon, evaluate.__name__, lat, gen)
+
+
+def _ramp(t, w):
+    return lambda s: 1.0 if s >= t + w else 0.0 if s <= t else (s - t) / w
+
+
+def test_terminal_flanks_match_generic_bits():
+    """Terminal rows with a constant prefix, a constant suffix, both, flanks
+    that meet and a constant row, on supports with gaps (S11), shared and
+    one-point steps: the lattice path gives the generic bits, sign of zero
+    included.  The lower value runs the negated row, where on S11 a -0.0
+    prefix interleaves with the +0.0 gap cells."""
+    s11 = make_rademacher_interval(1, 1, 1)
+    one = StepAmbiguity(LatticeSupport(1, (1,)), ((1.0,),))
+    skew = StepAmbiguity(LatticeSupport(1, (-1, 0, 2)),
+                         ((0.5, 0.25, 0.25), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)))
+    # weights that round, so a flank value moves in its last bits from step to step
+    thirds = StepAmbiguity(LatticeSupport(1, (-2, 0, 1)), ((1 / 3, 1 / 3, 1 / 3), (0.1, 0.6, 0.3)))
+    models = [SequenceModel.iid(s11, 24), SequenceModel.iid(STEP12, 12),
+              SequenceModel.iid(thirds, 16),
+              SequenceModel.iid(make_rademacher_interval(1, 2, 5), 6),
+              SequenceModel.iid(one, 9), SequenceModel.iid(skew, 14),
+              SequenceModel(12, steps=[s11, skew, one, thirds] * 3)]
+    for m in models:
+        for t in (-1e9, -3.0, -0.5, 0.0, 1.25, 2.0, 1e9):
+            payoffs = (_ramp(t, 1.5), lambda s: -_ramp(t, 2.0)(s),
+                       lambda s: 0.7 if s <= t else s * s,  # a prefix
+                       lambda s: s ** 3 - s if s < t else -1.3,  # a suffix
+                       lambda s: -0.1 if s < t else 0.9,  # prefix and suffix meet
+                       lambda s: -2.0 if s < t - 1.0 else 3.0 if s > t + 1.0 else math.sin(s))
+            for fn in payoffs:
+                _assert_lattice_is_generic(m, TerminalSumPayoff(fn))
+        for c in (0.0, -0.0, 0.3, -7.7):  # a constant row
+            _assert_lattice_is_generic(m, TerminalSumPayoff(lambda s: c))
+
+
+def test_terminal_flanks_shrink_the_band(monkeypatch):
+    """A constant terminal row takes no band step, and a ramp's flat ends
+    start outside the band."""
+    bands = []
+    band_step = engine._band_step
+    monkeypatch.setattr(engine, "_band_step",
+                        lambda *args: bands.append(args[7] - args[6]) or band_step(*args))
+    m = SequenceModel.iid(make_rademacher_interval(1, 2, 5), 40)
+    assert evaluate_upper(m, TerminalSumPayoff(lambda s: 0.5)) == 0.5
+    assert bands == []
+    ramp = _ramp(2.0, 1.0)
+    evaluate_upper(m, TerminalSumPayoff(ramp))
+    # delta 0.25: the 3 sums strictly inside the ramp's (2, 3), widened by the step's span 16
+    assert bands[0] == 3 + 16 < 16 * 39 + 1
+
+
+def test_band_plan_shared_weights_and_point_masses():
+    """Steps whose measures share weights, start with or later hold a
+    one-term (point-mass) measure, or are all point masses, alone and in a
+    schedule whose steps have different numbers of distinct weights."""
+    pts = LatticeSupport(1.0, (-2, -1, 0, 1, 2))
+    shared = StepAmbiguity(pts, ((0.25, 0.25, 0.0, 0.25, 0.25), (0.0, 0.5, 0.0, 0.5, 0.0),
+                                 (0.25, 0.0, 0.5, 0.0, 0.25)))
+    mass_first = StepAmbiguity(pts, ((0.0, 0.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0, 0.5),
+                                     (0.0, 0.25, 0.0, 0.75, 0.0)))
+    mass_later = StepAmbiguity(pts, ((0.5, 0.0, 0.0, 0.0, 0.5), (0.0, 1.0, 0.0, 0.0, 0.0),
+                                     (0.1, 0.2, 0.3, 0.4, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0)))
+    masses = StepAmbiguity(LatticeSupport(1.0, (-1, 0, 3)), ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+    models = [SequenceModel.iid(s, 10) for s in (shared, mass_first, mass_later, masses)]
+    models.append(SequenceModel(16, steps=[STEP12, mass_later, shared, masses] * 4))
+    models.append(SequenceModel(15, steps=[masses, mass_first, STEP12] * 5))
+    for m in models:
+        for stat in ("S", "-S", "absS"):
+            for side in ("ge", "lt"):
+                ev = WindowEvent(2, m.horizon, lambda k: 0.3 * math.sqrt(k), side, stat)
+                for payoff in (ev, ev.complement(), ev.negate()):
+                    _assert_lattice_is_generic(m, payoff)
+        for fn in (_ramp(-0.5, 1.0), lambda s: s * s - s, lambda s: -0.0 if s < 0.5 else s):
+            _assert_lattice_is_generic(m, TerminalSumPayoff(fn))
 
 
 @st.composite
