@@ -57,7 +57,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -285,94 +285,158 @@ def _terminal_values(evaluate: Callable[[], object]):
 # ---------------------------------------------------------------------------
 
 
-def _sparse_terms(step: StepAmbiguity):
-    """One step's row of the per-step table: per measure its ``(q, offset)``
-    pairs of nonzero weights in support order, ``offset`` being the point
-    minus the lowest point; the smallest and largest offset that some pair
-    uses; the lowest point; every point's offset, the last one being the
-    step's span; and the band plan of ``_band_step``: the step's distinct
-    nonzero weights as a ``(D, 1)`` array in first-seen order, and per
-    measure its ``(weight row, offset - smallest offset)`` terms in support
-    order."""
+# floats in one block of products of ``_band_step``, and the fewest band
+# states one block covers
+_BLOCK_FLOATS = 2 ** 17
+_MIN_STRIP = 2 ** 12
+
+
+class _Group(NamedTuple):
+    """A run of one step's terms, in measure order, whose products share a
+    block: at most ``_BLOCK_FLOATS // (max(_MIN_STRIP, span + 1) + span)``
+    distinct weights, or one, span being the step's max point minus its
+    min point, so that a strip is at least that max wide and its block
+    within ``_BLOCK_FLOATS`` floats."""
+
+    qs: list  # the D distinct nonzero weights of these terms, first seen first
+    weights: np.ndarray  # ``qs`` as a (D, 1) array
+    # per measure with terms here: (is measure 0, its first term or None if
+    # it began in an earlier group, the other terms, it ends here), each
+    # term an (index into qs, offset - mn)
+    pieces: list
+    strip: int  # band states per block: max(_BLOCK_FLOATS // D - used, used + 1), used = mx - mn
+
+
+class _Step(NamedTuple):
+    """One step's row of the per-step table (``_sparse_terms``)."""
+
+    low: int  # the lowest point
+    offsets: list  # every point minus ``low``; the last one is the step's span
+    mn: int  # the smallest and the largest offset of a nonzero weight
+    mx: int
+    groups: list  # ``_Group``s covering every nonzero term in measure order
+    depth: int  # the most distinct weights of a group
+    block: int  # the most floats of a group's block, D * (strip + mx - mn)
+
+
+def _sparse_terms(step: StepAmbiguity) -> _Step:
+    """The ``_Step`` of ``step``, its groups cut in one pass over each
+    measure's nonzero weights in support order."""
     pts = step.support.points
     low = pts[0]
     # a list: tuple(generator) is resized outside the tuple free list, so
     # each call would leave one more tuple parked in it
     offsets = [pt - low for pt in pts]
-    terms, plans, rows = [], [], {}
-    for m in step.measures:  # loops, not comprehensions: per-step models redo this per call
-        pairs, plan = [], []
+    most = max(1, _BLOCK_FLOATS // (max(_MIN_STRIP, offsets[-1] + 1) + offsets[-1]))
+    groups, rows, pieces = [], {}, []
+    # offsets rise in support order: a measure's first and last term hold its extremes
+    mn, mx = offsets[-1], 0
+    for i, m in enumerate(step.measures):  # loops, not comprehensions: per-step models redo this per call
+        plan, start = [], True
         for q, off in zip(m, offsets):
             if q != 0:
-                pairs.append((q, off))
-                plan.append((rows.setdefault(q, len(rows)), off))
-        terms.append(pairs)
-        plans.append(plan)
-    # offsets rise in support order: a measure's first and last pair hold its extremes
-    mn = min(pairs[0][1] for pairs in terms)
-    mx = max(pairs[-1][1] for pairs in terms)
-    plans = [[(r, off - mn) for r, off in plan] for plan in plans]
-    return terms, mn, mx, low, offsets, np.array(list(rows))[:, None], plans
+                r = rows.get(q)
+                if r is None:
+                    if len(rows) == most:  # the measure goes on in a new group
+                        if plan:
+                            if start and plan[0][1] < mn:
+                                mn = plan[0][1]
+                            pieces.append((i == 0, start, plan, False))
+                            plan, start = [], False
+                        groups.append((rows, pieces))
+                        rows, pieces = {}, []
+                    r = rows[q] = len(rows)
+                plan.append((r, off))
+        if start and plan[0][1] < mn:
+            mn = plan[0][1]
+        if plan[-1][1] > mx:
+            mx = plan[-1][1]
+        pieces.append((i == 0, start, plan, True))
+    groups.append((rows, pieces))
+    used = mx - mn
+    out, depth, block = [], 0, 0
+    for rows, pieces in groups:
+        shifted = []
+        for first, start, plan, end in pieces:
+            if mn:
+                plan = [(r, off - mn) for r, off in plan]
+            shifted.append((first, plan[0], plan[1:], end) if start else (first, None, plan, end))
+        qs = list(rows)
+        strip = max(_BLOCK_FLOATS // len(qs) - used, used + 1)
+        out.append(_Group(qs, np.array(qs)[:, None], shifted, strip))
+        depth = max(depth, len(qs))
+        block = max(block, len(qs) * (strip + used))
+    return _Step(low, offsets, mn, mx, out, depth, block)
 
 
-def _scalar_step(terms, x: float) -> float:
+def _scalar_step(step: _Step, x: float) -> float:
     """One step of a row that holds ``x`` at every child: per measure the
     left-to-right sum of q * x from its first product, and the max over
     measures in index order in Python floats, a tie kept on the earlier
     measure as on the generic path (``np.maximum`` may keep the later of
     two tied zeros; the module docstring says why neither moves a bit)."""
-    best = None
-    for pairs in terms:
-        acc = pairs[0][0] * x
-        for q, _ in pairs[1:]:
-            acc = acc + q * x
-        if best is None or acc > best:
-            best = acc
+    best = acc = None
+    for qs, _, pieces, _ in step.groups:
+        for _, head, rest, end in pieces:
+            if head is not None:
+                acc = qs[head[0]] * x
+            for r, _ in rest:
+                acc = acc + qs[r] * x
+            if end and (best is None or acc > best):
+                best = acc
     return best
 
 
-def _flank_step(memo: dict, terms, x: float) -> float:
-    """``_scalar_step(terms, x)``, memoized in ``memo`` per ``(terms, x)``.
+def _flank_step(memo: dict, step: _Step, x: float) -> float:
+    """``_scalar_step(step, x)``, memoized in ``memo`` per ``(step, x)``.
 
     A ±0.0 steps to itself, since every kept weight q is positive: each
     q * ±0.0 is that zero, and so is each sum and max of them.  It returns
     before the lookup, because a dict key does not tell 0.0 from -0.0."""
     if x == 0.0:
         return x
-    key = (id(terms), x)
+    key = (id(step), x)
     out = memo.get(key)
     if out is None:
-        out = memo[key] = _scalar_step(terms, x)
+        out = memo[key] = _scalar_step(step, x)
     return out
 
 
-def _band_step(weights, plans, src, dst, acc, block, a: int, b: int, mn: int, mx: int) -> None:
+def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
     """``dst[a:b]``: per measure the left-to-right sum of q * src[i + offset]
     from its first product, and the max over measures in index order, all
-    computed in place in the preallocated ``dst``, ``acc`` and ``block``.
+    computed in place in the preallocated ``dst``, ``acc`` and flat ``block``.
 
-    One broadcast multiply writes the products of the step's distinct
-    weights (``_sparse_terms``'s plan) into the rows of ``block``, each
-    computed once however many measures share it; a measure adds row
-    slices left to right, and a one-term measure's slice is copied or
-    max'ed directly.  Subnormal values cost several times normal ones on
-    long DPs, but flushing them to zero would change bits."""
-    n = b - a
-    rows = block[:len(weights), :n + mx - mn]
-    np.multiply(weights, src[a + mn:b + mx], out=rows)
-    best, spare = dst[a:b], acc[:n]
-    out = best
-    for plan in plans:
-        r, j = plan[0]
-        x = rows[r, j:j + n]
-        for r, j in plan[1:]:
-            np.add(x, rows[r, j:j + n], out=out)
-            x = out
-        if out is not best:
-            np.maximum(best, x, out=best)
-        elif x is not best:
-            best[:] = x
-        out = spare
+    Group by group, the band runs in strips of ``strip`` states.  Per
+    strip, one broadcast multiply writes the products of the group's D
+    distinct weights into D rows of ``block``, each computed once however
+    many terms share it; a measure adds row slices left to right into
+    ``dst`` (measure 0) or ``acc``, where a measure cut between groups
+    keeps its partial sums, and a one-term measure's slice is copied or
+    max'ed directly.  The block holds D * (strip + mx - mn) floats: at
+    most ``_BLOCK_FLOATS``, or 2 * (mx - mn) + 1 where that is more.
+    Subnormal values cost several times normal ones on long DPs, but
+    flushing them to zero would change bits."""
+    mn, mx = step.mn, step.mx
+    for qs, weights, pieces, width in step.groups:
+        d = len(qs)
+        for s in range(a, b, width):
+            e = s + width if s + width < b else b
+            n = e - s
+            cols = n + mx - mn
+            rows = block[:d * cols].reshape(d, cols)
+            np.multiply(weights, src[s + mn:e + mx], out=rows)
+            best, spare = dst[s:e], acc[s - a:e - a]
+            for first, head, rest, end in pieces:
+                out = best if first else spare
+                x = out if head is None else rows[head[0], head[1]:head[1] + n]
+                for r, j in rest:
+                    np.add(x, rows[r, j:j + n], out=out)
+                    x = out
+                if x is not out and (first or not end):
+                    out[:] = x
+                elif end and not first:
+                    np.maximum(best, x, out=best)
 
 
 def _fired_edges(event: WindowEvent, lows, widths, delta: float):
@@ -445,8 +509,11 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     first k steps, so each support point's slice of layer k lines up with
     layer k-1 directly.  One per-step table (``_sparse_terms``, once per
     distinct step object through ``SequenceModel.per_step``) gives each
-    step's ``(q, offset)`` pairs, used offsets, lowest point, point offsets
-    and band plan; the layers' low sums and widths are running sums over it.
+    step's lowest point, point offsets, used offsets and measure groups
+    (``_Step``); the layers' low sums and widths are running sums over
+    it.  The state-cap estimate is the widest layer (two rows of it for a
+    window event) plus the part of one strip's block of products past
+    ``_BLOCK_FLOATS``.
     A layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
     and a scalar ``right`` from ``b`` on.  The next band is the indices
     whose children are not all in one flank, ``[a - max offset, b - min
@@ -483,20 +550,24 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
     table = model.per_step(_sparse_terms)
-    lows = list(accumulate((row[3] for row in table), initial=0))
-    widths = list(accumulate((row[4][-1] for row in table), initial=1))
-    estimate = (1 if event is None else 2) * widths[last]
+    lows = list(accumulate((row.low for row in table), initial=0))
+    widths = list(accumulate((row.offsets[-1] for row in table), initial=1))
+    # the largest block of one strip, in no more than ``depth`` rows of the
+    # widest layer: a band step at layer k <= last reads at most widths[k] children
+    steps = table[:last]
+    held = min(max(map(operator.attrgetter("block"), steps)),
+               max(map(operator.attrgetter("depth"), steps)) * widths[last])
+    estimate = (1 if event is None else 2) * widths[last] + max(0, held - _BLOCK_FLOATS)
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
 
     cur, nxt, acc = (np.empty(widths[last]) for _ in range(3))
-    # a band step at layer k <= last multiplies at most widths[k] children
-    block = np.empty((max(len(row[5]) for row in table[:last]), widths[last]))
+    block = np.empty(held)
     memo: dict = {}
     if event is None:
         reach = 1  # bit i: terminal sum lows[n] + i is reachable
         for row in table:
-            reach = functools.reduce(operator.or_, (reach << off for off in row[4]))
+            reach = functools.reduce(operator.or_, (reach << off for off in row.offsets))
         n = model.horizon
         pos = model.delta * np.arange(lows[n], lows[n] + widths[n], dtype=float)
         hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
@@ -517,7 +588,8 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         lo, hi = event.lo, event.hi
         starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
     for k in range(model.horizon, 0, -1):
-        terms, mn, mx, _, _, weights, plans = table[k - 1]
+        step = table[k - 1]
+        mn, mx = step.mn, step.mx
         if event is not None and lo <= k <= hi:
             w, s, e = widths[k], starts[k - lo], ends[k - lo]
             if not outside:
@@ -553,13 +625,13 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
                 cur[a2 + mn:a] = left
             if b2 + mx > b:
                 cur[b:b2 + mx] = right
-            _band_step(weights, plans, cur, nxt, acc, block, a2, b2, mn, mx)
+            _band_step(step, cur, nxt, acc, block, a2, b2)
             cur, nxt = nxt, cur
         a, b = a2, b2
-        left = _flank_step(memo, terms, left)
-        right = _flank_step(memo, terms, right)
+        left = _flank_step(memo, step, left)
+        right = _flank_step(memo, step, right)
         if event is not None:
-            fired = _flank_step(memo, terms, fired)
+            fired = _flank_step(memo, step, fired)
     return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def test_terminal_flanks_shrink_the_band(monkeypatch):
     bands = []
     band_step = engine._band_step
     monkeypatch.setattr(engine, "_band_step",
-                        lambda *args: bands.append(args[7] - args[6]) or band_step(*args))
+                        lambda *args: bands.append(args[-1] - args[-2]) or band_step(*args))
     m = SequenceModel.iid(make_rademacher_interval(1, 2, 5), 40)
     assert evaluate_upper(m, TerminalSumPayoff(lambda s: 0.5)) == 0.5
     assert bands == []
@@ -398,6 +399,99 @@ def test_band_plan_shared_weights_and_point_masses():
                     _assert_lattice_is_generic(m, payoff)
         for fn in (_ramp(-0.5, 1.0), lambda s: s * s - s, lambda s: -0.0 if s < 0.5 else s):
             _assert_lattice_is_generic(m, TerminalSumPayoff(fn))
+
+
+def _distinct_weight_step(npts, nmeasures, seed, delta=1.0):
+    """A step on -npts//2.. whose measures' weights are all distinct, some zero."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(1, 10 ** 9, size=(nmeasures, npts)).astype(float)
+    raw[rng.random(raw.shape) < 0.2] = 0.0
+    raw[:, 0] += 1.0  # no measure is all zero
+    h = npts // 2
+    return StepAmbiguity(LatticeSupport(delta, tuple(range(-h, npts - h))),
+                         tuple(tuple(row / row.sum()) for row in raw))
+
+
+@pytest.mark.parametrize("block, strip", [(engine._BLOCK_FLOATS, engine._MIN_STRIP),
+                                          (64, 4), (16, 4), (8, 1)])
+def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
+    """Steps with many distinct weights, cut into several block groups with
+    measures split between them, at the default budget and at small ones
+    where bands also run in several strips or a span is wider than the
+    block: the lattice path gives the generic bits."""
+    monkeypatch.setattr(engine, "_BLOCK_FLOATS", block)
+    monkeypatch.setattr(engine, "_MIN_STRIP", strip)
+    many = _distinct_weight_step(11, 4, 1)
+    wide = _distinct_weight_step(40, 3, 2)
+    shared = StepAmbiguity(LatticeSupport(1.0, (-2, -1, 0, 1, 2)),
+                           ((0.0, 0.5, 0.0, 0.5, 0.0), (0.25, 0.25, 0.0, 0.25, 0.25),
+                            (0.0, 0.0, 1.0, 0.0, 0.0)))
+    if block == 64:  # groups of 64 // (11 + 10) weights, and measures run across them
+        groups = engine._sparse_terms(many).groups
+        assert max(len(g.qs) for g in groups) == 3 and len(groups) > 10 and any(
+            head is None for g in groups for _, head, _, _ in g.pieces)
+    models = [SequenceModel.iid(many, 9), SequenceModel.iid(wide, 3),
+              SequenceModel(10, steps=[many, shared, STEP12, wide, shared] * 2)]
+    for m in models:
+        for stat in ("S", "absS"):
+            ev = WindowEvent(1, m.horizon, lambda k: 0.4 * math.sqrt(k) + 0.2, "ge", stat)
+            for payoff in (ev, ev.complement()):
+                _assert_lattice_is_generic(m, payoff)
+        for fn in (_ramp(-0.5, 1.5), lambda s: s * s - s):
+            _assert_lattice_is_generic(m, TerminalSumPayoff(fn))
+
+
+def test_block_of_products_stays_bounded():
+    """A 101-point step whose 10 measures have 803 distinct weights: the DP
+    holds its 3 rows and one block of at most ``_BLOCK_FLOATS`` floats,
+    where a block row per distinct weight across the widest layer would
+    take 39 MB."""
+    m = SequenceModel.iid(_distinct_weight_step(101, 10, 3, delta=0.1), 60)
+    ramp = TerminalSumPayoff(_ramp(0.3, 0.5))
+    evaluate_upper(SequenceModel.iid(m.step(1), 2), ramp)
+    tracemalloc.start()
+    try:
+        value = evaluate_upper(m, ramp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1.0
+    # rows 100 * 60 + 1 wide, with 512 KB for the per-step table and the rest
+    assert peak < 8 * (3 * 6001 + engine._BLOCK_FLOATS) + 512 * 1024, peak
+
+
+@pytest.mark.parametrize("block, strip", [(engine._BLOCK_FLOATS, engine._MIN_STRIP),
+                                          (4096, 128), (64, 4)])
+def test_block_groups_bound_the_block(monkeypatch, block, strip):
+    """Every group's block of one strip, D * (strip + used span), stays within
+    the budget or one strip of span + 1 states, and a strip covers at least
+    ``_MIN_STRIP`` states wherever the budget allows it."""
+    monkeypatch.setattr(engine, "_BLOCK_FLOATS", block)
+    monkeypatch.setattr(engine, "_MIN_STRIP", strip)
+    steps = [_distinct_weight_step(101, 10, 3), _distinct_weight_step(11, 4, 1),
+             _distinct_weight_step(3, 2, 4), STEP12, make_rademacher_interval(1, 2, 5)]
+    for step in steps:
+        t = engine._sparse_terms(step)
+        used = t.mx - t.mn
+        for g in t.groups:
+            assert len(g.qs) * (g.strip + used) <= max(block, 2 * used + 1)
+            assert g.strip >= min(strip, block - used)
+        assert t.depth == max(len(g.qs) for g in t.groups)
+        assert t.block == max(len(g.qs) * (g.strip + used) for g in t.groups)
+
+
+def test_state_cap_counts_a_block_past_its_budget(monkeypatch):
+    """A span wider than the block budget takes one strip of span + 1
+    states; the floats past the budget count in the estimate."""
+    monkeypatch.setattr(engine, "_BLOCK_FLOATS", 16)
+    step = StepAmbiguity(LatticeSupport(1.0, (-5, 0, 5)), ((0.5, 0.0, 0.5), (0.0, 1.0, 0.0)))
+    m = SequenceModel.iid(step, 6)
+    sq = TerminalSumPayoff(lambda s: s * s)
+    # widest layer 10 * 6 + 1; one weight a group, 1 * (11 + 10) floats a block
+    assert evaluate_upper(m, sq, state_cap=61 + 5) == 150.0
+    with pytest.raises(StateSpaceError) as ei:
+        evaluate_upper(m, sq, state_cap=61 + 4)
+    assert ei.value.estimate == 61 + 5
 
 
 @st.composite
