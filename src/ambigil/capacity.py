@@ -201,8 +201,16 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     ``uniform()`` call on the row stream ``substream(seed, arange(R))`` gives
     replication r the k-th draw of its own stream substream(seed, r), so
     that draw drives step k of its replication whatever the replication
-    count.  A path counts as accepted when the event's terminal value for
-    it (``values[1]`` if it fired, ``values[0]`` if not) is at least 0.5.
+    count.  The outcome for a draw u is the first point whose cumulative
+    weight under the chosen law exceeds u, found by one sorted search per
+    law (``searchsorted(..., side="right")``), or the last point when u is
+    past the last sum.  Greedy scores all candidate points at once: one
+    ``trigger_mask`` call on the (points x replications) block of next
+    positions, each measure's trigger probability summed left to right from
+    0.0 over the points, the lowest index winning ties; the chosen point's
+    row of that block is the new flag.  A path counts as accepted when the
+    event's terminal value for it (``values[1]`` if it fired, ``values[0]``
+    if not) is at least 0.5.
     """
     replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
@@ -212,26 +220,32 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
         raise ValueError(f"Monte Carlo needs a WindowEvent, got {type(event).__name__}")
     ev = event.bind(model)
 
-    # per distinct step: support points, each measure's cumulative law, measures
+    # per distinct step: support points, each measure's cumulative law and weights
     tables = model.per_step(lambda s: (np.asarray(s.support.points, dtype=np.int64),
                                        np.array([list(accumulate(m)) for m in s.measures]),
-                                       s.measures))
+                                       np.array(s.measures)))
     streams = substream(seed, np.arange(replications, dtype=np.uint64))
+    reps = np.arange(replications)
     pos = np.zeros(replications, dtype=np.int64)
     flag = np.zeros(replications, dtype=bool)
-    for k, (pts, cums, measures) in enumerate(tables, start=1):
-        if sched is None:
-            hits = [ev.trigger_mask(k, model.delta * (pos + pt)) for pt in pts]
-            accs = [sum((q * hit for q, hit in zip(m, hits)), 0.0) for m in measures]
-            mi = np.argmax(accs, axis=0)  # first maximum: lowest index wins ties
-            mi[flag] = 0
-        else:
-            mi = sched[k - 1]
+    for k, (pts, cums, weights) in enumerate(tables, start=1):
         u = streams.uniform()
-        # sums are nondecreasing, so the count <= u is the first j with u < cum[j]
-        j = np.minimum(np.count_nonzero(cums[mi] <= u[:, None], axis=1), len(pts) - 1)
+        # a cumulative law is nondecreasing, so its right-side search for u is
+        # the first j with u < cum[j]; u past the last sum takes the last point
+        if sched is None:
+            # row j: whether stepping to point j fires the event, per replication
+            hits = ev.trigger_mask(k, model.delta * (pos + pts[:, None]))
+            score = np.zeros((len(weights), replications))
+            for q, hit in zip(weights.T, hits):  # left to right from 0.0, per measure
+                score += q[:, None] * hit
+            mi = np.argmax(score, axis=0)  # first maximum: lowest index wins ties
+            mi[flag] = 0
+            j = np.array([np.searchsorted(c, u, side="right") for c in cums])[mi, reps]
+        else:
+            j = np.searchsorted(cums[sched[k - 1]], u, side="right")
+        j = np.minimum(j, len(pts) - 1)
         pos += pts[j]
-        flag |= ev.trigger_mask(k, model.delta * pos)
+        flag |= hits[j, reps] if sched is None else ev.trigger_mask(k, model.delta * pos)
 
     accepted = int(np.count_nonzero(np.where(flag, ev.values[1] >= 0.5, ev.values[0] >= 0.5)))
     p = accepted / replications

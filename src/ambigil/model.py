@@ -72,8 +72,9 @@ class StepAmbiguity:
                 raise ValueError(f"measure {i} has length {len(m)}, support has {npts} points")
             if min(m) < 0.0 or max(m) > 1.0:
                 raise ValueError(f"measure {i} has entries outside [0, 1]: {m}")
-            if abs(sum(m) - 1.0) > PROB_TOL:
-                raise ValueError(f"measure {i} sums to {sum(m)!r}, not 1 within {PROB_TOL}")
+            total = running_sums(m)[-1]
+            if abs(total - 1.0) > PROB_TOL:
+                raise ValueError(f"measure {i} sums to {total!r}, not 1 within {PROB_TOL}")
 
     @property
     def n_measures(self) -> int:

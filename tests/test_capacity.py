@@ -368,6 +368,34 @@ def _mc_cases(n, seed):
         reps = int(rng.choice([100, 257, 1000], p=[0.45, 0.45, 0.1]))
         yield m, ev, strat, reps, int(rng.integers(2 ** 63))
 
+    # fixed shapes: a 70-measure step, one-point steps, a point that no
+    # measure weighs, and infinite thresholds
+    raw = rng.uniform(0.0, 1.0, (70, 5)) * (rng.uniform(size=(70, 5)) < 0.7)
+    raw[:, 0] += 0.01  # keep every measure nonempty
+    wide = StepAmbiguity(LatticeSupport(1.0, (-2, -1, 0, 1, 3)),
+                         tuple(tuple(float(x) for x in r / r.sum()) for r in raw))
+    m70 = SequenceModel.iid(wide, 5)
+    for ev in (window_max_event(1, 5, 2.0), window_max_event(2, 5, lambda k: 0.5 * k, "lt", "absS")):
+        yield m70, ev, "greedy-one-step", 100, 70
+        yield m70, ev, ("schedule", [int(i) for i in rng.integers(70, size=5)]), 257, 71
+    one = StepAmbiguity(LatticeSupport(0.5, (0,)), ((1.0,), (1.0,)))
+    two = StepAmbiguity(LatticeSupport(0.5, (-1, 1)), ((0.5, 0.5), (0.2, 0.8)))
+    gap = StepAmbiguity(LatticeSupport(0.5, (-2, 0, 1, 2)),
+                        ((0.5, 0.0, 0.5, 0.0), (0.25, 0.0, 0.25, 0.5), (0.1, 0.0, 0.9, 0.0)))
+    models = (SequenceModel.iid(one, 3), SequenceModel(4, steps=[one, two, one, gap]),
+              SequenceModel.iid(gap, 6))
+    for i, m in enumerate(models):
+        n = m.horizon
+        events = [window_max_event(1, n, 1.0, "ge", "S"), window_max_event(2, n, 0.5, "gt", "-S"),
+                  window_max_event(2, n, 0.4, "<=", "absS").complement()]
+        for t in (math.inf, -math.inf):
+            events += [window_max_event(1, n, t, "ge", "S"), window_max_event(1, n, t, "<", "absS"),
+                       window_max_event(2, n, t, ">", "-S").complement().negate()]
+        for ev in events:
+            for strat in (("constant", 0), ("schedule", [k % m.step(k + 1).n_measures for k in range(n)]),
+                          "greedy-one-step"):
+                yield m, ev, strat, (100, 257, 1000)[i], 5 + i
+
 
 def test_mc_matches_scalar_reference():
     nontrivial = 0

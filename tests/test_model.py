@@ -180,6 +180,15 @@ def test_running_sums_is_a_plain_left_fold():
     assert running_sums([1.5, -0.5, 2.0]) == [0.0, 1.5, 1.0, 3.0]
 
 
+def test_measure_total_is_the_left_fold_on_every_python():
+    # 10**5 weights of 1e-5: the left fold misses 1 by 1.92e-12 > PROB_TOL, while
+    # the builtin sum() compensates to exactly 1.0 from Python 3.12 on
+    weights = (1e-5,) * 10 ** 5
+    assert running_sums(weights)[-1] == 0.9999999999980838
+    with pytest.raises(ValueError, match="sums to 0.9999999999980838"):
+        StepAmbiguity(LatticeSupport(1.0, tuple(range(10 ** 5))), (weights,))
+
+
 def test_per_step_calls_fn_once_per_distinct_step():
     s12, s13 = make_rademacher_interval(1, 2, 2), make_rademacher_interval(1, 3, 3)
     sched = SequenceModel(96, steps=[s12 if k % 2 else s13 for k in range(96)])
