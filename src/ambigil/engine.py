@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -369,6 +370,56 @@ def _sparse_terms(step: StepAmbiguity) -> _Step:
     return _Step(low, offsets, mn, mx, out, depth, block)
 
 
+class _Plan(object):
+    """What a lattice DP needs of one model and of nothing else: the
+    per-step table (``_sparse_terms`` once per distinct step object,
+    through ``SequenceModel.per_step``) and, built when a terminal-sum DP
+    first asks, the terminal layer's reach mask.  It holds no reference
+    to the model, so its entry in ``_PLANS`` dies with the model."""
+
+    __slots__ = ("table", "_delta", "_reach")
+
+    def __init__(self, model: SequenceModel):
+        self.table = model.per_step(_sparse_terms)
+        self._delta = model.delta
+        self._reach = None
+
+    def layers(self):
+        """``(lows, widths)``: layer k's lowest sum and its number of sums,
+        k = 0..N, as running sums over the table.  Not kept: for a model
+        that lives long they would hold two Python ints a step."""
+        lows = list(accumulate((row.low for row in self.table), initial=0))
+        widths = list(accumulate((row.offsets[-1] for row in self.table), initial=1))
+        return lows, widths
+
+    def reach(self):
+        """``(hit, at)``: whether each sum of the terminal layer is
+        reachable, as a bool array, and the real values ``delta * sum`` of
+        the reachable ones."""
+        if self._reach is None:
+            lows, widths = self.layers()
+            low, width = lows[-1], widths[-1]
+            reach = 1  # bit i: terminal sum low + i is reachable
+            for row in self.table:
+                reach = functools.reduce(operator.or_, (reach << off for off in row.offsets))
+            pos = self._delta * np.arange(low, low + width, dtype=float)
+            hit = np.frombuffer(reach.to_bytes(width // 8 + 1, "little"), dtype=np.uint8)
+            hit = np.unpackbits(hit, bitorder="little")[:width].astype(bool)
+            self._reach = hit, pos[hit]
+        return self._reach
+
+
+# each model's plan, built by its first lattice DP and dropped with the model
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(model: SequenceModel) -> _Plan:
+    plan = _PLANS.get(model)
+    if plan is None:
+        plan = _PLANS[model] = _Plan(model)
+    return plan
+
+
 def _scalar_step(step: _Step, x: float) -> float:
     """One step of a row that holds ``x`` at every child: per measure the
     left-to-right sum of q * x from its first product, and the max over
@@ -511,8 +562,14 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     distinct step object through ``SequenceModel.per_step``) gives each
     step's lowest point, point offsets, used offsets and measure groups
     (``_Step``); the layers' low sums and widths are running sums over
-    it.  The state-cap estimate is the widest layer (two rows of it for a
-    window event) plus the part of one strip's block of products past
+    it.  The table and a terminal DP's reach mask are built once per model
+    object (``_Plan``) and held weakly in ``_PLANS``; the running sums are
+    taken again by each DP, and nothing that depends on the payoff is
+    kept.  The groups are cut under the ``_BLOCK_FLOATS`` and
+    ``_MIN_STRIP`` in force at a model's first lattice DP, so code that
+    changes them (the tests) evaluates models built after the change.  The
+    state-cap estimate is the widest layer (two rows of it for a window
+    event) plus the part of one strip's block of products past
     ``_BLOCK_FLOATS``.
     A layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
     and a scalar ``right`` from ``b`` on.  The next band is the indices
@@ -549,9 +606,9 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     last = model.horizon if event is None else event.hi
-    table = model.per_step(_sparse_terms)
-    lows = list(accumulate((row.low for row in table), initial=0))
-    widths = list(accumulate((row.offsets[-1] for row in table), initial=1))
+    plan = _plan(model)
+    table = plan.table
+    lows, widths = plan.layers()
     # the largest block of one strip, in no more than ``depth`` rows of the
     # widest layer: a band step at layer k <= last reads at most widths[k] children
     steps = table[:last]
@@ -565,16 +622,10 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     block = np.empty(held)
     memo: dict = {}
     if event is None:
-        reach = 1  # bit i: terminal sum lows[n] + i is reachable
-        for row in table:
-            reach = functools.reduce(operator.or_, (reach << off for off in row.offsets))
-        n = model.horizon
-        pos = model.delta * np.arange(lows[n], lows[n] + widths[n], dtype=float)
-        hit = np.frombuffer(reach.to_bytes(len(pos) // 8 + 1, "little"), dtype=np.uint8)
-        hit = np.unpackbits(hit, bitorder="little")[:len(pos)].astype(bool)
-        layer = cur[:len(pos)]
+        hit, at = plan.reach()
+        layer = cur[:len(hit)]
         layer[:] = 0.0
-        layer[hit] = _terminal_values(lambda: payoff.terminal_array(pos[hit]))
+        layer[hit] = _terminal_values(lambda: payoff.terminal_array(at))
         left, right = float(layer[0]), float(layer[-1])
         inner = np.flatnonzero(layer != left)
         if len(inner):

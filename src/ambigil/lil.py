@@ -83,6 +83,18 @@ def normalizers(source) -> NormalizerSeries:
 # ---------------------------------------------------------------------------
 
 
+def _overshoot(p: float, thr: float, cap: float | None) -> Callable[[float], float]:
+    """v -> ((|v| ∧ cap - thr)^+)^p, uncapped for ``cap=None``."""
+
+    def fn(v: float) -> float:
+        a = abs(v)
+        if cap is not None:
+            a = min(a, cap)
+        return max(a - thr, 0.0) ** p
+
+    return fn
+
+
 class MomentSeries(object):
     """Per-step clipped-overshoot moments and their partial sums.
 
@@ -109,15 +121,7 @@ class MomentSeries(object):
 
     def _overshoot(self, n: int, cap: float | None) -> Callable[[float], float]:
         """v -> ((|v| ∧ cap - alpha s_n/t_n)^+)^p, uncapped for ``cap=None``."""
-        p, thr = self.p, self._threshold(n)
-
-        def fn(v: float) -> float:
-            a = abs(v)
-            if cap is not None:
-                a = min(a, cap)
-            return max(a - thr, 0.0) ** p
-
-        return fn
+        return _overshoot(self.p, self._threshold(n), cap)
 
     def gamma(self, n: int) -> float:
         return self.model.step(n).upper_expectation(self._overshoot(n, None))
@@ -261,26 +265,35 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     prev_s2 = None
 
     for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
-        a_n = norms.a(n)
-        s_n = norms.s(n)
+        # s_n, t_n, a_n and the overshoots as NormalizerSeries and
+        # MomentSeries compute them, each once per n
         s2_n = norms.s2(n)
-        t_n = norms.t(n)
+        s_n = math.sqrt(s2_n)
+        t_n = math.sqrt(2.0 * iterlog.loglog_(s2_n))
+        a_n = s_n * t_n
+        thr = alpha * s_n / t_n
         if prev_s2 not in (None, 0.0):
             max_step_ratio = max(max_step_ratio, s2_n / prev_s2)
         prev_s2 = s2_n
 
-        tail_n = model.step(n).upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
-        g_bar = ms.gamma_bar(n)
-        g_unb = ms.gamma(n)
+        step = model.step(n)
+        over, over_bar = _overshoot(p, thr, None), _overshoot(p, thr, a_n)
+        tail_n = step.upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
+        g_bar = step.upper_expectation(over_bar)
+        g_unb = step.upper_expectation(over)
+        if model.is_iid:  # MomentSeries.lam's i.i.d. branch: n times the same term
+            lam, lam_bar = n * g_unb, n * g_bar
+        else:
+            lam, lam_bar = model.moment_sums(over, n)[-1], model.moment_sums(over_bar, n)[-1]
         terms["tail-sum"].append(tail_n)
-        terms["capped-overshoot"].append((g_bar / a_n ** p) * (ms.lam_bar(n) / a_n ** p) ** d)
-        terms["overshoot"].append((g_unb / a_n ** p) * (ms.lam(n) / a_n ** p) ** d)
+        terms["capped-overshoot"].append((g_bar / a_n ** p) * (lam_bar / a_n ** p) ** d)
+        terms["overshoot"].append((g_unb / a_n ** p) * (lam / a_n ** p) ** d)
         terms["variance-divergence"].append(e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0))
         terms["power-moment"].append(e_pow / a_n ** power_p)
         terms["mean-upper"].append(abs(mean_u))
         terms["mean-lower"].append(abs(mean_l))
 
-        if eps <= 1.0 and eps * a_n / 2.0 > alpha * s_n / t_n:
+        if eps <= 1.0 and eps * a_n / 2.0 > thr:
             termwise_checked += 1
             lo = (eps / 2.0) ** p * tail_n
             mid = g_bar / a_n ** p

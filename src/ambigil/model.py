@@ -105,7 +105,11 @@ class StepAmbiguity:
 class SequenceModel(object):
     """A horizon-N schedule of steps, i.i.d. or per-step, on one lattice.
 
-    Pure value type: construct once, then share freely.
+    Pure value type: construct once, then share freely.  A schedule indexes
+    its steps once, at construction: ``_distinct`` holds the distinct step
+    objects (by identity) in first-occurrence order and ``_kinds`` holds one
+    index into it per step, so ``per_step`` pays for each distinct step once
+    and expands the values without a Python loop over the steps.
     """
 
     def __init__(self, horizon: int, steps: Sequence[StepAmbiguity] | None = None,
@@ -129,6 +133,10 @@ class SequenceModel(object):
                 raise ValueError(f"all steps must share one lattice delta, got {sorted(deltas)}")
             self._steps = steps
             self.delta = steps[0].support.delta
+            index: dict[int, int] = {}
+            # setdefault reads len(index) first: a new step takes the next index
+            self._kinds = [index.setdefault(id(s), len(index)) for s in steps]
+            self._distinct = list({id(s): s for s in steps}.values())
 
     @classmethod
     def iid(cls, step: StepAmbiguity, horizon: int) -> "SequenceModel":
@@ -150,21 +158,22 @@ class SequenceModel(object):
 
     def per_step(self, fn: Callable[[StepAmbiguity], object], upto: int | None = None) -> list:
         """[fn(step_1), ..., fn(step_upto)], ``upto`` defaulting to the horizon,
-        with ``fn`` called once per distinct step object: an i.i.d. model pays
-        for one step and gets one value repeated.  The cache lives for this
-        call only.  An ``upto`` past the horizon is an ``IndexError``."""
+        with ``fn`` called once per distinct step object among the first
+        ``upto``, in the order they first occur: an i.i.d. model pays for
+        one step and gets one value repeated, and a schedule maps its step
+        index (``_kinds``) onto the values.  Nothing is cached between calls.
+        A negative ``upto`` gives ``[]``; one past the horizon is an
+        ``IndexError``."""
         upto = self.horizon if upto is None else upto
         if upto > self.horizon:
             raise IndexError(f"step index {self.horizon + 1} outside 1..{self.horizon}")
         if self._iid is not None:
             return [fn(self._iid)] * upto if upto >= 1 else []
-        seen: dict[int, object] = {}
-        out = []
-        for step in self._steps[:max(upto, 0)]:
-            if id(step) not in seen:
-                seen[id(step)] = fn(step)
-            out.append(seen[id(step)])
-        return out
+        kinds = self._kinds[:max(upto, 0)]
+        # kinds number the steps in first-occurrence order, so the first
+        # ``upto`` steps hold exactly the distinct steps 0..max(kinds)
+        vals = list(map(fn, self._distinct[:max(kinds, default=-1) + 1]))
+        return list(map(vals.__getitem__, kinds))
 
     def moment_sums(self, fn: Callable[[float], float], upto: int | None = None,
                     lower: bool = False) -> list[float]:

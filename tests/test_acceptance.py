@@ -19,15 +19,17 @@ from ambigil.engine import (FullVectorPayoff, TerminalSumPayoff, evaluate_lower,
                             evaluate_pair, evaluate_upper)
 from ambigil.gnormal import (GNormalParams, clt_capacity, gnormal_lower_tail,
                              gnormal_upper_tail, std_normal_cdf)
-from ambigil.lil import (cluster_probe, continuity_probe, lil_lower_experiment,
-                         lil_upper_experiment)
-from ambigil.model import SequenceModel, make_rademacher_interval
+from ambigil.lil import (check_conditions, cluster_probe, continuity_probe,
+                         lil_lower_experiment, lil_upper_experiment)
+from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
+                           make_rademacher_interval)
 
 from oracles import (classical_expectation, classical_window_probability,
                      nested_supremum, random_model, table_payoff)
 
 STEP11 = make_rademacher_interval(1, 1, 1)
 STEP12 = make_rademacher_interval(1, 2, 2)
+STEP13 = make_rademacher_interval(1, 3, 3)
 
 
 def _report(num: int, desc: str, t0: float, budget: float):
@@ -230,3 +232,48 @@ def test_criterion_10_determinism(tmp_path):
             blobs.append((out / "result.csv").read_bytes())
         assert blobs[0] == blobs[1], f"{command}: CSVs differ across reruns"
     _report(10, "byte-identical CSVs under repeated seeds", t0, 300)
+
+
+def test_criterion_11_non_identical_steps():
+    """Criterion 9's exact self-checks, and the condition verdicts, on
+    schedules of steps that are not identically distributed: S12/S13
+    alternating, a widening 512 x S11, 1024 x S12, 2560 x S13, and S12
+    alternating with a step whose mean ranges over [-1/4, 1/4]."""
+    t0 = time.monotonic()
+    drift = StepAmbiguity(LatticeSupport(1.0, (-2, -1, 1, 2)),
+                          ((0.0, 0.5, 0.5, 0.0), (0.125, 0.25, 0.5, 0.125),
+                           (0.125, 0.5, 0.25, 0.125)))
+    assert drift.expectation_interval(lambda v: v) == (-0.25, 0.25)
+    schedules = {
+        "alternating": SequenceModel(4096, steps=[STEP12, STEP13] * 2048),
+        "widening": SequenceModel(4096, steps=[STEP11] * 512 + [STEP12] * 1024 + [STEP13] * 2560),
+        "drifting": SequenceModel(4096, steps=[STEP12, drift] * 2048),
+    }
+    for name, m in schedules.items():
+        lower_vals = [lil_lower_experiment(m, 64, N, 0.5) for N in (1024, 2048, 4096)]
+        assert all(b >= a for a, b in zip(lower_vals, lower_vals[1:])), (name, lower_vals)
+        for (n, N) in ((256, 2048), (256, 4096)):
+            r = lil_upper_experiment(m, n, N, 1.0)
+            assert r.capacity <= r.bound_crosscheck + 1e-12, (name, n, N, r)
+
+        rep = check_conditions(m, [256, 512, 1024, 2048, 4096])
+        verdicts = {r.id: r.verdict for r in rep.records}
+        for rec_id in ("tail-sum", "capped-overshoot", "overshoot", "boundedness-ratio"):
+            assert verdicts[rec_id] == "convergent-trend", (name, verdicts)
+        # the summed mean bounds grow like n on the drifting schedule, faster than a_n
+        want = "divergent-trend" if name == "drifting" else "convergent-trend"
+        assert verdicts["mean-ratio"] == want, (name, verdicts)
+        assert rep.termwise_checked > 0 and rep.termwise_violations == (), (name, rep)
+        assert rep.growth_check["variance_series_growing"], name
+
+    # the three centerings differ where the mean bounds do: a higher
+    # center is a higher threshold, and each capacity stays below its bound
+    drifting = schedules["drifting"]
+    caps = []
+    for center in ("upper-mean", "none", "lower-mean"):
+        r = lil_upper_experiment(drifting, 64, 1024, 0.5, center=center)
+        assert r.capacity <= r.bound_crosscheck + 1e-12, (center, r)
+        caps.append(r.capacity)
+    assert caps[0] < caps[1] < caps[2], caps
+    _report(11, "window monotonicity, blocked-bound domination and verdicts on schedules",
+            t0, 120)

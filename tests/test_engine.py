@@ -1,6 +1,8 @@
+import gc
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambigil import engine
+from ambigil.capacity import capacity_pair
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
                             evaluate_lower, evaluate_pair, evaluate_upper,
@@ -430,6 +433,7 @@ def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
         groups = engine._sparse_terms(many).groups
         assert max(len(g.qs) for g in groups) == 3 and len(groups) > 10 and any(
             head is None for g in groups for _, head, _, _ in g.pieces)
+    # new model objects: a plan cached under another budget is never read
     models = [SequenceModel.iid(many, 9), SequenceModel.iid(wide, 3),
               SequenceModel(10, steps=[many, shared, STEP12, wide, shared] * 2)]
     for m in models:
@@ -439,6 +443,9 @@ def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
                 _assert_lattice_is_generic(m, payoff)
         for fn in (_ramp(-0.5, 1.5), lambda s: s * s - s):
             _assert_lattice_is_generic(m, TerminalSumPayoff(fn))
+        # the cached groups are the ones cut under this budget
+        strips = [[g.strip for g in row.groups] for row in engine._PLANS[m].table]
+        assert strips == [[g.strip for g in row.groups] for row in m.per_step(engine._sparse_terms)]
 
 
 def test_block_of_products_stays_bounded():
@@ -492,6 +499,84 @@ def test_state_cap_counts_a_block_past_its_budget(monkeypatch):
     with pytest.raises(StateSpaceError) as ei:
         evaluate_upper(m, sq, state_cap=61 + 4)
     assert ei.value.estimate == 61 + 5
+
+
+def _same_steps(m):
+    """A new model object with ``m``'s step objects, so no plan is cached for it."""
+    if m.is_iid:
+        return SequenceModel.iid(m.step(1), m.horizon)
+    return SequenceModel(m.horizon, steps=list(m.steps()))
+
+
+def test_plan_cache_cold_and_warm_bits():
+    """I.i.d. models and schedules that reuse a few step objects: a DP on a
+    model whose plan is cached gives the bits of one on a new model object
+    with the same steps, whose plan is built for it, and of the generic
+    path, for window events, complements, negations, terminal payoffs and
+    capacity pairs."""
+    rng = np.random.default_rng(20)
+    for i in range(36):
+        delta = float(rng.choice([0.5, 1.0]))
+        n = int(rng.integers(1, 25))
+        if i % 2 == 0:
+            m = SequenceModel.iid(_sparse_step(rng, delta), n)
+        else:
+            pool = [_sparse_step(rng, delta) for _ in range(3)]
+            m = SequenceModel(n, steps=[pool[int(j)] for j in rng.integers(0, 3, n)])
+        hi = int(rng.integers(1, n + 1))
+        lo = int(rng.integers(1, hi + 1))
+        scale, t = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-3, 3))
+        ev = WindowEvent(lo, hi, lambda k: scale * math.sqrt(k) * delta,
+                         ("ge", "gt", "le", "lt")[i % 4], ("S", "-S", "absS")[i % 3])
+        payoffs = (ev, ev.complement(), ev.negate(),
+                   TerminalSumPayoff(lambda s: (s - t) ** 2), TerminalSumPayoff(_ramp(t, 1.0)))
+        runs = [(evaluate, payoff) for evaluate in (evaluate_upper, evaluate_lower)
+                for payoff in payoffs]
+        generic = [_bits(evaluate(m, payoff, method="generic")) for evaluate, payoff in runs]
+        assert m not in engine._PLANS  # the generic path builds no plan
+        for _ in range(2):  # the first DP builds the plan, every later one reads it
+            warm = [_bits(evaluate(m, payoff, method="lattice")) for evaluate, payoff in runs]
+            cold = [_bits(evaluate(_same_steps(m), payoff, method="lattice"))
+                    for evaluate, payoff in runs]
+            assert warm == cold == generic, i
+            pair, cold = capacity_pair(m, ev), capacity_pair(_same_steps(m), ev)
+            assert (_bits(pair.lower), _bits(pair.upper)) == (_bits(cold.lower), _bits(cold.upper))
+        assert m in engine._PLANS
+
+
+def test_plan_built_once_per_model(monkeypatch):
+    """Window and terminal DPs on one schedule build its per-step table once,
+    one row per distinct step object, and its reach mask once."""
+    built = []
+    sparse = engine._sparse_terms
+    monkeypatch.setattr(engine, "_sparse_terms", lambda step: built.append(step) or sparse(step))
+    s13 = make_rademacher_interval(1, 3, 3)
+    m = SequenceModel(12, steps=[s13, STEP12, STEP12] * 4)
+    payoffs = (WindowEvent(1, 12, 3.0), WindowEvent(2, 8, 1.0, "le", "absS").complement(),
+               TerminalSumPayoff(lambda s: s * s), TerminalSumPayoff(_ramp(-1.0, 2.0)))
+    for payoff in payoffs:
+        evaluate_pair(m, payoff)
+    assert [id(s) for s in built] == [id(s13), id(STEP12)]
+    plan = engine._PLANS[m]
+    assert plan.reach() is plan.reach()
+    # S13's points span -3..3 and S12's -2..2
+    lows, widths = plan.layers()
+    assert (lows[-1], widths[-1]) == (4 * (-3 - 2 - 2), 4 * (6 + 4 + 4) + 1)
+
+
+def test_plan_dies_with_its_model():
+    """The plan holds no reference to its model: once the model is gone, so
+    is its entry."""
+    gc.collect()
+    before = len(engine._PLANS)
+    m = SequenceModel(6, steps=[STEP12, make_rademacher_interval(1, 3, 3)] * 3)
+    evaluate_upper(m, TerminalSumPayoff(lambda s: s * s))
+    evaluate_upper(m, WindowEvent(1, 6, 2.0))
+    assert m in engine._PLANS and len(engine._PLANS) == before + 1
+    gone = weakref.ref(m)
+    del m
+    gc.collect()
+    assert gone() is None and len(engine._PLANS) == before
 
 
 @st.composite

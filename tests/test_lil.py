@@ -141,6 +141,28 @@ def test_check_conditions_classical():
     assert rep.growth_check["max_onestep_s2_ratio"] <= 2.0 + 1e-12
 
 
+def test_check_conditions_overshoot_terms_are_moment_series():
+    """At every checkpoint the overshoot series' terms are MomentSeries'
+    gamma and lam (capped: gamma_bar and lam_bar), bit for bit: on an i.i.d.
+    model, where lam is n times one step's term, and on a schedule, where it
+    is the fold over the steps."""
+    s13 = make_rademacher_interval(1, 3, 3)
+    cps = [1, 2, 5, 17, 40, 64]
+    for m in (SequenceModel.iid(STEP12, 64), SequenceModel(64, steps=[STEP12, s13] * 32)):
+        for p, alpha, d in ((2.0, 1.0, 1), (3.0, 0.4, 2)):
+            rep = check_conditions(m, cps, p=p, alpha=alpha, d=d)
+            ms = moment_series(m, p, alpha)
+            for rec_id, gamma, lam in (("overshoot", ms.gamma, ms.lam),
+                                       ("capped-overshoot", ms.gamma_bar, ms.lam_bar)):
+                want = []
+                for n in cps:
+                    a = ms.norms.a(n) ** p
+                    want.append((gamma(n) / a) * (lam(n) / a) ** d)
+                    if m.is_iid:
+                        assert lam(n) == n * gamma(n)
+                assert [x.hex() for x in rep.record(rec_id).terms] == [x.hex() for x in want]
+
+
 def test_check_conditions_validation():
     m = SequenceModel.iid(STEP11, 10)
     with pytest.raises(ValueError):

@@ -207,5 +207,30 @@ def test_per_step_calls_fn_once_per_distinct_step():
         assert len(calls) == distinct
         calls.clear()
         assert model.per_step(radius, 0) == [] and calls == []
+        assert model.per_step(radius, -3) == [] and calls == []
     with pytest.raises(IndexError):
         iid.per_step(lambda s: 0.0, 97)
+
+    # three kinds, the third first at step 7: calls come in first-occurrence order
+    s11 = make_rademacher_interval(1, 1, 1)
+    steps = [s13, s12] * 3 + [s11, s12, s11, s13, s11, s12]
+    three = SequenceModel(12, steps=steps)
+    calls = []
+
+    def first_seen(step):
+        calls.append(step)
+        return len(calls)
+
+    assert three.per_step(first_seen) == [1, 2] * 3 + [3, 2, 3, 1, 3, 2]
+    assert [id(s) for s in calls] == [id(s13), id(s12), id(s11)]
+    for upto in (6, 1):
+        calls.clear()
+        assert three.per_step(first_seen, upto) == [1, 2, 1, 2, 1, 2][:upto]
+        assert [id(s) for s in calls] == [id(s13), id(s12)][:upto]
+    calls.clear()
+    assert three.per_step(first_seen, 7)[-1] == 3 and len(calls) == 3
+    calls.clear()
+    assert three.per_step(first_seen, -1) == [] and calls == []
+    with pytest.raises(IndexError):
+        three.per_step(first_seen, 13)
+    assert calls == []
