@@ -296,7 +296,8 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     "side": ">="|">"|"<="|"<", "threshold": T}`` where T is one of
     ``{"kind": "const", "c": real}``, ``{"kind": "d_n", "scale": real}``
     (scale * sqrt(2 m loglog m)) or ``{"kind": "a_n", "scale": real}``
-    (scale * s_m t_m, needing the model for the running second moments).
+    (scale * s_m * t_m, multiplied left to right, with s_m and t_m read from
+    the model's ``NormalizerSeries``).
     """
     try:
         win = cfg["window"]
@@ -316,8 +317,9 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
         scale = _real(thr.get("scale", 1.0), "threshold scale")
-        s2 = cumulative_upper_second_moments(model)
-        threshold = lambda m: scale * math.sqrt(s2[m]) * math.sqrt(2.0 * iterlog.loglog_(s2[m]))
+        norms = iterlog.NormalizerSeries(cumulative_upper_second_moments(model))
+        s, t = norms.s_table, norms.t_table
+        threshold = lambda m: scale * s[m] * t[m]
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
     return window_max_event(n, N, threshold, side=side, on=stat)

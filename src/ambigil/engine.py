@@ -770,8 +770,9 @@ def evaluate_upper(model: SequenceModel, payoff, *,
 
 
 def evaluate_lower(model: SequenceModel, payoff, **kw) -> float:
-    """Conjugate (lower) expectation: -E_upper[-payoff]."""
-    return -evaluate_upper(model, payoff.negate(), **kw)
+    """Conjugate (lower) expectation: -E_upper[-payoff], as 0.0 minus it so
+    that a zero lower value is +0.0, never -0.0."""
+    return 0.0 - evaluate_upper(model, payoff.negate(), **kw)
 
 
 def evaluate_pair(model: SequenceModel, payoff, **kw) -> ExpectationPair:

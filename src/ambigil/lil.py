@@ -9,6 +9,9 @@ self-checks that every experiment run can assert.
 
 Normalizers follow the convention log x = ln max(e, x) at every level, so
 loglog x = 1 for any x <= e**e and all normalizers are positive from n = 1.
+s_n, t_n and a_n come from one table, ``iterlog.NormalizerSeries``, built
+once per running s^2 list: the experiments, ``check_conditions`` and
+``MomentSeries`` all read it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import iterlog
+from .iterlog import NormalizerSeries
 from .bounds import _rate_table, kolmogorov_bound, RateTable
 from .capacity import (_running_centers, capacity_pair,
                        cumulative_upper_second_moments, lower_capacity,
@@ -32,67 +36,25 @@ from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
 # ---------------------------------------------------------------------------
 
 
-class NormalizerSeries(object):
-    """s_n, t_n = sqrt(2 loglog s_n^2), a_n = s_n t_n, d_n = sqrt(2 n loglog n)."""
-
-    def __init__(self, s2: Callable[[int], float]):
-        self._s2 = s2
-
-    def s2(self, n: int) -> float:
-        return float(self._s2(n))
-
-    def s(self, n: int) -> float:
-        return math.sqrt(self.s2(n))
-
-    def t(self, n: int) -> float:
-        return math.sqrt(2.0 * iterlog.loglog_(self.s2(n)))
-
-    def a(self, n: int) -> float:
-        return self.s(n) * self.t(n)
-
-    @staticmethod
-    def d(n: int) -> float:
-        return iterlog.d_n(n)
-
-
 def normalizers(source) -> NormalizerSeries:
-    """Normalizer series from a model or an explicit nondecreasing s^2 series.
+    """Normalizer table from a model or an explicit nondecreasing s^2 series.
 
     A sequence source is read 1-based: source[n-1] = s_n^2, each entry
     through ``_finite``.
     """
     if isinstance(source, SequenceModel):
-        seq = cumulative_upper_second_moments(source)[1:]
-    else:
-        seq = [_finite(v, "s2 series entry") for v in source]
-        if not seq or seq[0] < 0:
-            raise ValueError("s2 series must be nonempty with s2(1) >= 0")
-        if any(b < a for a, b in zip(seq, seq[1:])):
-            raise ValueError("s2 series must be nondecreasing")
-
-    def s2(n: int) -> float:
-        if not 1 <= n <= len(seq):
-            raise IndexError(f"n={n} outside 1..{len(seq)}")
-        return seq[n - 1]
-
-    return NormalizerSeries(s2)
+        return NormalizerSeries(cumulative_upper_second_moments(source))
+    seq = [_finite(v, "s2 series entry") for v in source]
+    if not seq or seq[0] < 0:
+        raise ValueError("s2 series must be nonempty with s2(1) >= 0")
+    if any(b < a for a, b in zip(seq, seq[1:])):
+        raise ValueError("s2 series must be nondecreasing")
+    return NormalizerSeries([0.0] + seq)
 
 
 # ---------------------------------------------------------------------------
 # moment series
 # ---------------------------------------------------------------------------
-
-
-def _overshoot(p: float, thr: float, cap: float | None) -> Callable[[float], float]:
-    """v -> ((|v| ∧ cap - thr)^+)^p, uncapped for ``cap=None``."""
-
-    def fn(v: float) -> float:
-        a = abs(v)
-        if cap is not None:
-            a = min(a, cap)
-        return max(a - thr, 0.0) ** p
-
-    return fn
 
 
 class MomentSeries(object):
@@ -103,6 +65,8 @@ class MomentSeries(object):
     lam(n)        sum over j <= n of the gamma-style term with the threshold
                   and cap taken at n (not j)
     lam_bar(n)    capped variant of lam
+
+    ``overshoot_terms(n)`` returns all four at n, each step's term taken once.
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
@@ -121,7 +85,15 @@ class MomentSeries(object):
 
     def _overshoot(self, n: int, cap: float | None) -> Callable[[float], float]:
         """v -> ((|v| ∧ cap - alpha s_n/t_n)^+)^p, uncapped for ``cap=None``."""
-        return _overshoot(self.p, self._threshold(n), cap)
+        p, thr = self.p, self._threshold(n)
+
+        def fn(v: float) -> float:
+            a = abs(v)
+            if cap is not None:
+                a = min(a, cap)
+            return max(a - thr, 0.0) ** p
+
+        return fn
 
     def gamma(self, n: int) -> float:
         return self.model.step(n).upper_expectation(self._overshoot(n, None))
@@ -129,17 +101,28 @@ class MomentSeries(object):
     def gamma_bar(self, n: int) -> float:
         return self.model.step(n).upper_expectation(self._overshoot(n, self.norms.a(n)))
 
-    def _lam(self, n: int, cap: float | None) -> float:
+    def _series(self, n: int, cap: float | None) -> tuple[float, float]:
+        """(term at n, sum of the terms over j <= n), threshold and cap taken
+        at n.  On an i.i.d. model the sum is n times the term; on a schedule
+        it is the left fold of the per-step terms, whose last is the term."""
         fn = self._overshoot(n, cap)
         if self.model.is_iid:
-            return n * self.model.step(1).upper_expectation(fn)
-        return self.model.moment_sums(fn, n)[-1]
+            term = self.model.step(n).upper_expectation(fn)
+            return term, n * term
+        terms = self.model.per_step(lambda s: s.upper_expectation(fn), n)
+        return terms[-1], running_sums(terms)[-1]
+
+    def overshoot_terms(self, n: int) -> tuple[float, float, float, float]:
+        """(gamma, gamma_bar, lam, lam_bar) at n."""
+        gamma, lam = self._series(n, None)
+        gamma_bar, lam_bar = self._series(n, self.norms.a(n))
+        return gamma, gamma_bar, lam, lam_bar
 
     def lam(self, n: int) -> float:
-        return self._lam(n, None)
+        return self._series(n, None)[1]
 
     def lam_bar(self, n: int) -> float:
-        return self._lam(n, self.norms.a(n))
+        return self._series(n, self.norms.a(n))[1]
 
 
 def moment_series(model: SequenceModel, p: float, alpha: float) -> MomentSeries:
@@ -265,26 +248,13 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     prev_s2 = None
 
     for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
-        # s_n, t_n, a_n and the overshoots as NormalizerSeries and
-        # MomentSeries compute them, each once per n
-        s2_n = norms.s2(n)
-        s_n = math.sqrt(s2_n)
-        t_n = math.sqrt(2.0 * iterlog.loglog_(s2_n))
-        a_n = s_n * t_n
-        thr = alpha * s_n / t_n
+        s2_n, a_n, thr = norms.s2(n), norms.a(n), ms._threshold(n)
         if prev_s2 not in (None, 0.0):
             max_step_ratio = max(max_step_ratio, s2_n / prev_s2)
         prev_s2 = s2_n
 
-        step = model.step(n)
-        over, over_bar = _overshoot(p, thr, None), _overshoot(p, thr, a_n)
-        tail_n = step.upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
-        g_bar = step.upper_expectation(over_bar)
-        g_unb = step.upper_expectation(over)
-        if model.is_iid:  # MomentSeries.lam's i.i.d. branch: n times the same term
-            lam, lam_bar = n * g_unb, n * g_bar
-        else:
-            lam, lam_bar = model.moment_sums(over, n)[-1], model.moment_sums(over_bar, n)[-1]
+        tail_n = model.step(n).upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
+        g_unb, g_bar, lam, lam_bar = ms.overshoot_terms(n)
         terms["tail-sum"].append(tail_n)
         terms["capped-overshoot"].append((g_bar / a_n ** p) * (lam_bar / a_n ** p) ** d)
         terms["overshoot"].append((g_unb / a_n ** p) * (lam / a_n ** p) ** d)
@@ -352,12 +322,6 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
 # ---------------------------------------------------------------------------
 
 
-def _a_table(s2: Sequence[float], upto: int) -> list[float]:
-    """[0.0, a_1, ..., a_upto] with a_m = s_m t_m from the running sums
-    ``s2`` = [0, s_1^2, ...], computed as ``NormalizerSeries.a`` does."""
-    return [0.0] + [math.sqrt(v) * math.sqrt(2.0 * iterlog.loglog_(v)) for v in s2[1:upto + 1]]
-
-
 @dataclass(frozen=True)
 class BlockDiagnostic:
     lo: int
@@ -394,9 +358,9 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
     n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
-    s2 = cumulative_upper_second_moments(model)
+    norms = NormalizerSeries(model.moment_sums(lambda v: v * v, N))
+    a = norms.a_table
     cents = _running_centers(model, N, center)
-    a = _a_table(s2, N)
     ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
     cap = upper_capacity(model, ev, **engine_kw)
 
@@ -407,7 +371,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     while lo <= N:
         hi = min(N, 2 * lo)
         x_j = min((1.0 + eps) * a[m] + cents[m] - upper_means[m] for m in range(lo, hi + 1))
-        y_j = math.sqrt(s2[hi]) / math.sqrt(2.0 * iterlog.loglog_(s2[hi]))
+        y_j = norms.s(hi) / norms.t(hi)
         b2 = model.moment_sums(lambda v: min(v, y_j) ** 2, hi)[-1]
         mt = min(1.0, model.moment_sums(lambda v: 1.0 if v > y_j else 0.0, hi)[-1])
         if x_j <= 0:
@@ -430,7 +394,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     """
     win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
-    a = _a_table(cumulative_upper_second_moments(model), win.hi)
+    a = NormalizerSeries(model.moment_sums(lambda v: v * v, win.hi)).a_table
     ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from ambigil.bounds import DominationGrid, random_small_model
 from ambigil.capacity import (BCProductReport, CapacityPair, OutcomeFlagEvent,
                               bc_product_check, capacity_pair, choquet_integral,
                               event_from_config, lower_capacity,
                               mc_capacity_lower_bound, upper_capacity,
                               window_max_event)
-from ambigil.engine import Automaton, TerminalSumPayoff, WindowEvent, evaluate_upper
+from ambigil.engine import (Automaton, TerminalSumPayoff, WindowEvent, evaluate_lower,
+                            evaluate_upper)
 from ambigil.lil import continuity_probe
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
-from ambigil.rng import SplitMix64
+from ambigil.rng import SplitMix64, substream
 
 from oracles import (JoinedEvent, classical_window_probability, mc_reference,
                      nested_supremum, random_model)
@@ -285,6 +287,29 @@ def test_choquet_dominates_upper_expectation():
         cv = choquet_integral(tail, atoms)
         e_up = evaluate_upper(m, TerminalSumPayoff(lambda s: s))
         assert e_up <= cv + 1e-10
+
+
+def test_choquet_brackets_expectations_of_squared_sum():
+    """For X = S_n^2 >= 0, E_P[X] is the integral of P(X >= t) over t > 0
+    for every adapted law P, so the upper expectation is at most C_V(X),
+    the Choquet integral under the upper capacity, and the lower
+    expectation at least C_v(X), the one under the lower capacity.
+    Checked on 200 seeded domination-grid models, with V(X >= t) the
+    window event {|S_n| >= sqrt t} at n..n: each atom t = (delta k)^2 has
+    sqrt t = delta k exactly, as delta is 0.5 or 1."""
+    grid = DominationGrid()
+    sq = TerminalSumPayoff(lambda s: s * s)
+    for i in range(200):
+        m = random_small_model(substream(2024, i), grid)
+        n = m.horizon
+        reach = sum(max(-s.support.points[0], s.support.points[-1]) for s in m.steps())
+        atoms = [(m.delta * k) ** 2 for k in range(reach + 1)]
+
+        def tail(capacity):
+            return lambda t: capacity(m, window_max_event(n, n, math.sqrt(t), ">=", "absS"))
+
+        assert evaluate_upper(m, sq) <= choquet_integral(tail(upper_capacity), atoms) + 1e-12
+        assert evaluate_lower(m, sq) >= choquet_integral(tail(lower_capacity), atoms) - 1e-12
 
 
 def _sum_stats(m):

@@ -41,6 +41,16 @@ def test_eval_fixture(tmp_path, model12_path):
     assert "evaluate_pair" in report and "config hash" in report
 
 
+def test_eval_zero_lower_value_writes_positive_zero(tmp_path):
+    model = tmp_path / "m.json"
+    SequenceModel.iid(make_rademacher_interval(1, 2, 2), 4).save(model)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model), "payoff": {"kind": "sum"}}))
+    out = tmp_path / "r"
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "result.csv").read_text().splitlines()[1] == "S,0.0,0.0"
+
+
 def test_gnormal_flags_only(tmp_path):
     out = tmp_path / "g"
     assert main(["gnormal", "--sigma-lo", "1", "--sigma-hi", "2", "--x", "0",

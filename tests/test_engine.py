@@ -38,6 +38,18 @@ def test_single_step_examples():
     assert evaluate_lower(m, TerminalSumPayoff(lambda s: s)) == 0.0
 
 
+def test_zero_lower_value_is_positive_zero():
+    """A zero lower value is +0.0 on every path, never the -0.0 that
+    negating the upper value of the negated payoff would give."""
+    step11 = make_rademacher_interval(1, 1, 1)
+    for m in (SequenceModel.iid(STEP12, 4), SequenceModel(3, steps=[STEP12, step11, STEP12])):
+        for payoff in (TerminalSumPayoff(lambda s: 0.0), TerminalSumPayoff(lambda s: s),
+                       FullVectorPayoff(lambda xs: 0.0)):
+            for method in ("auto", "generic"):
+                lower = evaluate_pair(m, payoff, method=method).lower
+                assert lower == 0.0 and math.copysign(1.0, lower) == 1.0
+
+
 def test_two_step_example():
     m = SequenceModel.iid(STEP12, 2)
     pair = evaluate_pair(m, TerminalSumPayoff(lambda s: s * s))

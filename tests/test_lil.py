@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from ambigil.lil import (ConditionReport, check_conditions, cluster_probe,
                          lil_lower_experiment, lil_upper_experiment,
                          moment_series, normalizers)
 from ambigil.bounds import converse_rate_check
+from ambigil.capacity import event_from_config
 from ambigil.gnormal import clt_capacity
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
                            make_rademacher_interval)
@@ -412,3 +414,53 @@ def test_window_experiments_pinned_bits():
         ("0x1.d407d801136ecp-1", "0x1.58ee0543ee0a5p-1"),
         ("0x1.8a4aedd71ad76p-1", "0x1.5ec85f87b8798p-3"),
         ("0x1.dcc934e4a3d37p-4", "0x1.3af6290ec0000p-17")]
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def test_lil_scales_pinned_bits():
+    """Every reader of s_n, t_n and a_n, bit for bit, on the 96-step
+    alternating S12/S13 schedule: ``check_conditions`` record values and
+    terms (and the growth check) under two parameter sets, the normalizer
+    entries and ``MomentSeries``' four reads, these also on S12 i.i.d.;
+    ``lil_upper_experiment``'s block x, y and b2y under the three
+    centerings; the ``a_n`` thresholds of ``event_from_config`` at scale
+    0.7.  Each family is pinned by the sha256 of its values' ``float.hex``,
+    taken before the scales moved into one table."""
+    step13 = make_rademacher_interval(1, 3, 3)
+    alt = SequenceModel(96, steps=[STEP12, step13] * 48)
+    iid = SequenceModel.iid(STEP12, 96)
+    cps = [1, 2, 5, 17, 40, 64, 96]
+    conditions = []
+    for model in (alt, iid):
+        for kw in ({}, {"p": 3.0, "alpha": 0.4, "d": 2, "eps": 0.5, "delta": 0.25}):
+            rep = check_conditions(model, cps, **kw)
+            for r in rep.records:
+                conditions += r.values + r.terms
+            g = rep.growth_check
+            conditions += [g[k] for k in ("max_onestep_s2_ratio", "s2_first", "s2_last",
+                                          "variance_series_first", "variance_series_last")]
+            conditions.append(rep.termwise_checked)
+    series = []
+    for model in (alt, iid):
+        ns = normalizers(model)
+        series += [f(m) for m in range(1, 97) for f in (ns.s2, ns.s, ns.t, ns.a)]
+        ms = moment_series(model, 3.0, 0.4)
+        series += [f(n) for n in cps for f in (ms.gamma, ms.gamma_bar, ms.lam, ms.lam_bar)]
+    blocks = [v for center in ("upper-mean", "lower-mean", "none")
+              for b in lil_upper_experiment(alt, 8, 96, 0.2, center=center).blocks
+              for v in (b.x, b.y, b.b2y)]
+    ev = event_from_config({"window": {"n": 1, "N": 96},
+                            "threshold": {"kind": "a_n", "scale": 0.7}}, alt)
+    thresholds = [ev.threshold(m) for m in range(1, 97)]
+    assert (len(conditions), len(series), len(blocks), len(thresholds)) == (360, 824, 36, 96)
+    assert _hex_digest(conditions) == (
+        "78038e35c34d39e532dd9839840dd2239452caf34cba49185ea8ae0eb6ec0cce")
+    assert _hex_digest(series) == (
+        "a9cd41fba654eefc7eae7ea741244943ef47f5179a927c236b616e4fea240d26")
+    assert _hex_digest(blocks) == (
+        "b70df4bf08e8e0eb61bfb1b5f80aa1cf6b01b57d0da26e6a5c3abb8a161bde57")
+    assert _hex_digest(thresholds) == (
+        "4d7fd75058109add18a330b26f2882187106cd3d83f751eaa5b97094919edcbe")
