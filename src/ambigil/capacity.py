@@ -23,6 +23,9 @@ from .engine import Automaton, WindowEvent, _side, evaluate_upper
 from .model import SequenceModel, _integer, _real
 from .rng import substream
 
+# Monte Carlo draws and resolves steps in blocks of about this many values
+_MC_BLOCK = 2 ** 14
+
 
 @dataclass(frozen=True)
 class CapacityPair:
@@ -197,20 +200,29 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
       the event flag (lowest index wins ties; triggered paths take index 0);
     * ``("schedule", [i_1, ..., i_N])`` — fixed per-step indices.
 
-    All replications advance together, one step at a time: at step k one
-    ``uniform()`` call on the row stream ``substream(seed, arange(R))`` gives
-    replication r the k-th draw of its own stream substream(seed, r), so
-    that draw drives step k of its replication whatever the replication
-    count.  The outcome for a draw u is the first point whose cumulative
-    weight under the chosen law exceeds u, found by one sorted search per
-    law (``searchsorted(..., side="right")``), or the last point when u is
-    past the last sum.  Greedy scores all candidate points at once: one
-    ``trigger_mask`` call on the (points x replications) block of next
-    positions, each measure's trigger probability summed left to right from
-    0.0 over the points, the lowest index winning ties; the chosen point's
-    row of that block is the new flag.  A path counts as accepted when the
-    event's terminal value for it (``values[1]`` if it fired, ``values[0]``
-    if not) is at least 0.5.
+    All replications advance together, in blocks of ``max(1, _MC_BLOCK //
+    R)`` steps for R replications: one ``uniform_rows`` call on the row
+    stream ``substream(seed, arange(R))`` draws a block's (steps x R)
+    uniforms, and element [i, r] is the next draw of replication r's own
+    stream substream(seed, r).  So the draw that drives step k of
+    replication r is still the k-th uniform of substream(seed, r), whatever
+    the replication count or block size.  The outcome for a draw u is the
+    first point whose cumulative weight under the chosen law exceeds u, or
+    the last point when u is past the last sum.
+
+    A fixed strategy's path does not depend on the path, so each block is
+    resolved at once: each step's outcome is counted from comparisons of
+    the block row against that step's chosen cumulative law, the positions
+    are one integer cumulative sum of the points, and the flag takes one
+    ``trigger_mask`` call per step of the block inside the window.  Greedy
+    goes step by step through the block and scores all candidate points at
+    once: one ``trigger_mask`` call on the (points x replications) block of
+    next positions, each measure's trigger probability summed left to right
+    from 0.0 over the points, the lowest index winning ties (a strict
+    running comparison over the measures); the chosen point's row of that
+    block is the new flag.  A path counts as accepted when the event's
+    terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
+    is at least 0.5.
     """
     replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
@@ -225,32 +237,79 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
                                        np.array([list(accumulate(m)) for m in s.measures]),
                                        np.array(s.measures)))
     streams = substream(seed, np.arange(replications, dtype=np.uint64))
-    reps = np.arange(replications)
     pos = np.zeros(replications, dtype=np.int64)
     flag = np.zeros(replications, dtype=bool)
-    for k, (pts, cums, weights) in enumerate(tables, start=1):
-        u = streams.uniform()
-        # a cumulative law is nondecreasing, so its right-side search for u is
-        # the first j with u < cum[j]; u past the last sum takes the last point
+    rows = max(1, _MC_BLOCK // replications)
+    if sched is not None:
+        laws, jumps, first = _fixed_laws(tables, sched)
+    for k0 in range(0, model.horizon, rows):
+        u = streams.uniform_rows(min(rows, model.horizon - k0))
         if sched is None:
-            # row j: whether stepping to point j fires the event, per replication
-            hits = ev.trigger_mask(k, model.delta * (pos + pts[:, None]))
-            score = np.zeros((len(weights), replications))
-            for q, hit in zip(weights.T, hits):  # left to right from 0.0, per measure
-                score += q[:, None] * hit
-            mi = np.argmax(score, axis=0)  # first maximum: lowest index wins ties
-            mi[flag] = 0
-            j = np.array([np.searchsorted(c, u, side="right") for c in cums])[mi, reps]
-        else:
-            j = np.searchsorted(cums[sched[k - 1]], u, side="right")
-        j = np.minimum(j, len(pts) - 1)
-        pos += pts[j]
-        flag |= hits[j, reps] if sched is None else ev.trigger_mask(k, model.delta * pos)
+            for k, uk in enumerate(u, start=k0 + 1):
+                pos, flag = _greedy_step(ev, model.delta, tables[k - 1], k, uk, pos, flag)
+            continue
+        block = slice(k0, k0 + len(u))
+        # outcome j is the count of the law's sums at or below u among the
+        # first (points - 1): a nondecreasing law's right-side search for u,
+        # capped at the last point
+        steps = np.repeat(first[block, None], len(pos), axis=1)
+        for law, jump in zip(laws[block].T, jumps[block].T):
+            steps += (u >= law[:, None]) * jump[:, None]
+        path = np.cumsum(steps, axis=0, out=steps)
+        path += pos
+        for k in range(max(ev.lo, k0 + 1), min(ev.hi, k0 + len(u)) + 1):
+            flag |= ev.trigger_mask(k, model.delta * path[k - k0 - 1])
+        pos = path[-1]
 
     accepted = int(np.count_nonzero(np.where(flag, ev.values[1] >= 0.5, ev.values[0] >= 0.5)))
     p = accepted / replications
     se = math.sqrt(max(p * (1.0 - p), 0.0) / replications)
     return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
+
+
+def _fixed_laws(tables: list, sched: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per step k of a fixed strategy, padded to the widest support: the
+    chosen law's first (points - 1) cumulative sums (+inf beyond them), the
+    gaps between consecutive points (0 beyond them) and the first point.
+    Stepping to outcome j moves first + the sum of the first j gaps.  Each
+    distinct (step, measure) pair is built once."""
+    width = max(len(pts) for pts, _, _ in tables)
+    built = {}
+    for table, mi in zip(tables, sched):
+        if (id(table), mi) not in built:
+            pts, cums, _ = table
+            law = np.full(width - 1, np.inf)
+            law[:len(pts) - 1] = cums[mi, :-1]
+            jump = np.zeros(width - 1, dtype=np.int64)
+            jump[:len(pts) - 1] = np.diff(pts)
+            built[id(table), mi] = law, jump, pts[0]
+    laws, jumps, first = zip(*[built[id(table), mi] for table, mi in zip(tables, sched)])
+    return np.array(laws), np.array(jumps), np.array(first)
+
+
+def _greedy_step(ev: WindowEvent, delta: float, table, k: int, u: np.ndarray,
+                 pos: np.ndarray, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One greedy step of every replication: (new positions, new flags)."""
+    pts, cums, weights = table
+    # row j: whether stepping to point j fires the event, per replication
+    hits = ev.trigger_mask(k, delta * (pos + pts[:, None]))
+    score = np.zeros((len(weights), len(pos)))
+    for q, hit in zip(weights.T, hits):  # left to right from 0.0, per measure
+        score += q[:, None] * hit
+    # strict running comparison: the first maximum, lowest index, wins ties
+    mi = np.zeros(len(pos), dtype=np.intp)
+    best = score[0]
+    for i in range(1, len(score)):
+        better = score[i] > best
+        mi[better] = i
+        best = np.maximum(best, score[i])
+    mi[flag] = 0
+    # outcome j counts the chosen law's sums at or below u among the first
+    # (points - 1), as in the fixed strategies' blocks
+    j = np.zeros(len(pos), dtype=np.intp)
+    for col in cums[:, :-1].T:
+        j += col[mi] <= u
+    return pos + pts[j], flag | hits[j, np.arange(len(pos))]
 
 
 def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import iterlog
 from .iterlog import NormalizerSeries
@@ -67,6 +70,8 @@ class MomentSeries(object):
     lam_bar(n)    capped variant of lam
 
     ``overshoot_terms(n)`` returns all four at n, each step's term taken once.
+    On a schedule, ``_row`` numbers each step by its distinct step object
+    (in ``_distinct``), so a fold at n reads the per-kind terms through it.
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
@@ -79,6 +84,16 @@ class MomentSeries(object):
         self.p = p
         self.alpha = alpha
         self.norms = normalizers(model)
+        if not model.is_iid:
+            # per_step calls its function once per distinct step, in the order
+            # they first occur, so numbering the calls numbers the kinds
+            self._distinct: list[StepAmbiguity] = []
+            kinds = model.per_step(lambda s: self._distinct.append(s) or len(self._distinct))
+            # kinds number the distinct steps from 1 and _row puts a 0 first, so
+            # [0.0, term of kind 1, ...][_row[:n + 1]] is the fold's row at n
+            self._row = np.array([0] + kinds)
+            # _seen[n]: how many distinct steps the first n steps hold
+            self._seen = list(accumulate(kinds, max, initial=0))
 
     def _threshold(self, n: int) -> float:
         return self.alpha * self.norms.s(n) / self.norms.t(n)
@@ -104,13 +119,16 @@ class MomentSeries(object):
     def _series(self, n: int, cap: float | None) -> tuple[float, float]:
         """(term at n, sum of the terms over j <= n), threshold and cap taken
         at n.  On an i.i.d. model the sum is n times the term; on a schedule
-        it is the left fold of the per-step terms, whose last is the term."""
+        it is the left fold from 0.0 of the per-step terms (``np.add.accumulate``
+        is sequential, as ``running_sums``), whose last is the term, with
+        each distinct step's term taken once."""
         fn = self._overshoot(n, cap)
         if self.model.is_iid:
             term = self.model.step(n).upper_expectation(fn)
             return term, n * term
-        terms = self.model.per_step(lambda s: s.upper_expectation(fn), n)
-        return terms[-1], running_sums(terms)[-1]
+        vals = np.array([0.0] + [s.upper_expectation(fn) for s in self._distinct[:self._seen[n]]])
+        row = vals[self._row[:n + 1]]
+        return float(row[-1]), float(np.add.accumulate(row)[-1])
 
     def overshoot_terms(self, n: int) -> tuple[float, float, float, float]:
         """(gamma, gamma_bar, lam, lam_bar) at n."""

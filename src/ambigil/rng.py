@@ -10,13 +10,17 @@ Stream derivation rule (documented contract, relied on by capacity
 Monte Carlo): replication ``i`` of a run with seed ``s`` uses the stream
 ``SplitMix64(mix64(mix64(s) + i))``.
 
-``mix64``, ``SplitMix64`` and ``substream`` run the same xor, shift,
-multiply and mask code on a Python int or on a 1-D ``np.uint64`` array,
-whose multiplication and addition wrap mod 2**64.  ``substream(s, idx)``
-with an index row ``idx`` is one stream per element: element ``r`` of each
-``next_u64()`` or ``uniform()`` row equals the scalar stream
-``substream(s, idx[r])``'s draw bit for bit.  Scalar streams stay Python
-ints (a 0-d NumPy scalar would warn on overflow); ``randint`` is scalar only.
+``mix64`` and ``SplitMix64`` run the same xor, shift, multiply and mask
+code on a Python int or on a ``np.uint64`` array of any shape, whose
+multiplication and addition wrap mod 2**64; ``substream`` takes a Python
+int or a 1-D index array.  ``substream(s, idx)`` with an index row ``idx``
+is one stream per element: element ``r`` of each ``next_u64()`` or
+``uniform()`` row equals the scalar stream ``substream(s, idx[r])``'s draw
+bit for bit.  ``uniform_rows(k)`` on such a row stream returns its next k
+``uniform()`` rows as one (k, R) array, drawn by one ``uniform()`` call on
+the counter block of those k rows, since counter i of a stream does not
+depend on the draws before it.  Scalar streams stay Python ints (a 0-d
+NumPy scalar would warn on overflow); ``randint`` is scalar only.
 """
 
 from __future__ import annotations
@@ -56,6 +60,23 @@ class SplitMix64(object):
     def uniform(self) -> float | np.ndarray:
         """Uniform draw in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def uniform_rows(self, k: int) -> np.ndarray:
+        """The next k ``uniform()`` rows of a row stream as a (k, R) array:
+        element [i, r] is the (i+1)-th ``uniform()`` of stream r, and the
+        stream advances by k.  All k rows come from one ``uniform()`` call
+        (one ``next_u64()``) on the counter block ``state + arange(k) * GOLDEN``.
+        A scalar stream or k < 1 is a ``ValueError``."""
+        if not isinstance(self._state, np.ndarray):
+            raise ValueError("uniform_rows needs a row stream (a uint64 state array)")
+        if k < 1:
+            raise ValueError(f"uniform_rows needs k >= 1, got {k}")
+        # uint64 arrays throughout: array arithmetic wraps without a warning
+        offsets = np.arange(k, dtype=np.uint64) * np.uint64(_GOLDEN)
+        block = SplitMix64(self._state + offsets[:, None])
+        rows = block.uniform()
+        self._state = block._state[-1].copy()
+        return rows
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on the top 64-bit range."""

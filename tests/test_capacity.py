@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ambigil import capacity
 from ambigil.bounds import DominationGrid, random_small_model
 from ambigil.capacity import (BCProductReport, CapacityPair, OutcomeFlagEvent,
                               bc_product_check, capacity_pair, choquet_integral,
@@ -431,9 +432,32 @@ def test_mc_matches_scalar_reference():
     assert nontrivial >= 120
 
 
+def _ragged_rows(horizon: int) -> int:
+    """Rows per block that split the horizon into two or more blocks, the
+    last one short; 1 (no short block) where the horizon is 1 or 2."""
+    return next((r for r in range(2, horizon) if horizon % r), 1)
+
+
+def test_mc_matches_scalar_reference_across_blocks(monkeypatch):
+    # per case, block sizes that cut the horizon into several blocks: one
+    # that leaves a short last block (B not a multiple of R), and one below
+    # R, so every block is one row (R > B)
+    ragged = 0
+    for m, ev, strat, reps, seed in _mc_cases(240, 17):
+        want = mc_reference(m, ev, strat, reps, seed)
+        rows = _ragged_rows(m.horizon)
+        ragged += m.horizon % rows != 0
+        for block in (rows * reps + reps // 2, reps - 1):
+            monkeypatch.setattr(capacity, "_MC_BLOCK", block)
+            got = mc_capacity_lower_bound(m, ev, strat, reps, seed)
+            assert got == want, (m.horizon, strat, reps, block)
+    assert ragged >= 200
+
+
 def test_mc_draws_one_uniform_per_step(monkeypatch):
-    # each next_u64 call draws one row; record how many values each row holds:
-    # one row of 123 per step, 123 x 7 values in all
+    # each next_u64 call draws one block; record how many values each holds:
+    # one uniform per replication and step, a block of max(1, B // R) steps
+    # per call, B = _MC_BLOCK, the last block holding what is left
     rows = []
     draw = SplitMix64.next_u64
 
@@ -445,10 +469,14 @@ def test_mc_draws_one_uniform_per_step(monkeypatch):
     monkeypatch.setattr(SplitMix64, "next_u64", counted)
     m = SequenceModel.iid(STEP12, 7)
     ev = window_max_event(2, 5, 3.0)
-    for strat in (("constant", 1), ("schedule", [0, 1] * 3 + [0]), "greedy-one-step"):
-        rows.clear()
-        mc_capacity_lower_bound(m, ev, strat, 123, seed=4)
-        assert rows == [123] * 7
+    for block, want in ((capacity._MC_BLOCK, [123 * 7]), (123 * 3, [369, 369, 123]),
+                        (123 * 3 + 122, [369, 369, 123]), (123 * 7, [123 * 7]),
+                        (122, [123] * 7)):
+        monkeypatch.setattr(capacity, "_MC_BLOCK", block)
+        for strat in (("constant", 1), ("schedule", [0, 1] * 3 + [0]), "greedy-one-step"):
+            rows.clear()
+            mc_capacity_lower_bound(m, ev, strat, 123, seed=4)
+            assert rows == want, (block, strat)
 
 
 def test_mc_rejects_non_window_event():

@@ -464,3 +464,23 @@ def test_lil_scales_pinned_bits():
         "b70df4bf08e8e0eb61bfb1b5f80aa1cf6b01b57d0da26e6a5c3abb8a161bde57")
     assert _hex_digest(thresholds) == (
         "4d7fd75058109add18a330b26f2882187106cd3d83f751eaa5b97094919edcbe")
+
+
+def test_moment_series_fold_pinned_bits():
+    """``MomentSeries.lam`` and ``lam_bar`` on a 1200-step schedule of three
+    step kinds in an irregular order, bit for bit: the sha256 of their
+    ``float.hex`` at 24 n under two parameter sets, taken while each n's
+    fold still ran over a Python list of the per-step terms."""
+    kinds = (STEP11, STEP12, make_rademacher_interval(1, 3, 3))
+    model = SequenceModel(1200, steps=[kinds[(k * k + k // 7) % 3] for k in range(1200)])
+    ns = [1, 2, 3, 4, 7, 10, 31, 64, 99, 128, 200, 255, 256, 401, 512, 640, 777, 900,
+          1000, 1023, 1024, 1111, 1199, 1200]
+    values = []
+    # thresholds alpha s_n / t_n stay below the largest point, so every term
+    # of every fold is positive
+    for p, alpha in ((2.0, 0.05), (3.0, 0.02)):
+        ms = moment_series(model, p, alpha)
+        values += [f(n) for n in ns for f in (ms.lam, ms.lam_bar)]
+    assert len(values) == 96 and min(values) > 0
+    assert _hex_digest(values) == (
+        "759dcba4f1cc76a52ff6e641f5214d194ec83385d3cfc2d9c7012323348d6e7c")

@@ -62,6 +62,44 @@ def test_array_stream_matches_scalar_streams(seed):
                           substream(seed, idx[:4]).next_u64())
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_uniform_rows_match_successive_uniforms(seed):
+    # the index rows of test_array_stream_matches_scalar_streams, counters
+    # wrapping past 2**64; a block of k rows is k uniform() rows, and leaves
+    # the stream where k calls would
+    start = min(2 ** 64 - mix64(seed) - 3, 2 ** 64 - 6)
+    idx = np.array(list(range(4)) + [start + i for i in range(6)], dtype=np.uint64)
+    for k in (1, 2, 7):
+        block, rows = substream(seed, idx), substream(seed, idx)
+        block.next_u64(), rows.next_u64()
+        got = block.uniform_rows(k)
+        assert got.shape == (k, len(idx)) and got.dtype == np.float64
+        assert got.tolist() == [rows.uniform().tolist() for _ in range(k)]
+        assert block.next_u64().tolist() == rows.next_u64().tolist()
+        scalars = [substream(seed, int(i)) for i in idx]
+        assert substream(seed, idx).uniform_rows(k).T.tolist() == [
+            [s.uniform() for _ in range(k)] for s in scalars]
+    # raw counters: the last two wrap past 2**64 on the first and second draw
+    state = np.array([0, 12345, 2 ** 64 - 1, 2 ** 64 - 2 ** 62], dtype=np.uint64)
+    before = state.copy()
+    stream = SplitMix64(state)
+    stream.uniform_rows(5)
+    stream.uniform_rows(3)
+    assert np.array_equal(state, before)  # the caller's array is never written
+    scalars = [SplitMix64(int(s)) for s in before]
+    for s in scalars:
+        for _ in range(8):
+            s.next_u64()
+    assert stream.next_u64().tolist() == [s.next_u64() for s in scalars]
+
+
+def test_uniform_rows_checks():
+    with pytest.raises(ValueError, match="row stream"):
+        SplitMix64(5).uniform_rows(2)
+    with pytest.raises(ValueError, match="k >= 1"):
+        substream(5, np.arange(3)).uniform_rows(0)
+
+
 def test_substream_index_checks():
     with pytest.raises(ValueError, match="nonnegative"):
         substream(7, np.array([0, -1, 2], dtype=np.int64))
