@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import iterlog
-from .capacity import (OutcomeFlagEvent, centered_max_sum_event, lower_capacity,
-                       upper_capacity, window_max_event)
+from .capacity import (OutcomeFlagEvent, centered_max_sum_event,
+                       cumulative_upper_second_moments, lower_capacity, upper_capacity,
+                       window_max_event)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity, _finite, _integer, _real,
                     running_sums)
 from .rng import SplitMix64
@@ -40,8 +41,9 @@ _VIOL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs shared by the exponential bounds; each field goes through
-    ``_real`` and is stored as given."""
+    """Inputs shared by the exponential bounds, stored as given; ``x``, ``y``,
+    ``p``, ``v2`` and ``a_moment`` go through ``_finite`` (never a silent
+    NaN), ``delta`` and ``max_tail`` through ``_real``."""
 
     x: float
     y: float
@@ -52,15 +54,15 @@ class BoundInputs:
     max_tail: float = 0.0      # upper capacity of {max_i X_i > y}
 
     def __post_init__(self):
-        if not _real(self.x, "x") > 0:
+        if not _finite(self.x, "x") > 0:
             raise ValueError(f"x must be positive, got {self.x}")
-        if not _real(self.y, "y") > 0:
+        if not _finite(self.y, "y") > 0:
             raise ValueError(f"y must be positive, got {self.y}")
-        if not _real(self.p, "p") >= 2:
+        if not _finite(self.p, "p") >= 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not 0 < _real(self.delta, "delta") <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if _real(self.v2, "v2") < 0 or _real(self.a_moment, "a_moment") < 0:
+        if _finite(self.v2, "v2") < 0 or _finite(self.a_moment, "a_moment") < 0:
             raise ValueError("variance proxy and moment sum must be nonnegative")
         if not 0 <= _real(self.max_tail, "max_tail") <= 1:
             raise ValueError(f"max_tail must be in [0, 1], got {self.max_tail}")
@@ -182,7 +184,7 @@ class RateTable:
 
 
 def _model_radius(model: SequenceModel) -> float:
-    return max(s.support.radius for s in model.steps())
+    return max(s.support.radius for s in model.kinds()[0])
 
 
 def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: float,
@@ -281,8 +283,6 @@ class DominationCase:
     lhs_lower_conjugate: float  # v(max_k (S_k - lower-mean_k) >= x)
     bound_31: float
     bound_32: float
-    bound_33: float
-    bound_34: float
     bound_35: float
     bound_36: float
     violations: tuple[str, ...]
@@ -356,8 +356,8 @@ def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: f
     return DominationCase(case_id=case_id, n=model.horizon, x=x, y=y, p=p, delta=delta,
                           max_tail=max_tail, b2y_upper=b2u, b2y_lower=b2l, a_moment=a_m,
                           lhs_upper=lhs_u, lhs_lower=lhs_l, lhs_lower_conjugate=lhs_lc,
-                          bound_31=b31, bound_32=b32, bound_33=b31, bound_34=b32,
-                          bound_35=b35, bound_36=b36, violations=tuple(viols))
+                          bound_31=b31, bound_32=b32, bound_35=b35, bound_36=b36,
+                          violations=tuple(viols))
 
 
 def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = None,
@@ -378,7 +378,7 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
     def one(i: int) -> DominationCase:
         stream = substream(seed, i)
         model = random_small_model(stream, grid)
-        scale2 = model.moment_sums(lambda v: v * v)[-1]
+        scale2 = cumulative_upper_second_moments(model)[-1]
         x = (0.2 + 2.8 * stream.uniform()) * max(math.sqrt(scale2), model.delta)
         y = (0.3 + 1.7 * stream.uniform()) * max(_model_radius(model), model.delta)
         p = grid.p_choices[stream.randint(len(grid.p_choices))]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import iterlog
 from .engine import Automaton, WindowEvent, _side, evaluate_upper
-from .model import SequenceModel, _integer, _real
+from .model import SequenceModel, _finite, _integer, _real
 from .rng import substream
 
 # Monte Carlo draws and resolves steps in blocks of about this many values
@@ -92,7 +92,7 @@ def choquet_integral(tail_capacity: Callable[[float], float],
     """Exact Choquet integral of a lattice-valued X from its tail V(X >= t).
 
     ``atoms`` are the values X can take; each, and each tail value, goes
-    through ``_real``, and the list must be nonempty.  The tail is constant
+    through ``_finite``, and the list must be nonempty.  The tail is constant
     on every interval (a_i, a_{i+1}] between consecutive atoms (0 counted
     as one), so the integral is the finite sum of V(X >= t) times the
     interval length over t > 0, plus (V(X >= t) - 1) times the length over
@@ -101,12 +101,12 @@ def choquet_integral(tail_capacity: Callable[[float], float],
     """
     if len(atoms) == 0:
         raise ValueError("atom list must be nonempty")
-    bounds = sorted({_real(a, "atom") for a in atoms} | {0.0})
+    bounds = sorted({_finite(a, "atom") for a in atoms} | {0.0})
     ts = [b for b in bounds if b > 0]
-    vs_pos = [_real(tail_capacity(t), "tail capacity") for t in ts]
+    vs_pos = [_finite(tail_capacity(t), "tail capacity") for t in ts]
     neg = [b for b in bounds if b < 0]
     ts_neg = neg[1:] + [0.0] if neg else []
-    vs_neg = [_real(tail_capacity(t), "tail capacity") for t in ts_neg]
+    vs_neg = [_finite(tail_capacity(t), "tail capacity") for t in ts_neg]
     _check_nonincreasing(ts_neg + ts, vs_neg + vs_pos)
     total = 0.0
     prev = 0.0
@@ -210,15 +210,20 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     first point whose cumulative weight under the chosen law exceeds u, or
     the last point when u is past the last sum.
 
-    A fixed strategy's path does not depend on the path, so each block is
-    resolved at once: each step's outcome is counted from comparisons of
-    the block row against that step's chosen cumulative law, the positions
-    are one integer cumulative sum of the points, and the flag takes one
-    ``trigger_mask`` call per step of the block inside the window.  Greedy
-    goes step by step through the block and scores all candidate points at
-    once: one ``trigger_mask`` call on the (points x replications) block of
-    next positions, each measure's trigger probability summed left to right
-    from 0.0 over the points, the lowest index winning ties (a strict
+    The law table holds, per distinct step of ``model.kinds()`` and padded
+    to the widest support, the first point, the gaps between consecutive
+    points (0 beyond them) and each measure's first (points - 1) cumulative
+    sums (+inf beyond them): outcome j, the count of the chosen law's sums
+    at or below u, moves the first point plus the first j gaps.  A fixed
+    strategy gathers the table once by step kind and index, and as its path
+    does not depend on the path, each block is resolved at once: outcomes
+    from comparisons of the block row against each step's law, positions by
+    one integer cumulative sum, and the flag by one ``trigger_mask`` call
+    per step of the block inside the window.  Greedy goes step by step,
+    reads its step kind's row of the table and scores all candidate points
+    at once: one ``trigger_mask`` call on the (points x replications) block
+    of next positions, each measure's trigger probability summed left to
+    right from 0.0 over the points, the lowest index winning ties (a strict
     running comparison over the measures); the chosen point's row of that
     block is the new flag.  A path counts as accepted when the event's
     terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
@@ -227,26 +232,34 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
-    sched = _parse_strategy(strategy, model)
+    distinct, kinds = model.kinds()
+    sched = _parse_strategy(strategy, distinct, kinds)
     if not isinstance(event, WindowEvent):
         raise ValueError(f"Monte Carlo needs a WindowEvent, got {type(event).__name__}")
     ev = event.bind(model)
 
-    # per distinct step: support points, each measure's cumulative law and weights
-    tables = model.per_step(lambda s: (np.asarray(s.support.points, dtype=np.int64),
-                                       np.array([list(accumulate(m)) for m in s.measures]),
-                                       np.array(s.measures)))
+    width = max(len(s.support.points) for s in distinct)
+    first = np.array([s.support.points[0] for s in distinct], dtype=np.int64)
+    jumps = np.zeros((len(distinct), width - 1), dtype=np.int64)
+    laws = np.full((len(distinct), max(s.n_measures for s in distinct), width - 1), np.inf)
+    for d, s in enumerate(distinct):
+        gaps = np.diff(s.support.points)
+        jumps[d, :len(gaps)] = gaps
+        laws[d, :s.n_measures, :len(gaps)] = [list(accumulate(m))[:len(gaps)] for m in s.measures]
+    if sched is None:
+        greedy = [(np.asarray(s.support.points, dtype=np.int64), np.array(s.measures), law)
+                  for s, law in zip(distinct, laws)]
+    else:
+        first, jumps, laws = first[kinds], jumps[kinds], laws[kinds, sched]
     streams = substream(seed, np.arange(replications, dtype=np.uint64))
     pos = np.zeros(replications, dtype=np.int64)
     flag = np.zeros(replications, dtype=bool)
     rows = max(1, _MC_BLOCK // replications)
-    if sched is not None:
-        laws, jumps, first = _fixed_laws(tables, sched)
     for k0 in range(0, model.horizon, rows):
         u = streams.uniform_rows(min(rows, model.horizon - k0))
         if sched is None:
             for k, uk in enumerate(u, start=k0 + 1):
-                pos, flag = _greedy_step(ev, model.delta, tables[k - 1], k, uk, pos, flag)
+                pos, flag = _greedy_step(ev, model.delta, greedy[kinds[k - 1]], k, uk, pos, flag)
             continue
         block = slice(k0, k0 + len(u))
         # outcome j is the count of the law's sums at or below u among the
@@ -267,30 +280,11 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
 
 
-def _fixed_laws(tables: list, sched: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per step k of a fixed strategy, padded to the widest support: the
-    chosen law's first (points - 1) cumulative sums (+inf beyond them), the
-    gaps between consecutive points (0 beyond them) and the first point.
-    Stepping to outcome j moves first + the sum of the first j gaps.  Each
-    distinct (step, measure) pair is built once."""
-    width = max(len(pts) for pts, _, _ in tables)
-    built = {}
-    for table, mi in zip(tables, sched):
-        if (id(table), mi) not in built:
-            pts, cums, _ = table
-            law = np.full(width - 1, np.inf)
-            law[:len(pts) - 1] = cums[mi, :-1]
-            jump = np.zeros(width - 1, dtype=np.int64)
-            jump[:len(pts) - 1] = np.diff(pts)
-            built[id(table), mi] = law, jump, pts[0]
-    laws, jumps, first = zip(*[built[id(table), mi] for table, mi in zip(tables, sched)])
-    return np.array(laws), np.array(jumps), np.array(first)
-
-
 def _greedy_step(ev: WindowEvent, delta: float, table, k: int, u: np.ndarray,
                  pos: np.ndarray, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One greedy step of every replication: (new positions, new flags)."""
-    pts, cums, weights = table
+    """One greedy step of every replication: (new positions, new flags);
+    ``table`` is the step's points, weights and row of the law table."""
+    pts, weights, law = table
     # row j: whether stepping to point j fires the event, per replication
     hits = ev.trigger_mask(k, delta * (pos + pts[:, None]))
     score = np.zeros((len(weights), len(pos)))
@@ -304,16 +298,16 @@ def _greedy_step(ev: WindowEvent, delta: float, table, k: int, u: np.ndarray,
         mi[better] = i
         best = np.maximum(best, score[i])
     mi[flag] = 0
-    # outcome j counts the chosen law's sums at or below u among the first
-    # (points - 1), as in the fixed strategies' blocks
+    # outcome j counts the chosen law's sums at or below u
     j = np.zeros(len(pos), dtype=np.intp)
-    for col in cums[:, :-1].T:
+    for col in law.T:
         j += col[mi] <= u
     return pos + pts[j], flag | hits[j, np.arange(len(pos))]
 
 
-def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
-    """The measure index of each step, or None for the greedy strategy.
+def _parse_strategy(strategy, distinct: list, kinds: list[int]) -> list[int] | None:
+    """The measure index of each step, or None for the greedy strategy;
+    ``distinct, kinds`` is the model's ``kinds()``.
 
     This is the whole strategy grammar: an unknown name, a schedule that is
     not a list or tuple, an index that is not an integer (a bool, a float or
@@ -326,18 +320,18 @@ def _parse_strategy(strategy, model: SequenceModel) -> list[int] | None:
             and strategy[0] in ("constant", "schedule"):
         kind, arg = strategy
         if kind == "constant":
-            sched = [arg] * model.horizon
+            sched = [arg] * len(kinds)
         elif isinstance(arg, (tuple, list)):
             sched = list(arg)
         else:
             raise ValueError(f"schedule strategy needs a list of measure indices, got {arg!r}")
-        if len(sched) != model.horizon:
-            raise ValueError(f"schedule length {len(sched)} != horizon {model.horizon}")
-        for k, idx in enumerate(sched, start=1):
+        if len(sched) != len(kinds):
+            raise ValueError(f"schedule length {len(sched)} != horizon {len(kinds)}")
+        for k, (idx, c) in enumerate(zip(sched, kinds), start=1):
             if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
                 raise ValueError(f"{kind} strategy needs integer measure indices, "
                                  f"got {idx!r} at step {k}")
-            if not 0 <= idx < model.step(k).n_measures:
+            if not 0 <= idx < distinct[c].n_measures:
                 raise ValueError(f"{kind} strategy index {idx} invalid at step {k}")
         return sched
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -384,9 +378,10 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     return window_max_event(n, N, threshold, side=side, on=stat)
 
 
-def cumulative_upper_second_moments(model: SequenceModel) -> list[float]:
-    """[0, s_1^2, ..., s_N^2] from per-step upper second moments."""
-    return model.moment_sums(lambda v: v * v)
+def cumulative_upper_second_moments(model: SequenceModel, upto: int | None = None) -> list[float]:
+    """[0, s_1^2, ..., s_upto^2] from per-step upper second moments, ``upto``
+    as in ``moment_sums``."""
+    return model.moment_sums(lambda v: v * v, upto)
 
 
 def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,8 +69,8 @@ class MomentSeries(object):
     lam_bar(n)    capped variant of lam
 
     ``overshoot_terms(n)`` returns all four at n, each step's term taken once.
-    On a schedule, ``_row`` numbers each step by its distinct step object
-    (in ``_distinct``), so a fold at n reads the per-kind terms through it.
+    On a schedule, a fold at n reads the per-kind terms through the model's
+    step index, ``model.kinds()``.
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
@@ -85,15 +84,12 @@ class MomentSeries(object):
         self.alpha = alpha
         self.norms = normalizers(model)
         if not model.is_iid:
-            # per_step calls its function once per distinct step, in the order
-            # they first occur, so numbering the calls numbers the kinds
-            self._distinct: list[StepAmbiguity] = []
-            kinds = model.per_step(lambda s: self._distinct.append(s) or len(self._distinct))
-            # kinds number the distinct steps from 1 and _row puts a 0 first, so
-            # [0.0, term of kind 1, ...][_row[:n + 1]] is the fold's row at n
-            self._row = np.array([0] + kinds)
+            self._distinct, kinds = model.kinds()
+            # each kind shifted by one behind a leading 0, so
+            # [0.0, term of kind 0, ...][_row[:n + 1]] is the fold's row at n
+            self._row = np.array([-1] + kinds) + 1
             # _seen[n]: how many distinct steps the first n steps hold
-            self._seen = list(accumulate(kinds, max, initial=0))
+            self._seen = np.maximum.accumulate(self._row)
 
     def _threshold(self, n: int) -> float:
         return self.alpha * self.norms.s(n) / self.norms.t(n)
@@ -376,7 +372,7 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
     n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
-    norms = NormalizerSeries(model.moment_sums(lambda v: v * v, N))
+    norms = NormalizerSeries(cumulative_upper_second_moments(model, N))
     a = norms.a_table
     cents = _running_centers(model, N, center)
     ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
@@ -412,7 +408,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     """
     win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
-    a = NormalizerSeries(model.moment_sums(lambda v: v * v, win.hi)).a_table
+    a = NormalizerSeries(cumulative_upper_second_moments(model, win.hi)).a_table
     ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 

@@ -106,10 +106,10 @@ class SequenceModel(object):
     """A horizon-N schedule of steps, i.i.d. or per-step, on one lattice.
 
     Pure value type: construct once, then share freely.  A schedule indexes
-    its steps once, at construction: ``_distinct`` holds the distinct step
-    objects (by identity) in first-occurrence order and ``_kinds`` holds one
-    index into it per step, so ``per_step`` pays for each distinct step once
-    and expands the values without a Python loop over the steps.
+    its steps once, at construction, into the distinct step objects (by
+    identity) in first-occurrence order; ``kinds()`` is the one reader of
+    that index, so ``per_step``, ``MomentSeries`` and Monte Carlo's law
+    table pay for each distinct step once.
     """
 
     def __init__(self, horizon: int, steps: Sequence[StepAmbiguity] | None = None,
@@ -156,23 +156,31 @@ class SequenceModel(object):
         for k in range(1, self.horizon + 1):
             yield self.step(k)
 
-    def per_step(self, fn: Callable[[StepAmbiguity], object], upto: int | None = None) -> list:
-        """[fn(step_1), ..., fn(step_upto)], ``upto`` defaulting to the horizon,
-        with ``fn`` called once per distinct step object among the first
-        ``upto``, in the order they first occur: an i.i.d. model pays for
-        one step and gets one value repeated, and a schedule maps its step
-        index (``_kinds``) onto the values.  Nothing is cached between calls.
-        A negative ``upto`` gives ``[]``; one past the horizon is an
-        ``IndexError``."""
+    def kinds(self, upto: int | None = None) -> tuple[list[StepAmbiguity], list[int]]:
+        """(distinct, kinds) over steps 1..upto, ``upto`` defaulting to the
+        horizon: the distinct step objects among them in first-occurrence
+        order, and for each step its index into ``distinct``, so step k is
+        ``distinct[kinds[k - 1]]``.  An i.i.d. model gives its one step and
+        all-zero indices.  ``upto < 1`` gives ``([], [])``; one past the
+        horizon is an ``IndexError``."""
         upto = self.horizon if upto is None else upto
         if upto > self.horizon:
             raise IndexError(f"step index {self.horizon + 1} outside 1..{self.horizon}")
+        if upto < 1:
+            return [], []
         if self._iid is not None:
-            return [fn(self._iid)] * upto if upto >= 1 else []
-        kinds = self._kinds[:max(upto, 0)]
+            return [self._iid], [0] * upto
+        kinds = self._kinds[:upto]
         # kinds number the steps in first-occurrence order, so the first
         # ``upto`` steps hold exactly the distinct steps 0..max(kinds)
-        vals = list(map(fn, self._distinct[:max(kinds, default=-1) + 1]))
+        return self._distinct[:max(kinds) + 1], kinds
+
+    def per_step(self, fn: Callable[[StepAmbiguity], object], upto: int | None = None) -> list:
+        """[fn(step_1), ..., fn(step_upto)] through ``kinds(upto)``: ``fn`` is
+        called once per distinct step, in the order they first occur, and
+        the values expanded by the step index.  Nothing is cached."""
+        distinct, kinds = self.kinds(upto)
+        vals = list(map(fn, distinct))
         return list(map(vals.__getitem__, kinds))
 
     def moment_sums(self, fn: Callable[[float], float], upto: int | None = None,

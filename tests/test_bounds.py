@@ -207,6 +207,10 @@ def test_api_numeric_arguments_are_read_at_entry():
         ("a_moment is NaN", lambda: fuk_nagaev_bound(BoundInputs(x=1, y=1, a_moment=nan))),
         ("atom is NaN", lambda: choquet_integral(lambda t: 0.5, [nan, 1.0])),
         ("tail capacity is NaN", lambda: choquet_integral(lambda t: nan, [0, 1, 2])),
+        ("atom must be finite",
+         lambda: choquet_integral(lambda t: 0.0 if t > 5 else 1.0, [1.0, math.inf])),
+        ("atom must be finite", lambda: choquet_integral(lambda t: 1.0, [-math.inf, 1.0])),
+        ("tail capacity must be finite", lambda: choquet_integral(lambda t: math.inf, [1.0])),
         ("x must be a real", lambda: kolmogorov_bound(True, 1, 1)),
         ("z must be a real", lambda: converse_rate_check(FAM, True, 1.0, [16])),
         ("case_count must be an integer", lambda: verify_domination(True, 1)),
@@ -240,6 +244,19 @@ def test_kolmogorov_bound_rejects_non_finite_arguments():
     for args in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf), (-inf, 1.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             kolmogorov_bound(*args)
+
+
+def test_bound_inputs_reject_non_finite_fields():
+    # an infinite p gave 2 e^inf * 0 = NaN; each field that can be infinite
+    # without breaking a range check is read through _finite
+    good = dict(x=1.0, y=2.0, p=2.0, delta=0.5, v2=1.0, a_moment=1.0)
+    assert math.isfinite(fuk_nagaev_bound(BoundInputs(**good)))
+    for name in ("x", "y", "p", "v2", "a_moment"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BoundInputs(**{**good, name: math.inf})
+    for name, value in (("delta", math.inf), ("max_tail", math.inf), ("x", -math.inf)):
+        with pytest.raises(ValueError):
+            BoundInputs(**{**good, name: value})
 
 
 def test_rate_tables_reject_bad_x_n():

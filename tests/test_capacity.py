@@ -479,6 +479,25 @@ def test_mc_draws_one_uniform_per_step(monkeypatch):
             assert rows == want, (block, strat)
 
 
+def test_mc_per_step_schedule_reads_each_step_kind(monkeypatch):
+    # S13 steps have three measures, S12 steps two: index 2 is valid on S13 only
+    s12, s13 = STEP12, make_rademacher_interval(1, 3, 3)
+    m = SequenceModel(24, steps=[s13, s12] * 12)
+    ev = window_max_event(3, 24, 5.0, ">=", "absS")
+    with pytest.raises(ValueError, match="index 2 invalid at step 2$"):
+        mc_capacity_lower_bound(m, ev, ("constant", 2), 257, seed=3)
+    valid = [(k % 3 if k % 2 == 0 else k % 2) for k in range(24)]
+    late = valid[:9] + [2] + valid[10:]
+    with pytest.raises(ValueError, match="index 2 invalid at step 10$"):
+        mc_capacity_lower_bound(m, ev, ("schedule", late), 257, seed=3)
+    for strat in (("schedule", valid), "greedy-one-step"):
+        want = mc_reference(m, ev, strat, 257, 3)
+        assert 0 < want.accepted < 257
+        for block in (capacity._MC_BLOCK, 257 * 5 + 100, 256):
+            monkeypatch.setattr(capacity, "_MC_BLOCK", block)
+            assert mc_capacity_lower_bound(m, ev, strat, 257, seed=3) == want, (strat, block)
+
+
 def test_mc_rejects_non_window_event():
     m2 = SequenceModel.iid(STEP12, 2)
     with pytest.raises(ValueError):

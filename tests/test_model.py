@@ -234,3 +234,34 @@ def test_per_step_calls_fn_once_per_distinct_step():
     with pytest.raises(IndexError):
         three.per_step(first_seen, 13)
     assert calls == []
+
+
+def test_kinds_is_the_one_index_of_distinct_steps():
+    s11, s12, s13 = (make_rademacher_interval(1, 1, 1), make_rademacher_interval(1, 2, 2),
+                     make_rademacher_interval(1, 3, 3))
+    iid = SequenceModel.iid(s12, 9)
+    distinct, kinds = iid.kinds()
+    assert [id(s) for s in distinct] == [id(s12)] and kinds == [0] * 9
+    assert iid.kinds(4)[1] == [0] * 4
+
+    # three kinds, the third first at step 7
+    steps = [s13, s12] * 3 + [s11, s12, s11, s13, s11, s12]
+    three = SequenceModel(12, steps=steps)
+    distinct, kinds = three.kinds()
+    assert [id(s) for s in distinct] == [id(s13), id(s12), id(s11)]
+    assert kinds == [0, 1] * 3 + [2, 1, 2, 0, 2, 1]
+    assert all(distinct[c] is s for c, s in zip(kinds, steps))
+    distinct6, kinds6 = three.kinds(6)
+    assert [id(s) for s in distinct6] == [id(s13), id(s12)] and kinds6 == [0, 1] * 3
+    assert len(three.kinds(7)[0]) == 3
+    assert three.kinds(1) == ([s13], [0])
+
+    radius = lambda s: s.support.radius
+    for model in (iid, three):
+        for upto in (0, -3):
+            assert model.kinds(upto) == ([], [])
+        with pytest.raises(IndexError):
+            model.kinds(model.horizon + 1)
+        for upto in (None, 1, 5):
+            distinct, kinds = model.kinds(upto)
+            assert model.per_step(radius, upto) == [radius(distinct[c]) for c in kinds]
