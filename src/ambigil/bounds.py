@@ -102,10 +102,20 @@ def kolmogorov_bound(x: float, y: float, v2: float) -> float:
 
 
 def fuk_nagaev_bound(inputs: BoundInputs) -> float:
-    """Three-term moment/exponential bound; may exceed 1."""
+    """Three-term moment/exponential bound; may exceed 1.
+
+    Every power and exponential saturates at +inf instead of raising, and
+    the middle term is 0.0 whenever its moment factor (A / y^p)^{delta x /
+    (10 y)} is, even where e^{p^p} is +inf.  Where y^p underflows to 0.0
+    with A > 0, that factor is taken from logarithms."""
     i = inputs
-    mid = 2.0 * _safe_exp(i.p ** i.p) * _safe_pow(i.a_moment / i.y ** i.p,
-                                                  i.delta * i.x / (10.0 * i.y))
+    yp = _safe_pow(i.y, i.p)
+    expo = i.delta * i.x / (10.0 * i.y)
+    if yp == 0.0 and i.a_moment > 0.0:
+        factor = _safe_exp(expo * (math.log(i.a_moment) - i.p * math.log(i.y)))
+    else:
+        factor = _safe_pow(i.a_moment / yp if i.a_moment > 0.0 else 0.0, expo)
+    mid = 0.0 if factor == 0.0 else 2.0 * _safe_exp(_safe_pow(i.p, i.p)) * factor
     if i.v2 == 0.0:
         tail = 0.0
     else:

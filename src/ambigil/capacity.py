@@ -197,7 +197,7 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
 
     * ``("constant", i)`` — measure index i at every step;
     * ``"greedy-one-step"`` — maximize the immediate trigger probability of
-      the event flag (lowest index wins ties; triggered paths take index 0);
+      the event flag (lowest index wins ties);
     * ``("schedule", [i_1, ..., i_N])`` — fixed per-step indices.
 
     All replications advance together, in blocks of ``max(1, _MC_BLOCK //
@@ -210,24 +210,31 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     first point whose cumulative weight under the chosen law exceeds u, or
     the last point when u is past the last sum.
 
-    The law table holds, per distinct step of ``model.kinds()`` and padded
-    to the widest support, the first point, the gaps between consecutive
-    points (0 beyond them) and each measure's first (points - 1) cumulative
-    sums (+inf beyond them): outcome j, the count of the chosen law's sums
-    at or below u, moves the first point plus the first j gaps.  A fixed
-    strategy gathers the table once by step kind and index, and as its path
-    does not depend on the path, each block is resolved at once: outcomes
-    from comparisons of the block row against each step's law, positions by
-    one integer cumulative sum, and the flag by one ``trigger_mask`` call
-    per step of the block inside the window.  Greedy goes step by step,
-    reads its step kind's row of the table and scores all candidate points
-    at once: one ``trigger_mask`` call on the (points x replications) block
-    of next positions, each measure's trigger probability summed left to
-    right from 0.0 over the points, the lowest index winning ties (a strict
-    running comparison over the measures); the chosen point's row of that
-    block is the new flag.  A path counts as accepted when the event's
-    terminal value for it (``values[1]`` if it fired, ``values[0]`` if not)
-    is at least 0.5.
+    The tables hold, per distinct step of ``model.kinds()`` and padded to
+    the widest support, the points (0 beyond them) and each measure's first
+    (points - 1) cumulative sums (+inf beyond them): outcome j is the count
+    of the chosen law's sums at or below u, and moves the path by point j.
+    A fixed strategy gathers the tables once by step kind and index, and as
+    its law does not depend on the path, each block is resolved at once:
+    the outcomes by comparisons of the block's draws against each step's
+    sums, the points by one flat ``take``, the positions by one integer
+    cumulative sum, and the flag by one ``trigger_block`` check.
+
+    Greedy maximizes the immediate trigger probability: each measure's
+    score is its weight on the points that fire the event from the path's
+    position, summed left to right from 0.0, and the lowest index wins ties
+    (a strict running comparison over the measures).  Before a path fires,
+    that choice depends only on the step and the position; after, the flag
+    stays set, so a fired path's later measures do not move ``accepted``.
+    So greedy builds a policy table per run of steps of a block, over every
+    position the paths can reach in the run: one ``trigger_block`` check
+    of all of its points, the scores and the chosen law's sums per step and
+    position; the paths then advance a step at a time by flat ``take``s
+    from it.  A run is the longest whose table is at most R positions
+    wide; when even one step's table would be wider, the table is built
+    per step over the paths' own positions.  A path counts as accepted
+    when the event's terminal value for it (``values[1]`` if it fired,
+    ``values[0]`` if not) is at least 0.5.
     """
     replications, seed = _integer(replications, "replications"), _integer(seed, "seed")
     if replications < 100:
@@ -239,18 +246,24 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     ev = event.bind(model)
 
     width = max(len(s.support.points) for s in distinct)
-    first = np.array([s.support.points[0] for s in distinct], dtype=np.int64)
-    jumps = np.zeros((len(distinct), width - 1), dtype=np.int64)
+    points = np.zeros((len(distinct), width), dtype=np.int64)
     laws = np.full((len(distinct), max(s.n_measures for s in distinct), width - 1), np.inf)
     for d, s in enumerate(distinct):
-        gaps = np.diff(s.support.points)
-        jumps[d, :len(gaps)] = gaps
-        laws[d, :s.n_measures, :len(gaps)] = [list(accumulate(m))[:len(gaps)] for m in s.measures]
+        n = len(s.support.points)
+        points[d, :n] = s.support.points
+        laws[d, :s.n_measures, :n - 1] = [list(accumulate(m))[:n - 1] for m in s.measures]
     if sched is None:
-        greedy = [(np.asarray(s.support.points, dtype=np.int64), np.array(s.measures), law)
-                  for s, law in zip(distinct, laws)]
+        # each step kind's weights and law sums with the measure last:
+        # (kinds, P, M) and (kinds, P - 1, M)
+        weights = np.zeros((len(distinct), width, laws.shape[1]))
+        for d, s in enumerate(distinct):
+            weights[d, :len(s.support.points), :s.n_measures] = np.transpose(s.measures)
+        # how far one step can move a position down, and its range
+        down = min(0, min(s.support.points[0] for s in distinct))
+        reach = max(0, max(s.support.points[-1] for s in distinct)) - down
+        greedy = (np.array(kinds), points, weights, laws.transpose(0, 2, 1).copy(), down, reach)
     else:
-        first, jumps, laws = first[kinds], jumps[kinds], laws[kinds, sched]
+        points, laws = points[kinds], laws[kinds, sched]
     streams = substream(seed, np.arange(replications, dtype=np.uint64))
     pos = np.zeros(replications, dtype=np.int64)
     flag = np.zeros(replications, dtype=bool)
@@ -258,20 +271,18 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     for k0 in range(0, model.horizon, rows):
         u = streams.uniform_rows(min(rows, model.horizon - k0))
         if sched is None:
-            for k, uk in enumerate(u, start=k0 + 1):
-                pos, flag = _greedy_step(ev, model.delta, greedy[kinds[k - 1]], k, uk, pos, flag)
+            pos, flag = _greedy_block(ev, model.delta, k0, u, pos, flag, greedy)
             continue
-        block = slice(k0, k0 + len(u))
         # outcome j is the count of the law's sums at or below u among the
         # first (points - 1): a nondecreasing law's right-side search for u,
-        # capped at the last point
-        steps = np.repeat(first[block, None], len(pos), axis=1)
-        for law, jump in zip(laws[block].T, jumps[block].T):
-            steps += (u >= law[:, None]) * jump[:, None]
-        path = np.cumsum(steps, axis=0, out=steps)
+        # capped at the last point; as a flat index into the block's points
+        block = slice(k0, k0 + len(u))
+        j = np.repeat(width * np.arange(len(u))[:, None], len(pos), axis=1)
+        for law in laws[block].T:
+            j += law[:, None] <= u
+        path = np.cumsum(points[block].take(j), axis=0)
         path += pos
-        for k in range(max(ev.lo, k0 + 1), min(ev.hi, k0 + len(u)) + 1):
-            flag |= ev.trigger_mask(k, model.delta * path[k - k0 - 1])
+        flag |= ev.trigger_block(k0, model.delta * path).any(axis=0)
         pos = path[-1]
 
     accepted = int(np.count_nonzero(np.where(flag, ev.values[1] >= 0.5, ev.values[0] >= 0.5)))
@@ -280,29 +291,87 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
     return MCResult(estimate=p, std_error=se, replications=replications, accepted=accepted)
 
 
-def _greedy_step(ev: WindowEvent, delta: float, table, k: int, u: np.ndarray,
-                 pos: np.ndarray, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One greedy step of every replication: (new positions, new flags);
-    ``table`` is the step's points, weights and row of the law table."""
-    pts, weights, law = table
-    # row j: whether stepping to point j fires the event, per replication
-    hits = ev.trigger_mask(k, delta * (pos + pts[:, None]))
-    score = np.zeros((len(weights), len(pos)))
-    for q, hit in zip(weights.T, hits):  # left to right from 0.0, per measure
-        score += q[:, None] * hit
-    # strict running comparison: the first maximum, lowest index, wins ties
-    mi = np.zeros(len(pos), dtype=np.intp)
-    best = score[0]
-    for i in range(1, len(score)):
-        better = score[i] > best
-        mi[better] = i
-        best = np.maximum(best, score[i])
-    mi[flag] = 0
-    # outcome j counts the chosen law's sums at or below u
-    j = np.zeros(len(pos), dtype=np.intp)
-    for col in law.T:
-        j += col[mi] <= u
-    return pos + pts[j], flag | hits[j, np.arange(len(pos))]
+def _greedy_block(ev: WindowEvent, delta: float, k0: int, u: np.ndarray, pos: np.ndarray,
+                  flag: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy through steps k0+1..k0+len(u), one row of ``u`` a step:
+    (new positions, new flags).  ``tables`` holds the step kinds, the
+    points, weight and law tables by kind, and how far one step can move a
+    position down and its range.
+
+    Each run of steps takes one ``_greedy_policy`` table over the positions
+    the paths can reach in it, the run as long as that stays at most R
+    positions wide.  When even one step's is wider, each step takes one
+    over the paths' own positions."""
+    kinds, points, weights, laws, down, reach = tables
+    t = 0
+    while t < len(u):
+        lo, hi = int(pos.min()), int(pos.max())
+        room = len(pos) - 1 - (hi - lo)
+        if room < 0:
+            # the spread falls by at most ``reach`` a step, so it stays at R
+            # or more for this many steps, each with its table over ``pos``
+            paths = np.arange(len(pos))
+            for t in range(t, min(len(u), t + 1 + (-room - 1) // reach)):
+                d = kinds[k0 + t]
+                after, hit, sums = _greedy_policy(ev, delta, k0 + t, pos, points[d, None],
+                                                  weights[d, None], laws[d, None])
+                f = (sums[0] <= u[t]).sum(axis=0)
+                f *= len(pos)
+                f += paths
+                flag |= hit.take(f)
+                pos = after.take(f)
+            t += 1
+            continue
+        s = len(u) - t if reach == 0 else min(len(u) - t, 1 + room // reach)
+        x0 = lo + (s - 1) * down
+        X = np.arange(x0, hi + (s - 1) * (reach + down) + 1)
+        run = kinds[k0 + t:k0 + t + s]
+        after, hit, sums = _greedy_policy(ev, delta, k0 + t, X, points[run], weights[run], laws[run])
+        after -= x0
+        x = pos - x0  # each path's column of the table
+        for hit_t, sums_t, after_t, u_t in zip(hit, sums, after, u[t:t + s]):
+            # outcome j counts the chosen law's sums at or below u; the flat
+            # index j * W + x picks from the step's (P, W) rows
+            f = (sums_t.take(x, axis=1) <= u_t).sum(axis=0)
+            f *= len(X)
+            f += x
+            flag |= hit_t.take(f)
+            x = after_t.take(f)
+        pos = x + x0
+        t += s
+    return pos, flag
+
+
+def _greedy_policy(ev: WindowEvent, delta: float, k0: int, X: np.ndarray, pts: np.ndarray,
+                   weights: np.ndarray, laws: np.ndarray):
+    """Greedy's choice at steps k0+1..k0+s from each start position in
+    ``X`` (W of them): ``pts``, ``weights`` and ``laws`` are those steps'
+    rows of the points, weight and law tables, (s, P), (s, P, M) and
+    (s, P - 1, M).  Returns the position after each point (s, P, W),
+    whether it fires (s, P, W), and the chosen law's sums (s, P - 1, W)."""
+    after = X + pts[:, :, None]
+    hit = ev.trigger_block(k0, delta * after)
+    s, _, m = weights.shape
+    mi = np.zeros((s, 1, len(X)), dtype=np.intp)
+    if m > 1:
+        # each measure's trigger probability, left to right over the points;
+        # the fold from 0.0 starts at its first product, as 0.0 + x is x for
+        # x >= 0 up to the sign of a zero, which no comparison below sees
+        qs = weights.transpose(1, 0, 2)[..., None]
+        hs = hit.astype(float).transpose(1, 0, 2)[:, :, None, :]
+        score = qs[0] * hs[0]
+        for q, h in zip(qs[1:], hs[1:]):
+            score += q * h
+        # strict running comparison: the first maximum, lowest index, wins ties
+        best = score[:, 0]
+        for i in range(1, m):
+            better = score[:, i] > best
+            mi[:, 0][better] = i
+            if i < m - 1:
+                best = np.maximum(best, score[:, i])
+    # the chosen law's sums, by the flat index (t * (P - 1) + c) * M + mi
+    rows = m * np.arange(laws[..., 0].size).reshape(laws.shape[:2] + (1,))
+    return after, hit, laws.take(rows + mi)
 
 
 def _parse_strategy(strategy, distinct: list, kinds: list[int]) -> list[int] | None:

@@ -241,18 +241,41 @@ class WindowEvent:
             raise ValueError(f"window threshold at step {m} is NaN")
         return thr
 
-    def trigger_mask(self, m: int, positions):
-        """Whether the event fires at step m at each real partial sum in
-        ``positions`` (an array, or one float)."""
-        if m < self.lo or m > self.hi:
-            return np.zeros(np.shape(positions), dtype=bool)
+    def _fires(self, positions, threshold):
+        """The windowed comparison stat(positions) <side> threshold."""
         if self.stat == "S":
             sv = positions
         elif self.stat == "-S":
             sv = -positions
         else:
             sv = abs(positions)
-        return _SIDES[self.side](sv, self._threshold_at(m))
+        return _SIDES[self.side](sv, threshold)
+
+    def trigger_mask(self, m: int, positions):
+        """Whether the event fires at step m at each real partial sum in
+        ``positions`` (an array, or one float)."""
+        if m < self.lo or m > self.hi:
+            return np.zeros(np.shape(positions), dtype=bool)
+        return self._fires(positions, self._threshold_at(m))
+
+    def trigger_block(self, k0: int, positions: np.ndarray) -> np.ndarray:
+        """``trigger_mask`` for steps k0+1..k0+s at once: row t of the
+        returned bool array is ``trigger_mask(k0 + 1 + t, positions[t])``,
+        for an array ``positions`` of any shape with s on its leading axis.
+        Thresholds are read only at the steps inside [lo, hi]."""
+        a, b = max(self.lo, k0 + 1) - k0 - 1, min(self.hi, k0 + len(positions)) - k0
+        if a >= b:
+            return np.zeros(positions.shape, dtype=bool)
+        if callable(self.threshold):
+            thr = np.array([self._threshold_at(k) for k in range(k0 + 1 + a, k0 + 1 + b)])
+            thr = thr.reshape((b - a,) + (1,) * (positions.ndim - 1))
+        else:
+            thr = self.threshold
+        if b - a == len(positions):
+            return self._fires(positions, thr)
+        out = np.zeros(positions.shape, dtype=bool)
+        out[a:b] = self._fires(positions[a:b], thr)
+        return out
 
     def advance(self, state, k, point, value):
         flag, s = state

@@ -10,10 +10,11 @@ Stream derivation rule (documented contract, relied on by capacity
 Monte Carlo): replication ``i`` of a run with seed ``s`` uses the stream
 ``SplitMix64(mix64(mix64(s) + i))``.
 
-``mix64`` and ``SplitMix64`` run the same xor, shift, multiply and mask
-code on a Python int or on a ``np.uint64`` array of any shape, whose
-multiplication and addition wrap mod 2**64; ``substream`` takes a Python
-int or a 1-D index array.  ``substream(s, idx)`` with an index row ``idx``
+``mix64`` and ``SplitMix64`` run the same xor, shift and multiply steps
+on a Python int, masked to 64 bits, or on a ``np.uint64`` array of any
+shape, whose multiplication and addition wrap mod 2**64 (``mix64`` copies
+an array once and then works in place); ``substream`` takes a Python int
+or a 1-D index array.  ``substream(s, idx)`` with an index row ``idx``
 is one stream per element: element ``r`` of each ``next_u64()`` or
 ``uniform()`` row equals the scalar stream ``substream(s, idx[r])``'s draw
 bit for bit.  ``uniform_rows(k)`` on such a row stream returns its next k
@@ -38,6 +39,14 @@ _MIX2 = 0x94D049BB133111EB
 def mix64(v: int | np.ndarray) -> int | np.ndarray:
     """splitmix64 finalizer: xor-shift/multiply scramble of a 64-bit value,
     or of each element of a ``uint64`` array (the input is never written)."""
+    if isinstance(v, np.ndarray):
+        # one copy, then in place: uint64 arithmetic already wraps mod 2**64
+        v = v ^ (v >> 30)
+        v *= _MIX1
+        v ^= v >> 27
+        v *= _MIX2
+        v ^= v >> 31
+        return v
     v = v & _MASK
     v = ((v ^ (v >> 30)) * _MIX1) & _MASK
     v = ((v ^ (v >> 27)) * _MIX2) & _MASK

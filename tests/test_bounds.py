@@ -56,6 +56,23 @@ def test_fuk_nagaev_examples():
     assert v3 == 0.125 + math.exp(-25)
 
 
+def test_fuk_nagaev_large_p_saturates():
+    # p ** p overflows a float from p = 143.5 or so, and y ** p overflows at
+    # y = 2 and underflows to 0.0 at y = 0.01: a positive moment sum reads
+    # +inf, a zero one leaves max_tail + tail (not inf * 0 = NaN)
+    tail = math.exp(-(1.0 * 1.0) / (2.0 * (1.0 + 0.5) * 1.0))
+    for y in (2.0, 0.01):
+        hot = BoundInputs(x=1.0, y=y, p=200.0, delta=0.5, v2=1.0, a_moment=1.0)
+        assert fuk_nagaev_bound(hot) == math.inf
+        cold = BoundInputs(x=1.0, y=y, p=200.0, delta=0.5, v2=1.0, a_moment=0.0, max_tail=0.25)
+        assert fuk_nagaev_bound(cold) == 0.25 + tail
+    # y ** p underflows while e^{p^p} stays finite: the factor from logs,
+    # (1 / 1e-360) ** 0.01 = 10 ** 3.6
+    tiny = BoundInputs(x=1e-91, y=1e-90, p=4.0, delta=1.0, v2=1.0, a_moment=1.0)
+    want = 2.0 * math.exp(256.0) * 10 ** 3.6 + math.exp(-1e-182 / 4.0)
+    assert math.isclose(fuk_nagaev_bound(tiny), want, rel_tol=1e-9)
+
+
 def test_fuk_nagaev_dominates_exponential_term():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -498,6 +498,77 @@ def test_mc_per_step_schedule_reads_each_step_kind(monkeypatch):
             assert mc_capacity_lower_bound(m, ev, strat, 257, seed=3) == want, (strat, block)
 
 
+def _mc_table_cases():
+    """(name, model, event, replications): greedy's tables all over ranges
+    of positions, over the paths' own positions after the first step, and
+    over ranges until the spread of the paths passes R mid-call."""
+    s12, s13 = STEP12, make_rademacher_interval(1, 3, 3)
+    wide = StepAmbiguity(LatticeSupport(0.5, (-400, -1, 1, 400)),
+                         ((0.25, 0.25, 0.25, 0.25), (0.0, 0.5, 0.5, 0.0), (0.5, 0.0, 0.0, 0.5)))
+    mid = StepAmbiguity(LatticeSupport(1.0, (-12, -2, 0, 1, 12)),
+                        ((0.1, 0.3, 0.2, 0.3, 0.1), (0.0, 0.5, 0.2, 0.3, 0.0),
+                         (0.3, 0.1, 0.2, 0.1, 0.3)))
+    yield ("range", SequenceModel(40, steps=[s13, s12] * 20),
+           window_max_event(6, 36, lambda m: 1.5 * math.sqrt(m) + 2.0, ">=", "absS"), 257)
+    yield "paths", SequenceModel.iid(wide, 12), window_max_event(2, 12, 400.0, ">", "S"), 257
+    yield ("crossing", SequenceModel(30, steps=[mid, s12, mid] * 10),
+           window_max_event(3, 30, 20.0, ">=", "-S").complement(), 100)
+
+
+def test_mc_greedy_tables_match_scalar_reference(monkeypatch):
+    # each greedy table is over a range of at most R positions or over the
+    # R paths' own positions (spread R or more, so never a range); every
+    # strategy matches the scalar reference under three block sizes
+    tables = []
+    policy = capacity._greedy_policy
+
+    def spy(ev, delta, k0, X, *rest):
+        tables.append((len(X), bool(np.array_equal(X, np.arange(X[0], X[0] + len(X))))))
+        return policy(ev, delta, k0, X, *rest)
+
+    monkeypatch.setattr(capacity, "_greedy_policy", spy)
+    for name, m, ev, reps in _mc_table_cases():
+        schedule = [k % m.step(k + 1).n_measures for k in range(m.horizon)]
+        for strat in ("greedy-one-step", ("constant", 0), ("schedule", schedule)):
+            want = mc_reference(m, ev, strat, reps, 11)
+            assert 0 < want.accepted < reps, (name, strat)
+            for block in (2 ** 14, 3 * reps + reps // 2, reps - 1):
+                monkeypatch.setattr(capacity, "_MC_BLOCK", block)
+                tables.clear()
+                assert mc_capacity_lower_bound(m, ev, strat, reps, 11) == want, (name, strat, block)
+                if strat != "greedy-one-step":
+                    assert tables == []
+                    continue
+                ranged = [is_range for _, is_range in tables]
+                assert all(w <= reps for w, is_range in tables if is_range)
+                assert all(w == reps for w, is_range in tables if not is_range)
+                if name == "range":
+                    assert all(ranged) and len(tables) >= 1
+                elif name == "paths":
+                    assert ranged == [True] + [False] * (m.horizon - 1)
+                else:
+                    assert True in ranged and False in ranged
+                    assert ranged == sorted(ranged, reverse=True)
+
+
+def test_mc_greedy_memory_bounded_on_wide_support():
+    # one step's range of positions is 8001 wide against R = 1000, so the
+    # tables are over the paths' own positions, never over that range
+    import tracemalloc
+
+    step = StepAmbiguity(LatticeSupport(1.0, (-4000, -1, 1, 4000)),
+                         ((0.1, 0.4, 0.4, 0.1), (0.0, 0.5, 0.5, 0.0)))
+    m = SequenceModel.iid(step, 64)
+    tracemalloc.start()
+    try:
+        r = mc_capacity_lower_bound(m, window_max_event(1, 64, 9000.0), "greedy-one-step", 1000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < r.accepted < 1000
+    assert peak < 8 * 2 ** 20, peak
+
+
 def test_mc_rejects_non_window_event():
     m2 = SequenceModel.iid(STEP12, 2)
     with pytest.raises(ValueError):

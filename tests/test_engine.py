@@ -647,6 +647,34 @@ def test_fired_ranges_are_the_trigger_mask_runs(rows, side, stat):
         assert [(i, j) for i, j in ranges if i < j] == _runs(mask), (k, mask)
 
 
+@pytest.mark.parametrize("stat", ["S", "-S", "absS"])
+@pytest.mark.parametrize("side", ["ge", "gt", "le", "lt", ">=", ">", "<=", "<"])
+def test_trigger_block_is_stacked_trigger_masks(side, stat):
+    """Row t of ``trigger_block(k0, positions)`` is ``trigger_mask(k0 + 1 +
+    t, positions[t])``, for windows that start or end inside the block or
+    cover it or miss it, on 2-D and 3-D blocks with on-threshold sums, and
+    a callable threshold is never called outside [lo, hi]."""
+    rng = np.random.default_rng(5)
+    for shape in ((7, 9), (7, 3, 5)):
+        positions = rng.integers(-6, 7, size=shape) * 0.5
+        for lo, hi in ((1, 20), (4, 9), (12, 14), (15, 16), (9, 11), (2, 3), (13, 30)):
+            calls = []
+
+            def thr(m, lo=lo, hi=hi):
+                calls.append(m)
+                if not lo <= m <= hi:
+                    raise AssertionError(f"threshold read at step {m} outside [{lo}, {hi}]")
+                return 0.5 * (m % 5) - 1.0
+
+            for threshold in (thr, 1.0, -0.0, math.inf):
+                ev = WindowEvent(lo=lo, hi=hi, threshold=threshold, side=side, stat=stat)
+                got = ev.trigger_block(8, positions)
+                assert got.dtype == bool and got.shape == shape
+                want = [ev.trigger_mask(8 + 1 + t, p) for t, p in enumerate(positions)]
+                assert np.array_equal(got, np.stack(want)), (lo, hi, threshold)
+            assert set(calls) == set(range(max(lo, 9), min(hi, 15) + 1))
+
+
 def test_window_thresholds_read_once_per_step_downward():
     """The lattice path reads a callable threshold once per window step,
     from hi down to lo and never outside [lo, hi], and only after the state

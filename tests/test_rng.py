@@ -42,6 +42,16 @@ def test_mix64_masks_to_64_bits():
     assert 0 <= mix64(2 ** 70 + 123) < 2 ** 64
 
 
+def test_mix64_array_matches_scalar_and_leaves_input():
+    a = np.random.default_rng(3).integers(0, 2 ** 64, size=(4, 5), dtype=np.uint64)
+    a[0, :3] = [0, 2 ** 64 - 1, 2 ** 63]
+    before = a.copy()
+    out = mix64(a)
+    assert out.dtype == np.uint64 and out.shape == a.shape
+    assert out.tolist() == [[mix64(int(v)) for v in row] for row in before.tolist()]
+    assert np.array_equal(a, before)  # the caller's array is never written
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
 def test_array_stream_matches_scalar_streams(seed):
     # indices 0..3, then six where mix64(seed) + i wraps past 2**64; mix64(0)
