@@ -106,15 +106,19 @@ def fuk_nagaev_bound(inputs: BoundInputs) -> float:
 
     Every power and exponential saturates at +inf instead of raising, and
     the middle term is 0.0 whenever its moment factor (A / y^p)^{delta x /
-    (10 y)} is, even where e^{p^p} is +inf.  Where y^p underflows to 0.0
-    with A > 0, that factor is taken from logarithms."""
+    (10 y)} is, even where e^{p^p} is +inf.  Where A > 0 and the ratio
+    A / y^p is not a finite positive float (y^p or the ratio overflows or
+    underflows), that factor is taken from logarithms."""
     i = inputs
-    yp = _safe_pow(i.y, i.p)
     expo = i.delta * i.x / (10.0 * i.y)
-    if yp == 0.0 and i.a_moment > 0.0:
-        factor = _safe_exp(expo * (math.log(i.a_moment) - i.p * math.log(i.y)))
-    else:
-        factor = _safe_pow(i.a_moment / yp if i.a_moment > 0.0 else 0.0, expo)
+    factor = 1.0 if expo == 0.0 else 0.0  # r ** 0 and 0 ** expo
+    if i.a_moment > 0.0 and expo > 0.0:
+        yp = _safe_pow(i.y, i.p)
+        ratio = i.a_moment / yp if yp > 0.0 else math.inf
+        if 0.0 < ratio < math.inf:
+            factor = _safe_pow(ratio, expo)
+        else:
+            factor = _safe_exp(expo * (math.log(i.a_moment) - i.p * math.log(i.y)))
     mid = 0.0 if factor == 0.0 else 2.0 * _safe_exp(_safe_pow(i.p, i.p)) * factor
     if i.v2 == 0.0:
         tail = 0.0

@@ -253,15 +253,14 @@ def mc_capacity_lower_bound(model: SequenceModel, event: WindowEvent, strategy,
         points[d, :n] = s.support.points
         laws[d, :s.n_measures, :n - 1] = [list(accumulate(m))[:n - 1] for m in s.measures]
     if sched is None:
-        # each step kind's weights and law sums with the measure last:
-        # (kinds, P, M) and (kinds, P - 1, M)
-        weights = np.zeros((len(distinct), width, laws.shape[1]))
+        # each step kind's weights, (kinds, M, P) like the law sums
+        weights = np.zeros(laws.shape[:2] + (width,))
         for d, s in enumerate(distinct):
-            weights[d, :len(s.support.points), :s.n_measures] = np.transpose(s.measures)
+            weights[d, :s.n_measures, :len(s.support.points)] = s.measures
         # how far one step can move a position down, and its range
         down = min(0, min(s.support.points[0] for s in distinct))
         reach = max(0, max(s.support.points[-1] for s in distinct)) - down
-        greedy = (np.array(kinds), points, weights, laws.transpose(0, 2, 1).copy(), down, reach)
+        greedy = (np.array(kinds), points, weights, laws, down, reach)
     else:
         points, laws = points[kinds], laws[kinds, sched]
     streams = substream(seed, np.arange(replications, dtype=np.uint64))
@@ -346,18 +345,18 @@ def _greedy_policy(ev: WindowEvent, delta: float, k0: int, X: np.ndarray, pts: n
                    weights: np.ndarray, laws: np.ndarray):
     """Greedy's choice at steps k0+1..k0+s from each start position in
     ``X`` (W of them): ``pts``, ``weights`` and ``laws`` are those steps'
-    rows of the points, weight and law tables, (s, P), (s, P, M) and
-    (s, P - 1, M).  Returns the position after each point (s, P, W),
+    rows of the points, weight and law tables, (s, P), (s, M, P) and
+    (s, M, P - 1).  Returns the position after each point (s, P, W),
     whether it fires (s, P, W), and the chosen law's sums (s, P - 1, W)."""
     after = X + pts[:, :, None]
     hit = ev.trigger_block(k0, delta * after)
-    s, _, m = weights.shape
+    s, m, p = weights.shape
     mi = np.zeros((s, 1, len(X)), dtype=np.intp)
     if m > 1:
         # each measure's trigger probability, left to right over the points;
         # the fold from 0.0 starts at its first product, as 0.0 + x is x for
         # x >= 0 up to the sign of a zero, which no comparison below sees
-        qs = weights.transpose(1, 0, 2)[..., None]
+        qs = weights.transpose(2, 0, 1)[..., None]
         hs = hit.astype(float).transpose(1, 0, 2)[:, :, None, :]
         score = qs[0] * hs[0]
         for q, h in zip(qs[1:], hs[1:]):
@@ -369,9 +368,11 @@ def _greedy_policy(ev: WindowEvent, delta: float, k0: int, X: np.ndarray, pts: n
             mi[:, 0][better] = i
             if i < m - 1:
                 best = np.maximum(best, score[:, i])
-    # the chosen law's sums, by the flat index (t * (P - 1) + c) * M + mi
-    rows = m * np.arange(laws[..., 0].size).reshape(laws.shape[:2] + (1,))
-    return after, hit, laws.take(rows + mi)
+    # the chosen law's sums, by the flat index (t * M + mi) * (P - 1) + c
+    if s > 1:
+        mi += (m * np.arange(s))[:, None, None]
+    mi *= p - 1
+    return after, hit, laws.take(mi + np.arange(p - 1)[:, None])
 
 
 def _parse_strategy(strategy, distinct: list, kinds: list[int]) -> list[int] | None:

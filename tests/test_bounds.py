@@ -71,6 +71,16 @@ def test_fuk_nagaev_large_p_saturates():
     tiny = BoundInputs(x=1e-91, y=1e-90, p=4.0, delta=1.0, v2=1.0, a_moment=1.0)
     want = 2.0 * math.exp(256.0) * 10 ** 3.6 + math.exp(-1e-182 / 4.0)
     assert math.isclose(fuk_nagaev_bound(tiny), want, rel_tol=1e-9)
+    # y ** p overflows to +inf: the factor from logs, not A / inf = 0.0;
+    # (1 / 10 ** 400) ** 0.005 = 0.01 against e^{400^400} = +inf
+    big = BoundInputs(x=1.0, y=10.0, p=400.0, delta=0.5, v2=1.0, a_moment=1.0)
+    assert fuk_nagaev_bound(big) == math.inf
+    # (1 / 1e400) ** 5e-202 is 1.0 to the last bit, so about 2 e^4 + tail
+    far = BoundInputs(x=1.0, y=1e200, p=2.0, delta=0.5, v2=1.0, a_moment=1.0)
+    assert math.isclose(fuk_nagaev_bound(far), 2.0 * math.exp(4.0) + tail, rel_tol=1e-12)
+    # y ** p finite but A / y ** p overflows: (1e310) ** 1e-11 is about 1
+    over = BoundInputs(x=1e-160, y=1e-150, p=2.0, delta=1.0, v2=1.0, a_moment=1e10)
+    assert math.isclose(fuk_nagaev_bound(over), 2.0 * math.exp(4.0) + 1.0, rel_tol=1e-7)
 
 
 def test_fuk_nagaev_dominates_exponential_term():
