@@ -52,6 +52,7 @@ convex combination of the one after it.  Only a DP that overflows to inf
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
@@ -147,7 +148,13 @@ class TerminalSumPayoff(object):
         self.initial = 0
 
     def bind(self, model):
-        return TerminalSumPayoff(self.fn, model.delta)
+        """A copy whose ``terminal`` reads the lattice sum as the real
+        ``model.delta * state``.  It is a ``copy.copy``, so it keeps this
+        payoff's class and attributes (a subclass keeps its
+        ``terminal_array``) and calls no ``__init__``."""
+        bound = copy.copy(self)
+        bound._delta = model.delta
+        return bound
 
     def advance(self, state, k, point, value):
         return state + point
@@ -155,8 +162,14 @@ class TerminalSumPayoff(object):
     def terminal(self, state):
         return float(self.fn(self._delta * state))
 
-    def terminal_array(self, positions: np.ndarray) -> np.ndarray:
-        return np.array([float(self.fn(float(p))) for p in positions])
+    def terminal_array(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``fn`` at each real sum of ``positions``, written into ``out``
+        when given (then returned), else into a new array."""
+        values = [float(self.fn(float(p))) for p in positions]
+        if out is None:
+            return np.array(values)
+        out[:] = values
+        return out
 
     def negate(self):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
@@ -418,7 +431,12 @@ class _Plan(object):
     def reach(self):
         """``(hit, at)``: whether each sum of the terminal layer is
         reachable, as a bool array, and the real values ``delta * sum`` of
-        the reachable ones."""
+        the reachable ones.
+
+        The mask is a Python int, bit i for the terminal sum low + i, and
+        each step ORs its copies shifted by the step's offsets, once per
+        model: ``_lattice_upper`` writes the terminal row into the layer in
+        place when every bit is set, and scatters it by ``hit`` otherwise."""
         if self._reach is None:
             lows, widths = self.layers()
             low, width = lows[-1], widths[-1]
@@ -647,8 +665,11 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     if event is None:
         hit, at = plan.reach()
         layer = cur[:len(hit)]
-        layer[:] = 0.0
-        layer[hit] = _terminal_values(lambda: payoff.terminal_array(at))
+        if len(at) == len(layer):  # every sum reachable: the row is the layer
+            _terminal_values(lambda: payoff.terminal_array(at, out=layer))
+        else:
+            layer[:] = 0.0
+            layer[hit] = _terminal_values(lambda: payoff.terminal_array(at))
         left, right = float(layer[0]), float(layer[-1])
         inner = np.flatnonzero(layer != left)
         if len(inner):

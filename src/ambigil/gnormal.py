@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, evaluate_upper
 from .model import SequenceModel, StepAmbiguity, _integer, _real, _require_centered
 
@@ -157,6 +159,29 @@ def step_gnormal_params(step: StepAmbiguity) -> GNormalParams:
     return GNormalParams(math.sqrt(lo), math.sqrt(hi))
 
 
+class _Ramp(TerminalSumPayoff):
+    """The ramp of the terminal sum s that is 1.0 for s >= lo + hw, else
+    0.0 for s <= lo, else (s - lo) / hw.  The rule lives in
+    ``terminal_array``, which applies it to a whole array of sums, the
+    middle formula only on the cells inside the ramp, so that no other cell
+    can raise a floating-point warning; the scalar ``fn`` reads it on a
+    one-cell array."""
+
+    def __init__(self, lo: float, hw: float):
+        super().__init__(lambda s: float(self.terminal_array(np.array([s]))[0]))
+        self.lo, self.hw, self.top = lo, hw, lo + hw
+
+    def terminal_array(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(len(positions))
+        np.greater_equal(positions, self.top, out=out)
+        inside = positions > self.lo
+        inside &= positions < self.top
+        np.subtract(positions, self.lo, out=out, where=inside)
+        np.divide(out, self.hw, out=out, where=inside)
+        return out
+
+
 @dataclass(frozen=True)
 class CLTBridgeResult:
     """DP bracket for {S_n/sqrt(n) >= x} against the closed-form tail."""
@@ -179,32 +204,26 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     ``ramp_width`` (default 4 delta / sqrt(n), in S_n/sqrt(n) units): the
     upper ramp rises on [x - w, x], the lower on [x, x + w], so their upper
     expectations bracket the capacity exactly.  ``x`` and an explicit
-    ``ramp_width`` go through ``_real``; the width must be positive and finite.
+    ``ramp_width`` go through ``_real``; the width must be positive and
+    finite, and so must the width in S_n units, width * sqrt(n).  The ramps
+    are ``_Ramp`` payoffs, whose terminal row is built as one array.
     """
     _require_centered(step, "clt bridge")
     n, x = _integer(n, "n"), _real(x, "x")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     params = step_gnormal_params(step)
-    model = SequenceModel.iid(step, n)
     sq = math.sqrt(float(n))
     w = (4.0 * step.support.delta / sq) if ramp_width is None else _real(ramp_width, "ramp width")
     if not 0 < w < math.inf:
         raise ValueError(f"ramp width must be positive and finite, got {w!r}")
     t = x * sq
     hw = w * sq
-
-    def ramp(lo_edge: float):
-        def fn(s: float) -> float:
-            if s >= lo_edge + hw:
-                return 1.0
-            if s <= lo_edge:
-                return 0.0
-            return (s - lo_edge) / hw
-        return fn
-
-    hi = evaluate_upper(model, TerminalSumPayoff(ramp(t - hw)), state_cap=state_cap)
-    lo = evaluate_upper(model, TerminalSumPayoff(ramp(t)), state_cap=state_cap)
+    if hw == math.inf:
+        raise ValueError(f"ramp width {w!r} is too wide for n={n}: width * sqrt(n) overflows")
+    model = SequenceModel.iid(step, n)
+    hi = evaluate_upper(model, _Ramp(t - hw, hw), state_cap=state_cap)
+    lo = evaluate_upper(model, _Ramp(t, hw), state_cap=state_cap)
     mid = 0.5 * (lo + hi)
     target = gnormal_upper_tail(params, x)
     return CLTBridgeResult(n=n, x=x, ramp_width=w, bracket_low=lo, bracket_high=hi,

@@ -576,6 +576,62 @@ def test_plan_built_once_per_model(monkeypatch):
     assert (lows[-1], widths[-1]) == (4 * (-3 - 2 - 2), 4 * (6 + 4 + 4) + 1)
 
 
+def _points_step(points):
+    """A step on ``points`` (delta 1) whose measures put zero weight on
+    every point but the outer ones, or all weight on one point."""
+    if len(points) == 1:
+        return StepAmbiguity(LatticeSupport(1, tuple(points)), ((1.0,),))
+    inner = [0.0] * (len(points) - 2)
+    return StepAmbiguity(LatticeSupport(1, tuple(points)),
+                         (tuple([0.5] + inner + [0.5]), tuple([0.0] * (len(points) - 1) + [1.0])))
+
+
+def _set_reach(m):
+    """The terminal reach mask and reachable real sums by a set of sums,
+    every support point counted whatever its weights."""
+    sums = {0}
+    for step in m.steps():
+        sums = {s + p for s in sums for p in step.support.points}
+    every = range(min(sums), max(sums) + 1)
+    return [s in sums for s in every], [m.delta * float(s) for s in every if s in sums]
+
+
+def test_reach_mask_matches_set_reach():
+    """``_Plan.reach`` against a set of sums: seeded random i.i.d. models and
+    schedules with zero weights, a parity support that never fills, a first
+    gap wider than one layer that closes after 14 steps, and schedules that
+    fill and then meet a gap at or beyond the running width."""
+    rng = np.random.default_rng(20261020)
+    models = [SequenceModel.iid(_points_step((-1, 1)), 41),
+              SequenceModel.iid(_points_step((-8, -7, 7, 8)), 20),
+              SequenceModel.iid(_points_step((3,)), 5)]
+    ramp = [_points_step((-1, 0, 1))] * 2  # full over width 5 after two steps
+    for tail in ([(-2, 3)], [(-2, 4)], [(-10, 10)], [(-10, 10), (-3, 0, 1)],
+                 [(-1, 0, 1), (-20, 0, 20)]):  # a gap of 5, 6, 20, ...
+        models.append(SequenceModel(len(ramp) + len(tail) + 4,
+                                    steps=ramp + [_points_step(t) for t in tail] + ramp * 2))
+    for _ in range(40):
+        steps = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, 5))
+            pts = np.sort(rng.choice(np.arange(-9, 10), size=size, replace=False))
+            steps.append(_points_step(pts.tolist()))
+        n = int(rng.integers(1, 25))
+        if len(steps) == 1:
+            models.append(SequenceModel.iid(steps[0], n))
+        else:
+            models.append(SequenceModel(n, steps=[steps[int(i)] for i in
+                                                  rng.integers(0, len(steps), n)]))
+    fills = 0
+    for m in models:
+        hit, at = engine._Plan(m).reach()
+        want_hit, want_at = _set_reach(m)
+        assert hit.dtype == bool and hit.tolist() == want_hit, m
+        assert at.tolist() == want_at, m
+        fills += all(want_hit)
+    assert 0 < fills < len(models)
+
+
 def test_plan_dies_with_its_model():
     """The plan holds no reference to its model: once the model is gone, so
     is its entry."""

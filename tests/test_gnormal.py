@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ambigil.engine import StateSpaceError
-from ambigil.gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,
+from ambigil import engine
+from ambigil.engine import StateSpaceError, TerminalSumPayoff, evaluate_upper
+from ambigil.gnormal import (CLTBridgeResult, GNormalParams, _Ramp, clt_capacity, erfc,
                              gnormal_density, gnormal_lower_tail,
                              gnormal_upper_tail, std_normal_cdf,
                              std_normal_density, step_gnormal_params)
-from ambigil.model import make_rademacher_interval
+from ambigil.model import SequenceModel, make_rademacher_interval
 
 P12 = GNormalParams(1.0, 2.0)
 
@@ -170,3 +171,40 @@ def test_clt_validation():
     for width in (math.nan, math.inf):
         with pytest.raises(ValueError, match="ramp width"):
             clt_capacity(asym, 10, 0.0, ramp_width=width)
+    # a finite width whose width * sqrt(n) overflows
+    with pytest.raises(ValueError, match="ramp width 1e\\+308 is too wide"):
+        clt_capacity(make_rademacher_interval(1, 2, 2), 4, 0.0, ramp_width=1e308)
+
+
+def _scalar_ramp(lo, hw):
+    return lambda s: 1.0 if s >= lo + hw else 0.0 if s <= lo else (s - lo) / hw
+
+
+def test_clt_array_ramps_match_scalar_ramps():
+    """Each bracket has the ``float.hex`` of ``evaluate_upper`` on a plain
+    ``TerminalSumPayoff`` with the scalar ramp.  At n = 16, x = 0.5 and
+    width 0.5 the ramp edges t - hw, t and t + hw are the reachable sums
+    0, 2 and 4 on every step, so both the >= and the <= edge are met;
+    x = ±1e308 overflows t at n > 1 and not at n = 1."""
+    rng = np.random.default_rng(25)
+    steps = [make_rademacher_interval(1, 2, 5), make_rademacher_interval(1, 1, 1),
+             make_rademacher_interval(1, 2, 2), make_rademacher_interval(1, 3, 3)]
+    xs = [0.5, 0.0, -0.0, math.inf, -math.inf, 1e308, -1e308] + rng.uniform(-2, 2, 3).tolist()
+    for step in steps:
+        for n in (1, 4, 16, 25):
+            model = SequenceModel.iid(step, n)
+            sq = math.sqrt(n)
+            for x in xs:
+                for width in (None, 0.5, float(rng.uniform(0.01, 3.0))):
+                    r = clt_capacity(step, n, x, ramp_width=width)
+                    t, hw = x * sq, r.ramp_width * sq
+                    high = evaluate_upper(model, TerminalSumPayoff(_scalar_ramp(t - hw, hw)))
+                    low = evaluate_upper(model, TerminalSumPayoff(_scalar_ramp(t, hw)))
+                    case = (step.support.points, n, x, width)
+                    assert r.bracket_high.hex() == high.hex(), case
+                    assert r.bracket_low.hex() == low.hex(), case
+            if n == 16:
+                assert {0.0, 2.0, 4.0} <= set(engine._plan(model).reach()[1].tolist())
+    # binding keeps the class, so the lattice path reads the array ramp
+    bound = _Ramp(0.0, 1.0).bind(model)
+    assert type(bound) is _Ramp and bound._delta == model.delta
