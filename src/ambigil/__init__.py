@@ -18,8 +18,7 @@ from .capacity import (BCProductReport, CapacityPair, MCResult, OutcomeFlagEvent
                        window_max_event)
 from .engine import (DEFAULT_STATE_CAP, Automaton, ExpectationPair,
                      FullVectorPayoff, StateSpaceError, TerminalSumPayoff,
-                     WindowEvent, evaluate_lower, evaluate_pair, evaluate_upper,
-                     sum_lower_mean, sum_upper_mean)
+                     WindowEvent, evaluate_lower, evaluate_pair, evaluate_upper)
 from .gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,
                       gnormal_density, gnormal_lower_tail, gnormal_upper_tail,
                       std_normal_cdf, std_normal_density, step_gnormal_params)
@@ -27,8 +26,7 @@ from .lil import (ClusterRow, ConditionReport, ContinuityProbeResult,
                   LILUpperResult, MomentSeries, NormalizerSeries,
                   check_conditions, cluster_probe, conjecture_probe,
                   continuity_probe, cumulative_upper_second_moments,
-                  lil_lower_experiment, lil_upper_experiment, moment_series,
-                  normalizers)
+                  lil_lower_experiment, lil_upper_experiment, normalizers)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity,
                     make_rademacher_interval)
 

@@ -34,7 +34,7 @@ from .capacity import (OutcomeFlagEvent, centered_max_sum_event,
                        window_max_event)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity, _finite, _integer, _real,
                     running_sums)
-from .rng import SplitMix64
+from .rng import SplitMix64, substream
 
 _VIOL_TOL = 1e-12
 
@@ -386,8 +386,6 @@ def verify_domination(case_count: int, seed: int, grid: DominationGrid | None = 
     if case_count < 1:
         raise ValueError(f"case_count must be >= 1, got {case_count}")
     grid = grid or DominationGrid()
-
-    from .rng import substream
 
     def one(i: int) -> DominationCase:
         stream = substream(seed, i)

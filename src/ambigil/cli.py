@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, bounds, capacity, gnormal, lil
+from . import __version__, bounds, capacity, gnormal, iterlog, lil
 from .engine import StateSpaceError, TerminalSumPayoff, evaluate_pair
 from .model import SequenceModel, _integer, _real
 
@@ -128,10 +129,6 @@ def _engine_kw(cfg: dict) -> dict:
 
 
 def _x_fn_from_config(cfg: dict):
-    import math
-
-    from . import iterlog
-
     name = cfg.get("x_fn", "loglog")
     if name == "loglog":
         return None  # library default sqrt(2 loglog n)

@@ -822,21 +822,3 @@ def evaluate_lower(model: SequenceModel, payoff, **kw) -> float:
 def evaluate_pair(model: SequenceModel, payoff, **kw) -> ExpectationPair:
     return ExpectationPair(lower=evaluate_lower(model, payoff, **kw),
                            upper=evaluate_upper(model, payoff, **kw))
-
-
-def _step_count(model: SequenceModel, k) -> int:
-    """``k`` as an int in 0..horizon; anything else is a ``ValueError``."""
-    k = _integer(k, "step count k")
-    if not 0 <= k <= model.horizon:
-        raise ValueError(f"step count k={k} outside 0..{model.horizon}")
-    return k
-
-
-def sum_upper_mean(model: SequenceModel, k: int) -> float:
-    """Upper expectation of S_k: sum of per-step upper means (independence).
-    ``k = 0`` gives 0.0."""
-    return model.moment_sums(lambda v: v, _step_count(model, k))[-1]
-
-
-def sum_lower_mean(model: SequenceModel, k: int) -> float:
-    return model.moment_sums(lambda v: v, _step_count(model, k), lower=True)[-1]

@@ -30,7 +30,7 @@ def d_n(n: int) -> float:
 
 
 class NormalizerSeries(object):
-    """s_n, t_n = sqrt(2 loglog s_n^2), a_n = s_n t_n, d_n = sqrt(2 n loglog n).
+    """s_n, t_n = sqrt(2 loglog s_n^2) and a_n = s_n t_n.
 
     Built once from the running list ``s2`` = [0.0, s_1^2, ..., s_N^2]:
     ``s_table``, ``t_table`` and ``a_table`` hold s_m, t_m and a_m for
@@ -60,7 +60,3 @@ class NormalizerSeries(object):
 
     def a(self, n: int) -> float:
         return self._at(self.a_table, n)
-
-    @staticmethod
-    def d(n: int) -> float:
-        return d_n(n)

@@ -60,21 +60,21 @@ def normalizers(source) -> NormalizerSeries:
 
 
 class MomentSeries(object):
-    """Per-step clipped-overshoot moments and their partial sums.
+    """The four entries of ``overshoot_terms(n)``, with threshold
+    alpha s_n/t_n and cap a_n both taken at n:
 
-    gamma(n)      upper expectation of ((|X_n| - alpha s_n/t_n)^+)^p
-    gamma_bar(n)  same with |X_n| capped at a_n before the overshoot
-    lam(n)        sum over j <= n of the gamma-style term with the threshold
-                  and cap taken at n (not j)
-    lam_bar(n)    capped variant of lam
+    gamma      upper expectation of ((|X_n| - alpha s_n/t_n)^+)^p
+    gamma_bar  the same with |X_n| capped at a_n before the overshoot
+    lam        sum over j <= n of the gamma-style term of step j
+    lam_bar    the same sum of the capped terms
 
-    ``overshoot_terms(n)`` returns all four at n, each step's term taken once.
-    On a schedule, a fold at n reads the per-kind terms through the model's
-    step index, ``model.kinds()``.
+    Each step's term is taken once.  On a schedule, a fold at n reads the
+    per-kind terms through the model's step index, ``model.kinds()``.
+    ``p`` must be finite and >= 2, ``alpha`` positive.
     """
 
     def __init__(self, model: SequenceModel, p: float, alpha: float):
-        p, alpha = _real(p, "p"), _real(alpha, "alpha")
+        p, alpha = _finite(p, "p"), _real(alpha, "alpha")
         if not p >= 2:
             raise ValueError(f"p must be >= 2, got {p}")
         if not alpha > 0:
@@ -106,12 +106,6 @@ class MomentSeries(object):
 
         return fn
 
-    def gamma(self, n: int) -> float:
-        return self.model.step(n).upper_expectation(self._overshoot(n, None))
-
-    def gamma_bar(self, n: int) -> float:
-        return self.model.step(n).upper_expectation(self._overshoot(n, self.norms.a(n)))
-
     def _series(self, n: int, cap: float | None) -> tuple[float, float]:
         """(term at n, sum of the terms over j <= n), threshold and cap taken
         at n.  On an i.i.d. model the sum is n times the term; on a schedule
@@ -131,16 +125,6 @@ class MomentSeries(object):
         gamma, lam = self._series(n, None)
         gamma_bar, lam_bar = self._series(n, self.norms.a(n))
         return gamma, gamma_bar, lam, lam_bar
-
-    def lam(self, n: int) -> float:
-        return self._series(n, None)[1]
-
-    def lam_bar(self, n: int) -> float:
-        return self._series(n, self.norms.a(n))[1]
-
-
-def moment_series(model: SequenceModel, p: float, alpha: float) -> MomentSeries:
-    return MomentSeries(model, p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +217,16 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     at every n where eps a_n / 2 > alpha s_n / t_n and eps <= 1, and probes
     the bounded-growth derivation (growing s_n^2 with bounded one-step
     ratios forces the variance series to diverge).  Every real parameter
-    goes through ``_real`` (NaN, a string or a bool raises ``ValueError``).
+    goes through ``_real`` (NaN, a string or a bool raises ``ValueError``);
+    ``p`` and ``power_p`` must be finite and ``d`` >= 0.  A term that
+    overflows, divides by zero or is NaN raises ``ValueError`` naming the
+    parameters, so no record holds a NaN.
     """
-    eps, delta, power_p = _real(eps, "eps"), _real(delta, "delta"), _real(power_p, "power_p")
+    eps, delta = _real(eps, "eps"), _real(delta, "delta")
+    power_p = _finite(power_p, "power_p")
     d = _integer(d, "d")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ValueError("checkpoints must be a strictly increasing list of n >= 1")
@@ -245,12 +235,6 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
         raise ValueError(f"checkpoint {n_max} exceeds horizon {model.horizon}")
     ms = MomentSeries(model, p, alpha)
     p, alpha, norms = ms.p, ms.alpha, ms.norms
-    # step-only moments: E[X^2], E[|X|^power_p], upper and lower mean
-    moments = model.per_step(lambda s: (
-        s.upper_expectation(lambda v: v * v),
-        s.upper_expectation(lambda v: abs(v) ** power_p),
-        s.upper_expectation(lambda v: v),
-        s.lower_expectation(lambda v: v)), n_max)
 
     # terms[key][n - 1] is the n-th term of a series; running_sums folds each
     terms = {key: [] for key in ("tail-sum", "capped-overshoot", "overshoot",
@@ -261,32 +245,50 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     max_step_ratio = 0.0
     prev_s2 = None
 
-    for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
-        s2_n, a_n, thr = norms.s2(n), norms.a(n), ms._threshold(n)
-        if prev_s2 not in (None, 0.0):
-            max_step_ratio = max(max_step_ratio, s2_n / prev_s2)
-        prev_s2 = s2_n
+    try:
+        # step-only moments: E[X^2], E[|X|^power_p], upper and lower mean
+        moments = model.per_step(lambda s: (
+            s.upper_expectation(lambda v: v * v),
+            s.upper_expectation(lambda v: abs(v) ** power_p),
+            s.upper_expectation(lambda v: v),
+            s.lower_expectation(lambda v: v)), n_max)
 
-        tail_n = model.step(n).upper_expectation(lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
-        g_unb, g_bar, lam, lam_bar = ms.overshoot_terms(n)
-        terms["tail-sum"].append(tail_n)
-        terms["capped-overshoot"].append((g_bar / a_n ** p) * (lam_bar / a_n ** p) ** d)
-        terms["overshoot"].append((g_unb / a_n ** p) * (lam / a_n ** p) ** d)
-        terms["variance-divergence"].append(e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0))
-        terms["power-moment"].append(e_pow / a_n ** power_p)
-        terms["mean-upper"].append(abs(mean_u))
-        terms["mean-lower"].append(abs(mean_l))
+        for n, (e2, e_pow, mean_u, mean_l) in enumerate(moments, start=1):
+            s2_n, a_n, thr = norms.s2(n), norms.a(n), ms._threshold(n)
+            if prev_s2 not in (None, 0.0):
+                max_step_ratio = max(max_step_ratio, s2_n / prev_s2)
+            prev_s2 = s2_n
 
-        if eps <= 1.0 and eps * a_n / 2.0 > thr:
-            termwise_checked += 1
-            lo = (eps / 2.0) ** p * tail_n
-            mid = g_bar / a_n ** p
-            hi = g_unb / a_n ** p
-            if lo > mid + 1e-12 or mid > hi + 1e-12:
-                termwise_viol.append(
-                    f"n={n}: ({lo!r}, {mid!r}, {hi!r}) breaks the termwise chain")
+            tail_n = model.step(n).upper_expectation(
+                lambda v: 1.0 if abs(v) >= eps * a_n else 0.0)
+            g_unb, g_bar, lam, lam_bar = ms.overshoot_terms(n)
+            terms["tail-sum"].append(tail_n)
+            terms["capped-overshoot"].append((g_bar / a_n ** p) * (lam_bar / a_n ** p) ** d)
+            terms["overshoot"].append((g_unb / a_n ** p) * (lam / a_n ** p) ** d)
+            terms["variance-divergence"].append(
+                e2 / s2_n * iterlog.log_(s2_n) ** (delta - 1.0))
+            terms["power-moment"].append(e_pow / a_n ** power_p)
+            terms["mean-upper"].append(abs(mean_u))
+            terms["mean-lower"].append(abs(mean_l))
 
-    sums = {key: running_sums(ts) for key, ts in terms.items()}
+            if eps <= 1.0 and eps * a_n / 2.0 > thr:
+                termwise_checked += 1
+                lo = (eps / 2.0) ** p * tail_n
+                mid = g_bar / a_n ** p
+                hi = g_unb / a_n ** p
+                if lo > mid + 1e-12 or mid > hi + 1e-12:
+                    termwise_viol.append(
+                        f"n={n}: ({lo!r}, {mid!r}, {hi!r}) breaks the termwise chain")
+        sums = {key: running_sums(ts) for key, ts in terms.items()}
+    except ArithmeticError as e:
+        bad = f"{type(e).__name__}: {e}"
+    else:
+        # every term is >= 0 or NaN, so a NaN term leaves its series' last sum NaN
+        bad = "a term is NaN" if any(math.isnan(ps[-1]) for ps in sums.values()) else None
+    if bad:
+        raise ValueError(f"condition terms are not finite for p={p!r}, alpha={alpha!r}, "
+                         f"d={d!r}, eps={eps!r}, delta={delta!r}, power_p={power_p!r}: {bad}")
+
     cps_t = tuple(cps)
 
     def series_rec(rec_id, details):

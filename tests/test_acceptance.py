@@ -91,7 +91,41 @@ def test_criterion_02_brute_force_equivalence():
         dp = evaluate_upper(m, payoff)
         bf = nested_supremum(m, payoff)
         assert dp == bf, f"model {i}: DP {dp!r} != strategy tree {bf!r}"
-    _report(2, "DP equals adapted-strategy-tree value bitwise on 200 models", t0, 120)
+    # larger trees: horizons 9-11 on 2-3 points, 4-point steps up to horizon
+    # 7, half the models with a zero weight in every measure, each model
+    # under a window event of each side and a terminal-sum payoff
+    rng = np.random.default_rng(2021)
+    for i, (n, npts) in enumerate([(n, k) for n in (9, 10, 11) for k in (3, 2, 3, 2)]
+                                  + [(n, 4) for n in (3, 4, 5, 6, 7, 5, 6, 7, 7)]):
+        delta = float(rng.choice([0.5, 1.0]))
+        zero = i % 2 == 0
+        if i % 3 == 0:
+            m = SequenceModel.iid(_brute_force_step(rng, delta, npts, zero), n)
+        else:
+            counts = rng.integers(2, npts + 1, size=n)
+            m = SequenceModel(n, steps=[_brute_force_step(rng, delta, int(c), zero) for c in counts])
+        a, b = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        thr = delta * int(rng.integers(0, 2.0 * math.sqrt(n)))  # on the lattice
+        lo, stat = int(rng.integers(1, n // 2 + 2)), str(rng.choice(["S", "-S", "absS"]))
+        windows = [window_max_event(lo, n, thr, side, stat) for side in (">=", ">", "<=", "<")]
+        for payoff in windows + [TerminalSumPayoff(lambda s: a * s * s + b * s)]:
+            dp = evaluate_upper(m, payoff)
+            bf = nested_supremum(m, payoff)
+            assert dp == bf, f"large model {i}: DP {dp!r} != strategy tree {bf!r}"
+    _report(2, "DP equals adapted-strategy-tree value bitwise on 221 models", t0, 120)
+
+
+def _brute_force_step(rng, delta: float, npts: int, zero_weight: bool) -> StepAmbiguity:
+    """A step on ``npts`` distinct points of -3..3 with 1-3 measures; with
+    ``zero_weight`` each measure puts weight 0 on one point."""
+    points = tuple(sorted(rng.choice(np.arange(-3, 4), size=npts, replace=False).tolist()))
+    measures = []
+    for _ in range(int(rng.integers(1, 4))):
+        w = rng.uniform(0.05, 1.0, size=npts)
+        if zero_weight:
+            w[int(rng.integers(npts))] = 0.0
+        measures.append(tuple(float(v) for v in w / w.sum()))
+    return StepAmbiguity(LatticeSupport(delta, points), tuple(measures))
 
 
 def test_criterion_03_linear_reduction():

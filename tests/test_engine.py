@@ -13,8 +13,7 @@ from ambigil import engine
 from ambigil.capacity import capacity_pair
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
-                            evaluate_lower, evaluate_pair, evaluate_upper,
-                            sum_lower_mean, sum_upper_mean)
+                            evaluate_lower, evaluate_pair, evaluate_upper)
 from ambigil.gnormal import clt_capacity
 from ambigil.lil import cluster_probe, lil_lower_experiment
 from ambigil.model import (LatticeSupport, SequenceModel, StepAmbiguity,
@@ -195,20 +194,8 @@ def test_independence_additivity():
         m = random_model(rng, max_n=6)
         up = evaluate_upper(m, ident)
         lo = evaluate_lower(m, ident)
-        assert abs(up - sum_upper_mean(m, m.horizon)) <= 1e-10
-        assert abs(lo - sum_lower_mean(m, m.horizon)) <= 1e-10
-
-
-def test_sum_means_check_the_step_count():
-    step = StepAmbiguity(LatticeSupport(1.0, (0, 1)), ((0.5, 0.5), (0.25, 0.75)))
-    m = SequenceModel.iid(step, 4)
-    for f, per_step in ((sum_upper_mean, 0.75), (sum_lower_mean, 0.5)):
-        assert f(m, 0) == 0.0
-        assert f(m, 2) == f(m, 2.0) == 2 * per_step
-        assert f(m, 4) == 4 * per_step
-        for bad in (-3, 5, 2.5, True, "2", None):
-            with pytest.raises(ValueError, match="step count"):
-                f(m, bad)
+        assert abs(up - m.moment_sums(lambda v: v)[-1]) <= 1e-10
+        assert abs(lo - m.moment_sums(lambda v: v, lower=True)[-1]) <= 1e-10
 
 
 def test_linear_reduction_matches_convolution():

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambigil import iterlog
-from ambigil.lil import (ConditionReport, check_conditions, cluster_probe,
-                         conjecture_probe, continuity_probe,
+from ambigil.lil import (ConditionReport, MomentSeries, check_conditions,
+                         cluster_probe, conjecture_probe, continuity_probe,
                          lil_lower_experiment, lil_upper_experiment,
-                         moment_series, normalizers)
+                         normalizers)
 from ambigil.bounds import converse_rate_check
 from ambigil.capacity import event_from_config
 from ambigil.gnormal import clt_capacity
@@ -37,8 +37,8 @@ def test_normalizer_examples():
     ns = normalizers([1.0] * 50)
     assert ns.t(1) == math.sqrt(2.0)
     assert ns.a(1) == math.sqrt(2.0)
-    assert abs(ns.d(10) - math.sqrt(20.0)) <= 1e-12
-    assert abs(ns.d(100) - 17.477) <= 1e-3
+    assert abs(iterlog.d_n(10) - math.sqrt(20.0)) <= 1e-12
+    assert abs(iterlog.d_n(100) - 17.477) <= 1e-3
 
 
 def test_normalizers_from_model():
@@ -64,26 +64,26 @@ def test_normalizers_validation():
 
 def test_moment_series_examples():
     m = SequenceModel.iid(STEP11, 10)
-    ms = moment_series(m, p=2.0, alpha=2.0)
+    ms = MomentSeries(m, p=2.0, alpha=2.0)
     # threshold alpha s_n/t_n exceeds |X| = 1 at every n here
-    assert ms.gamma(4) == 0.0
+    assert ms.overshoot_terms(4)[0] == 0.0
     one = StepAmbiguity(LatticeSupport(0.5, (-2, 2)), ((0.5, 0.5),))
-    mse = moment_series(SequenceModel.iid(one, 5), p=2.0, alpha=0.0001)
+    mse = MomentSeries(SequenceModel.iid(one, 5), p=2.0, alpha=0.0001)
     # nearly no threshold: expectation of (|X| - thr)^2 close to 1
-    assert abs(mse.gamma(1) - 1.0) <= 0.01
+    assert abs(mse.overshoot_terms(1)[0] - 1.0) <= 0.01
 
 
 def test_moment_series_halfway_threshold():
     # |X| = 1 surely; force threshold exactly 0.5 via an explicit s2 series
     m = SequenceModel.iid(STEP11, 10)
-    ms = moment_series(m, p=2.0, alpha=1.0)
+    ms = MomentSeries(m, p=2.0, alpha=1.0)
     n = 3
     thr = ms._threshold(n)
     step = m.step(n)
     direct = step.upper_expectation(lambda v: max(abs(v) - 0.5, 0.0) ** 2)
     assert direct == 0.25
     # generic identity: gamma uses the same formula at thr
-    assert ms.gamma(n) == step.upper_expectation(
+    assert ms.overshoot_terms(n)[0] == step.upper_expectation(
         lambda v: max(abs(v) - thr, 0.0) ** 2)
 
 
@@ -93,22 +93,23 @@ def test_barred_below_unbarred():
 
     for _ in range(10):
         m = random_model(rng, max_n=6)
-        ms = moment_series(m, p=2.5, alpha=0.3)
+        ms = MomentSeries(m, p=2.5, alpha=0.3)
         for n in range(1, m.horizon + 1):
-            assert ms.gamma_bar(n) <= ms.gamma(n) + 1e-12
-            assert ms.lam_bar(n) <= ms.lam(n) + 1e-12
-            assert ms.lam(n) >= 0.0 and ms.gamma(n) >= 0.0
+            gamma, gamma_bar, lam, lam_bar = ms.overshoot_terms(n)
+            assert gamma_bar <= gamma + 1e-12
+            assert lam_bar <= lam + 1e-12
+            assert lam >= 0.0 and gamma >= 0.0
 
 
 def test_moment_series_validation():
     m = SequenceModel.iid(STEP11, 4)
     with pytest.raises(ValueError):
-        moment_series(m, p=1.0, alpha=1.0)
+        MomentSeries(m, p=1.0, alpha=1.0)
     with pytest.raises(ValueError):
-        moment_series(m, p=2.0, alpha=0.0)
-    for p, alpha in ((math.nan, 1.0), (2.0, math.nan)):
+        MomentSeries(m, p=2.0, alpha=0.0)
+    for p, alpha in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0)):
         with pytest.raises(ValueError):
-            moment_series(m, p=p, alpha=alpha)
+            MomentSeries(m, p=p, alpha=alpha)
 
 
 def test_check_conditions_classical():
@@ -144,24 +145,24 @@ def test_check_conditions_classical():
 
 
 def test_check_conditions_overshoot_terms_are_moment_series():
-    """At every checkpoint the overshoot series' terms are MomentSeries'
-    gamma and lam (capped: gamma_bar and lam_bar), bit for bit: on an i.i.d.
-    model, where lam is n times one step's term, and on a schedule, where it
-    is the fold over the steps."""
+    """At every checkpoint the overshoot series' terms are built from
+    ``MomentSeries.overshoot_terms``' gamma and lam (capped: gamma_bar and
+    lam_bar), bit for bit: on an i.i.d. model, where lam is n times one
+    step's term, and on a schedule, where it is the fold over the steps."""
     s13 = make_rademacher_interval(1, 3, 3)
     cps = [1, 2, 5, 17, 40, 64]
     for m in (SequenceModel.iid(STEP12, 64), SequenceModel(64, steps=[STEP12, s13] * 32)):
         for p, alpha, d in ((2.0, 1.0, 1), (3.0, 0.4, 2)):
             rep = check_conditions(m, cps, p=p, alpha=alpha, d=d)
-            ms = moment_series(m, p, alpha)
-            for rec_id, gamma, lam in (("overshoot", ms.gamma, ms.lam),
-                                       ("capped-overshoot", ms.gamma_bar, ms.lam_bar)):
+            ms = MomentSeries(m, p, alpha)
+            for rec_id, gamma, lam in (("overshoot", 0, 2), ("capped-overshoot", 1, 3)):
                 want = []
                 for n in cps:
                     a = ms.norms.a(n) ** p
-                    want.append((gamma(n) / a) * (lam(n) / a) ** d)
+                    ot = ms.overshoot_terms(n)
+                    want.append((ot[gamma] / a) * (ot[lam] / a) ** d)
                     if m.is_iid:
-                        assert lam(n) == n * gamma(n)
+                        assert ot[lam] == n * ot[gamma]
                 assert [x.hex() for x in rep.record(rec_id).terms] == [x.hex() for x in want]
 
 
@@ -176,6 +177,28 @@ def test_check_conditions_validation():
     for key in ("p", "alpha", "eps", "delta", "power_p"):
         with pytest.raises(ValueError):
             check_conditions(m, [5, 10], **{key: math.nan})
+    # on S12 i.i.d. at horizon 2, lam_bar is 0 (so a negative d divided by
+    # it), power_p = inf made inf/inf, and the large finite values overflow
+    m = SequenceModel.iid(STEP12, 2)
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        check_conditions(m, [1, 2], d=-1)
+    rep = check_conditions(m, [1, 2], d=0)
+    for r in rep.records:
+        assert not any(math.isnan(v) for v in r.values + r.terms)
+    for key in ("p", "power_p"):
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                check_conditions(m, [1, 2], **{key: bad})
+    for key, big in (("p", 1000), ("power_p", 1000), ("delta", 1e308)):
+        with pytest.raises(ValueError, match="not finite") as err:
+            check_conditions(m, [1, 2], **{key: big})
+        # the named parameters come before the first colon, each after a space
+        assert f" {key}={float(big)!r}," in str(err.value).split(":")[0] + ","
+        assert "OverflowError" in str(err.value)
+    # a step that is 0 surely has E[X^2] = 0, and 0 * loglog(s2)^inf is NaN
+    zero = StepAmbiguity(LatticeSupport(1.0, (-1, 0, 1)), ((0.0, 1.0, 0.0),))
+    with pytest.raises(ValueError, match="delta=inf.*NaN"):
+        check_conditions(SequenceModel(3, steps=[STEP12, zero, zero]), [1, 3], delta=math.inf)
 
 
 def test_api_integer_arguments_are_not_truncated():
@@ -207,7 +230,7 @@ def test_api_real_arguments_are_checked():
                 check_conditions(m, [2, 4], **{key: bad})
         for key in ("p", "alpha"):
             with pytest.raises(ValueError, match=key):
-                moment_series(m, **{"p": 2.0, "alpha": 1.0, key: bad})
+                MomentSeries(m, **{"p": 2.0, "alpha": 1.0, key: bad})
         for run in (lil_upper_experiment, lil_lower_experiment):
             with pytest.raises(ValueError, match="eps"):
                 run(m, 2, 8, bad)
@@ -370,7 +393,7 @@ def test_continuity_probe_wide_eps():
 def test_linear_case_windows_match_forward_oracle():
     from oracles import classical_window_probability
     from ambigil.capacity import window_max_event
-    from ambigil.lil import NormalizerSeries, cumulative_upper_second_moments
+    from ambigil.lil import cumulative_upper_second_moments
 
     m = SequenceModel.iid(STEP11, 128)
     ns = normalizers(m)
@@ -381,7 +404,6 @@ def test_linear_case_windows_match_forward_oracle():
         oracle = classical_window_probability(m, ev)
         assert abs(dp - oracle) <= 1e-10
     assert cumulative_upper_second_moments(m)[128] == 128.0
-    assert NormalizerSeries.d(4) == iterlog.d_n(4)
 
 
 def test_conjecture_probe_linear_case_matches_converse():
@@ -447,8 +469,8 @@ def test_lil_scales_pinned_bits():
     for model in (alt, iid):
         ns = normalizers(model)
         series += [f(m) for m in range(1, 97) for f in (ns.s2, ns.s, ns.t, ns.a)]
-        ms = moment_series(model, 3.0, 0.4)
-        series += [f(n) for n in cps for f in (ms.gamma, ms.gamma_bar, ms.lam, ms.lam_bar)]
+        ms = MomentSeries(model, 3.0, 0.4)
+        series += [v for n in cps for v in ms.overshoot_terms(n)]
     blocks = [v for center in ("upper-mean", "lower-mean", "none")
               for b in lil_upper_experiment(alt, 8, 96, 0.2, center=center).blocks
               for v in (b.x, b.y, b.b2y)]
@@ -467,7 +489,7 @@ def test_lil_scales_pinned_bits():
 
 
 def test_moment_series_fold_pinned_bits():
-    """``MomentSeries.lam`` and ``lam_bar`` on a 1200-step schedule of three
+    """``MomentSeries``' lam and lam_bar on a 1200-step schedule of three
     step kinds in an irregular order, bit for bit: the sha256 of their
     ``float.hex`` at 24 n under two parameter sets, taken while each n's
     fold still ran over a Python list of the per-step terms."""
@@ -479,8 +501,8 @@ def test_moment_series_fold_pinned_bits():
     # thresholds alpha s_n / t_n stay below the largest point, so every term
     # of every fold is positive
     for p, alpha in ((2.0, 0.05), (3.0, 0.02)):
-        ms = moment_series(model, p, alpha)
-        values += [f(n) for n in ns for f in (ms.lam, ms.lam_bar)]
+        ms = MomentSeries(model, p, alpha)
+        values += [v for n in ns for v in ms.overshoot_terms(n)[2:]]
     assert len(values) == 96 and min(values) > 0
     assert _hex_digest(values) == (
         "759dcba4f1cc76a52ff6e641f5214d194ec83385d3cfc2d9c7012323348d6e7c")
