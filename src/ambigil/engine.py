@@ -28,7 +28,9 @@ is held as a left scalar, an array band and a right scalar: the flanks of
 a window DP (states that have fired, states that cannot reach the
 threshold any more) and of a terminal-sum DP (the terminal row's constant
 prefix and suffix, such as a ramp's flat ends) hold one value each, and
-only the band between them is computed as an array.  Everything else
+only the band between them is computed as an array.  The flank scalars
+step in Python floats through a memo local to one ``_lattice_upper``
+call, keyed by step and value.  Everything else
 (full outcome vectors, product automata, float-accumulator states) runs
 through a dictionary-layered generic path.  Both paths perform per-state
 inner sums in a fixed left-to-right order over support points and take
@@ -479,21 +481,6 @@ def _scalar_step(step: _Step, x: float) -> float:
     return best
 
 
-def _flank_step(memo: dict, step: _Step, x: float) -> float:
-    """``_scalar_step(step, x)``, memoized in ``memo`` per ``(step, x)``.
-
-    A ±0.0 steps to itself, since every kept weight q is positive: each
-    q * ±0.0 is that zero, and so is each sum and max of them.  It returns
-    before the lookup, because a dict key does not tell 0.0 from -0.0."""
-    if x == 0.0:
-        return x
-    key = (id(step), x)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = _scalar_step(step, x)
-    return out
-
-
 def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
     """``dst[a:b]``: per measure the left-to-right sum of q * src[i + offset]
     from its first product, and the max over measures in index order, all
@@ -507,11 +494,31 @@ def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
     keeps its partial sums, and a one-term measure's slice is copied or
     max'ed directly.  The block holds D * (strip + mx - mn) floats: at
     most ``_BLOCK_FLOATS``, or 2 * (mx - mn) + 1 where that is more.
+    A group of one weight q whose band fits in one strip (every point of
+    a variance-uncertain step weighs 0.5) skips the strip loop: q times
+    the band's children goes into one 1-D row of ``block``, the same
+    products bit for bit as the broadcast (D, 1) multiply.
     Subnormal values cost several times normal ones on long DPs, but
     flushing them to zero would change bits."""
     mn, mx = step.mn, step.mx
     for qs, weights, pieces, width in step.groups:
         d = len(qs)
+        if d == 1 and b - a <= width:
+            n = b - a
+            row = block[:n + mx - mn]
+            np.multiply(qs[0], src[a + mn:b + mx], out=row)
+            best, spare = dst[a:b], acc[:n]
+            for first, head, rest, end in pieces:
+                out = best if first else spare
+                x = out if head is None else row[head[1]:head[1] + n]
+                for _, j in rest:
+                    np.add(x, row[j:j + n], out=out)
+                    x = out
+                if x is not out and (first or not end):
+                    out[:] = x
+                elif end and not first:
+                    np.maximum(best, x, out=best)
+            continue
         for s in range(a, b, width):
             e = s + width if s + width < b else b
             n = e - s
@@ -633,15 +640,18 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     suffix becomes a flank, a middle range is written into the band, and an
     empty band over a uniform row (``left is right``) first moves to the
     range's edge, so the band shrinks back to what is still undecided.
+    Each window layer's nonempty ranges are listed once per DP, before the
+    layer loop; a terminal-sum DP lists none.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
     runs in index order (``_band_step``); the flank scalars of both payoff
-    kinds do the same in Python floats, memoized per step and value
-    (``_flank_step``).  A ±0.0 flank passes through unstepped: every kept
-    weight is positive, and a dict key does not tell 0.0 from -0.0.  Equal
-    flanks share one memoized object, which can only let an empty band move
-    over a row that is uniform anyway.  The result gets ``+ 0.0`` once (see
+    kinds do the same in Python floats (``_scalar_step``), read inline
+    from a memo local to this call and keyed by (id of the ``_Step``,
+    value).  A ±0.0 flank passes through unstepped: every kept weight is
+    positive, and a dict key does not tell 0.0 from -0.0.  Equal flanks
+    share one memoized object, which can only let an empty band move over
+    a row that is uniform anyway.  The result gets ``+ 0.0`` once (see
     the module docstring for why neither the skipped terms nor the missing
     ``0.0 +`` per sum changes a bit).
     """
@@ -661,7 +671,9 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
 
     cur, nxt, acc = (np.empty(widths[last]) for _ in range(3))
     block = np.empty(held)
-    memo: dict = {}
+    memo: dict = {}  # the stepped flank scalar per (id of a _Step, value)
+    # fires[k]: layer k's nonempty fired ranges (i, j), none outside a window
+    fires = [()] * (model.horizon + 1)
     if event is None:
         hit, at = plan.reach()
         layer = cur[:len(hit)]
@@ -676,45 +688,54 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             a, b = int(inner[0]), int(np.flatnonzero(layer != right)[-1]) + 1
         else:  # a constant row is all flank
             a = b = 0
+        fired = 0.0  # never read: nothing fires, and a 0.0 passes through unstepped
     else:
         a = b = 0
         left = right = event.values[0]
         fired = event.values[1]
-        lo, hi = event.lo, event.hi
         starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
+        for k, s, e in zip(range(event.lo, event.hi + 1), starts, ends):
+            if not outside:
+                fires[k] = ((s, e),) if s < e else ()
+            elif s < e:  # absS above a threshold: a prefix and a suffix
+                fires[k] = tuple((i, j) for i, j in ((0, s), (e, widths[k])) if i < j)
+            else:  # or the whole layer
+                fires[k] = ((0, widths[k]),)
     for k in range(model.horizon, 0, -1):
         step = table[k - 1]
-        mn, mx = step.mn, step.mx
-        if event is not None and lo <= k <= hi:
-            w, s, e = widths[k], starts[k - lo], ends[k - lo]
-            if not outside:
-                ranges = ((s, e),)
-            else:  # absS above a threshold: a prefix and a suffix, or the whole layer
-                ranges = ((0, s), (e, w)) if s < e else ((0, w),)
-            for i, j in ranges:
-                if i >= j:
-                    continue
-                if a == b and left is right:  # a uniform row: the band moves to the edge
-                    a = b = j if i == 0 else i
-                if i == 0:  # a prefix becomes the left flank
-                    if j < a:
-                        cur[j:a] = left
-                    a, b, left = j, max(b, j), fired
-                elif j == w:  # a suffix becomes the right flank
-                    if i > b:
-                        cur[b:i] = right
-                    a, b, right = min(a, i), i, fired
-                else:  # a middle range (absS below a threshold) goes into the band
-                    if i < a:
-                        cur[i:a] = left
-                        a = i
-                    if j > b:
-                        cur[b:j] = right
-                        b = j
-                    cur[i:j] = fired
-        w_out = widths[k - 1]
-        a2 = min(max(0, a - mx), w_out)
-        b2 = max(min(w_out, b - mn), a2)
+        for i, j in fires[k]:
+            if a == b and left is right:  # a uniform row: the band moves to the edge
+                a = b = j if i == 0 else i
+            if i == 0:  # a prefix becomes the left flank
+                if j < a:
+                    cur[j:a] = left
+                if b < j:
+                    b = j
+                a, left = j, fired
+            elif j == widths[k]:  # a suffix becomes the right flank
+                if i > b:
+                    cur[b:i] = right
+                if i < a:
+                    a = i
+                b, right = i, fired
+            else:  # a middle range (absS below a threshold) goes into the band
+                if i < a:
+                    cur[i:a] = left
+                    a = i
+                if j > b:
+                    cur[b:j] = right
+                    b = j
+                cur[i:j] = fired
+        mn, mx, w_out = step.mn, step.mx, widths[k - 1]
+        a2, b2 = a - mx, b - mn
+        if a2 < 0:
+            a2 = 0
+        elif a2 > w_out:
+            a2 = w_out
+        if b2 > w_out:
+            b2 = w_out
+        if b2 < a2:
+            b2 = a2
         if a2 < b2:
             if a2 + mn < a:
                 cur[a2 + mn:a] = left
@@ -723,10 +744,25 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             _band_step(step, cur, nxt, acc, block, a2, b2)
             cur, nxt = nxt, cur
         a, b = a2, b2
-        left = _flank_step(memo, step, left)
-        right = _flank_step(memo, step, right)
-        if event is not None:
-            fired = _flank_step(memo, step, fired)
+        # the flanks step through the memo; a ±0.0 steps to itself (every
+        # kept weight is positive) and skips it, since a dict key does not
+        # tell 0.0 from -0.0
+        sid = id(step)
+        if left != 0.0:
+            x = memo.get((sid, left))
+            if x is None:
+                x = memo[sid, left] = _scalar_step(step, left)
+            left = x
+        if right != 0.0:
+            x = memo.get((sid, right))
+            if x is None:
+                x = memo[sid, right] = _scalar_step(step, right)
+            right = x
+        if fired != 0.0:
+            x = memo.get((sid, fired))
+            if x is None:
+                x = memo[sid, fired] = _scalar_step(step, fired)
+            fired = x
     return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
 
 

@@ -218,11 +218,13 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
     the bounded-growth derivation (growing s_n^2 with bounded one-step
     ratios forces the variance series to diverge).  Every real parameter
     goes through ``_real`` (NaN, a string or a bool raises ``ValueError``);
-    ``p`` and ``power_p`` must be finite and ``d`` >= 0.  A term that
-    overflows, divides by zero or is NaN raises ``ValueError`` naming the
-    parameters, so no record holds a NaN.
+    ``p``, ``delta`` and ``power_p`` must be finite and ``d`` >= 0.  A model
+    whose first step has zero upper second moment has s_1 = a_1 = 0, and is
+    a ``ValueError`` naming n = 1.  A term that overflows, divides by zero
+    or is NaN raises ``ValueError`` naming the parameters, so no record
+    holds a NaN.
     """
-    eps, delta = _real(eps, "eps"), _real(delta, "delta")
+    eps, delta = _real(eps, "eps"), _finite(delta, "delta")
     power_p = _finite(power_p, "power_p")
     d = _integer(d, "d")
     if d < 0:
@@ -235,6 +237,9 @@ def check_conditions(model: SequenceModel, checkpoints: Sequence[int], *,
         raise ValueError(f"checkpoint {n_max} exceeds horizon {model.horizon}")
     ms = MomentSeries(model, p, alpha)
     p, alpha, norms = ms.p, ms.alpha, ms.norms
+    if norms.s2(1) == 0.0:  # s_n^2 is nondecreasing, so n = 1 is its first zero
+        raise ValueError("the model's first step has zero upper second moment: s_n^2 = 0 "
+                         "at n = 1, so a_1 = 0 and the condition terms divide by it")
 
     # terms[key][n - 1] is the n-th term of a series; running_sums folds each
     terms = {key: [] for key in ("tail-sum", "capped-overshoot", "overshoot",

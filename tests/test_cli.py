@@ -352,6 +352,7 @@ def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
     ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "delta": 1e308}),
     ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "power_p": math.inf}),
     ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "p": math.inf}),
+    ("lil", {"experiment": "conditions", "checkpoints": [1, 2], "delta": math.inf}),
 ])
 def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
     path = tmp_path / "cfg.json"

@@ -420,9 +420,20 @@ def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
     """Steps with many distinct weights, cut into several block groups with
     measures split between them, at the default budget and at small ones
     where bands also run in several strips or a span is wider than the
-    block: the lattice path gives the generic bits."""
+    block: the lattice path gives the generic bits.  S12 and G5 give every
+    point one weight: at the default budget their bands fit in one strip
+    and take ``_band_step``'s one-weight row, and at the small budgets of
+    (8, 1) and (16, 4) they run in several strips of the general loop."""
     monkeypatch.setattr(engine, "_BLOCK_FLOATS", block)
     monkeypatch.setattr(engine, "_MIN_STRIP", strip)
+    one_weight_strips = []  # whether a one-weight group's band took several strips
+    band_step = engine._band_step
+
+    def recording_band_step(step, src, dst, acc, blk, a, b):
+        one_weight_strips.extend(b - a > g.strip for g in step.groups if len(g.qs) == 1)
+        band_step(step, src, dst, acc, blk, a, b)
+
+    monkeypatch.setattr(engine, "_band_step", recording_band_step)
     many = _distinct_weight_step(11, 4, 1)
     wide = _distinct_weight_step(40, 3, 2)
     shared = StepAmbiguity(LatticeSupport(1.0, (-2, -1, 0, 1, 2)),
@@ -434,7 +445,8 @@ def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
             head is None for g in groups for _, head, _, _ in g.pieces)
     # new model objects: a plan cached under another budget is never read
     models = [SequenceModel.iid(many, 9), SequenceModel.iid(wide, 3),
-              SequenceModel(10, steps=[many, shared, STEP12, wide, shared] * 2)]
+              SequenceModel(10, steps=[many, shared, STEP12, wide, shared] * 2),
+              SequenceModel.iid(STEP12, 12), SequenceModel.iid(make_rademacher_interval(1, 2, 5), 6)]
     for m in models:
         for stat in ("S", "absS"):
             ev = WindowEvent(1, m.horizon, lambda k: 0.4 * math.sqrt(k) + 0.2, "ge", stat)
@@ -445,6 +457,10 @@ def test_band_groups_and_strips_match_generic_bits(monkeypatch, block, strip):
         # the cached groups are the ones cut under this budget
         strips = [[g.strip for g in row.groups] for row in engine._PLANS[m].table]
         assert strips == [[g.strip for g in row.groups] for row in m.per_step(engine._sparse_terms)]
+    if block in (8, 16):
+        assert any(one_weight_strips)
+    elif block > 64:  # the default budget
+        assert one_weight_strips and not any(one_weight_strips)
 
 
 def test_block_of_products_stays_bounded():

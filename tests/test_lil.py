@@ -185,7 +185,7 @@ def test_check_conditions_validation():
     rep = check_conditions(m, [1, 2], d=0)
     for r in rep.records:
         assert not any(math.isnan(v) for v in r.values + r.terms)
-    for key in ("p", "power_p"):
+    for key in ("p", "delta", "power_p"):
         for bad in (math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{key} must be finite"):
                 check_conditions(m, [1, 2], **{key: bad})
@@ -195,10 +195,28 @@ def test_check_conditions_validation():
         # the named parameters come before the first colon, each after a space
         assert f" {key}={float(big)!r}," in str(err.value).split(":")[0] + ","
         assert "OverflowError" in str(err.value)
-    # a step that is 0 surely has E[X^2] = 0, and 0 * loglog(s2)^inf is NaN
+    # a step that is 0 surely has E[X^2] = 0, and 0 * loglog(s2)^inf would be
+    # NaN: an infinite delta is rejected before any term is taken
     zero = StepAmbiguity(LatticeSupport(1.0, (-1, 0, 1)), ((0.0, 1.0, 0.0),))
-    with pytest.raises(ValueError, match="delta=inf.*NaN"):
+    with pytest.raises(ValueError, match="delta must be finite"):
         check_conditions(SequenceModel(3, steps=[STEP12, zero, zero]), [1, 3], delta=math.inf)
+
+
+def test_check_conditions_zero_first_second_moment_names_the_model():
+    """A model whose first step has zero upper second moment has
+    s_1 = a_1 = 0, and every condition term divides by a_n: a
+    ``ValueError`` that names n = 1, not the parameters, whatever the
+    checkpoints."""
+    zero = StepAmbiguity(LatticeSupport(1.0, (-1, 0, 1)), ((0.0, 1.0, 0.0),))
+    for steps, cps in (([zero, STEP12, zero, zero], [2, 4]),
+                       ([zero, zero, STEP12, zero], [3, 4]),
+                       ([zero, zero, zero, zero], [1])):
+        with pytest.raises(ValueError, match=r"s_n\^2 = 0 at n = 1, so a_1 = 0") as err:
+            check_conditions(SequenceModel(4, steps=steps), cps)
+        assert "p=" not in str(err.value)
+    # the same steps behind a nonzero first step run
+    rep = check_conditions(SequenceModel(4, steps=[STEP12, zero, zero, zero]), [2, 4])
+    assert all(math.isfinite(v) for r in rep.records for v in r.values + r.terms)
 
 
 def test_api_integer_arguments_are_not_truncated():
@@ -440,6 +458,27 @@ def test_window_experiments_pinned_bits():
 
 def _hex_digest(values) -> str:
     return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def test_window_experiments_pinned_bits_at_benchmark_sizes():
+    """The window experiments at the largest sizes of the lil-windows
+    benchmark, bit for bit: ``lil_lower_experiment`` on S12 i.i.d. at
+    N = 2048, both experiments on the alternating S12/S13 schedule at
+    N = 1024, and ``cluster_probe`` on S12 at N = 512 and on S11 at
+    N = 128.  Pinned by the sha256 of the values' ``float.hex``, taken
+    before the one-weight band step and the precomputed fired ranges."""
+    step13 = make_rademacher_interval(1, 3, 3)
+    alt = SequenceModel(1024, steps=[STEP12 if k % 2 == 0 else step13 for k in range(1024)])
+    values = [lil_lower_experiment(SequenceModel.iid(STEP12, 2048), 16, 2048, 0.45),
+              lil_lower_experiment(alt, 16, 1024, 0.45)]
+    r = lil_upper_experiment(alt, 16, 1024, 0.2)
+    values += [r.capacity, r.bound_crosscheck]
+    for step, N in ((STEP12, 512), (STEP11, 128)):
+        values += [v for row in cluster_probe(step, N, (0.7, 1.3, 2.9))
+                   for v in (row.upper, row.lower)]
+    assert len(values) == 16 and all(0.0 < v <= 1.0 for v in values)
+    assert _hex_digest(values) == (
+        "eef9df61d5f9bc06158c8dce17f1d9c708eb21e9cc562b8b52d5afddf14952f1")
 
 
 def test_lil_scales_pinned_bits():
