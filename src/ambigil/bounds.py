@@ -158,9 +158,10 @@ def pi_gamma(gamma: float) -> float:
     delta = min{(sqrt(1+gamma)-1)/(sqrt(1+gamma)+1), 0.2499} makes
     (1+delta)^2/(1-delta)^2 <= 1+gamma while staying strictly below 1/4;
     the returned value is delta^2 / (16 (1+delta)^2), nondecreasing in gamma
-    and capped at ~2.4984e-3.  ``gamma`` goes through ``_real``.
+    and capped at ~2.4984e-3.  ``gamma`` goes through ``_finite``: an
+    infinite gamma would make the cap's ``min`` read NaN.
     """
-    gamma = _real(gamma, "gamma")
+    gamma = _finite(gamma, "gamma")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     r = math.sqrt(1.0 + gamma)
@@ -205,7 +206,7 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
                 n_list: Sequence[int], x_fn, alpha, slack: float, side: str,
                 **engine_kw) -> RateTable:
     # checked, not converted: the table stores the arguments as given
-    if not _real(z, "z") > 0:
+    if not _finite(z, "z") > 0:
         raise ValueError(f"z must be positive, got {z}")
     _finite(slack, "slack")
     pg = pi_gamma(gamma)

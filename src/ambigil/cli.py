@@ -191,7 +191,7 @@ def _run_gnormal(cfg: dict):
                      gnormal.gnormal_density(params, x)))
     return (("x", "upper_tail", "lower_tail", "density"), rows,
             ["gnormal.gnormal_upper_tail / gnormal_lower_tail (closed forms)",
-             "gnormal.std_normal_cdf (series + continued-fraction erfc)"], {})
+             "gnormal.std_normal_cdf (math.erfc)"], {})
 
 
 def _run_lil(cfg: dict):

@@ -4,15 +4,15 @@ For the symmetric law with volatility interval [s_lo, s_hi] the upper and
 lower tail capacities have closed forms in the classical standard normal
 distribution function Phi:
 
-    upper(x) = 2 s_hi / (s_lo + s_hi) * (1 - Phi(x / s_hi))        x >= 0
+    upper(x) = 2 s_hi / (s_lo + s_hi) * Phi(-x / s_hi)             x >= 0
              = 1 - 2 s_lo / (s_lo + s_hi) * Phi(x / s_lo)          x <= 0
-    lower(x) = 2 s_lo / (s_lo + s_hi) * (1 - Phi(x / s_lo))        x >= 0
+    lower(x) = 2 s_lo / (s_lo + s_hi) * Phi(-x / s_lo)             x >= 0
              = 1 - 2 s_hi / (s_lo + s_hi) * Phi(x / s_hi)          x <= 0
 
 with the duality lower(x) = 1 - upper(-x) coming from the symmetry of the
-law.  Phi is evaluated through an in-house complementary error function
-(Taylor series below 2, Lentz-evaluated continued fraction above), certified
-against the C library's erfc to well under 1e-10 absolute error.
+law.  Phi(y) = erfc(-y / sqrt(2)) / 2 with the standard library's
+``math.erfc``.  The x >= 0 branches read Phi(-x / s), not 1 - Phi(x / s),
+so the far tails keep their relative precision instead of cancelling to 0.
 
 The bridge operation checks the central-limit behaviour of lattice models:
 the dynamic-programming capacity of {S_n / sqrt(n) >= x} is bracketed by the
@@ -29,74 +29,22 @@ import numpy as np
 from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, evaluate_upper
 from .model import SequenceModel, StepAmbiguity, _integer, _real, _require_centered
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_SERIES_CUT = 2.0
-_SERIES_MAX_TERMS = 200
-_CF_MAX_ITERS = 400
-_TINY = 1e-300
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1)), |x| <= 2
-    x2 = x * x
-    term = x
-    total = x / 1.0
-    n = 0
-    while n < _SERIES_MAX_TERMS:
-        n += 1
-        term *= -x2 / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) < 1e-18 * max(1.0, abs(total)):
-            break
-    return (2.0 / _SQRT_PI) * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * K,  K = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated with modified Lentz; convergent for x > 0, fast for x >= 2.
-    f = _TINY
-    c = f
-    d = 0.0
-    b = x
-    for i in range(1, _CF_MAX_ITERS + 1):
-        a = 1.0 if i == 1 else (i - 1) / 2.0
-        d = b + a * d
-        if d == 0.0:
-            d = _TINY
-        c = b + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / _SQRT_PI * f
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, absolute error well below 1e-12; NaN
-    gives NaN, as in the C library."""
-    if math.isnan(x):
-        return math.nan
-    ax = abs(x)
-    if ax <= _SERIES_CUT:
-        val = 1.0 - _erf_series(ax)
-    else:
-        val = _erfc_cf(ax) if ax < 30.0 else 0.0
-    return val if x >= 0 else 2.0 - val
+erfc = math.erfc
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal distribution function, absolute error <= 1e-10."""
-    return 0.5 * erfc(-x / _SQRT_2)
+    """Standard normal distribution function, through ``math.erfc``.
+
+    ``x`` goes through ``_real``, here and in the density: NaN raises
+    ``ValueError``, ±inf gives 1.0 / 0.0."""
+    return 0.5 * erfc(-_real(x, "normal argument") / _SQRT_2)
 
 
 def std_normal_density(x: float) -> float:
+    x = _real(x, "normal argument")
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
@@ -129,14 +77,14 @@ def gnormal_upper_tail(params: GNormalParams, x: float) -> float:
     ``x`` may be ±inf; it goes through ``_real``, so NaN raises
     ``ValueError``, here and in the lower tail and the density."""
     if _real(x, "gnormal argument") >= 0:
-        return params.weight_hi * (1.0 - std_normal_cdf(x / params.sigma_hi))
+        return params.weight_hi * std_normal_cdf(-x / params.sigma_hi)
     return 1.0 - params.weight_lo * std_normal_cdf(x / params.sigma_lo)
 
 
 def gnormal_lower_tail(params: GNormalParams, x: float) -> float:
     """Lower tail capacity of {xi >= x}; equals 1 - gnormal_upper_tail(-x)."""
     if _real(x, "gnormal argument") >= 0:
-        return params.weight_lo * (1.0 - std_normal_cdf(x / params.sigma_lo))
+        return params.weight_lo * std_normal_cdf(-x / params.sigma_lo)
     return 1.0 - params.weight_hi * std_normal_cdf(x / params.sigma_hi)
 
 

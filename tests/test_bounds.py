@@ -124,6 +124,9 @@ def test_pi_gamma_monotone_and_capped():
     assert max(vals) <= 0.0024984 + 1e-7
     with pytest.raises(ValueError):
         pi_gamma(0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            pi_gamma(bad)
 
 
 def test_bound_inputs_validation():
@@ -159,6 +162,11 @@ def test_converse_rate_non_finite_slack_or_alpha_rejected():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="alpha"):
             converse_rate_check(FAM, 0.1, 1.0, [64], alpha=bad)
+    for runner in (converse_rate_check, conjecture_probe):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            runner(FAM, 0.1, math.inf, [64])
+        with pytest.raises(ValueError, match="z must be finite"):
+            runner(FAM, math.inf, 1.0, [64])
 
 
 def test_converse_rate_empty():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambigil import engine
+from ambigil.capacity import upper_capacity, window_max_event
 from ambigil.engine import StateSpaceError, TerminalSumPayoff, evaluate_upper
 from ambigil.gnormal import (CLTBridgeResult, GNormalParams, _Ramp, clt_capacity, erfc,
                              gnormal_density, gnormal_lower_tail,
@@ -30,6 +31,7 @@ def test_phi_reference_values():
 
 
 def test_erfc_against_libm():
+    assert erfc is math.erfc
     xs = np.concatenate([np.linspace(-12, 12, 2001), np.linspace(1.9, 2.1, 401)])
     worst = max(abs(erfc(float(x)) - math.erfc(float(x))) for x in xs)
     assert worst <= 1e-12
@@ -69,8 +71,32 @@ def test_nan_argument_rejected_inf_kept():
     for fn in (gnormal_upper_tail, gnormal_lower_tail, gnormal_density):
         with pytest.raises(ValueError):
             fn(P12, math.nan)
+    for fn in (std_normal_cdf, std_normal_density):
+        for bad in (math.nan, "0.5"):
+            with pytest.raises(ValueError, match="normal argument"):
+                fn(bad)
+    assert (std_normal_cdf(math.inf), std_normal_cdf(-math.inf)) == (1.0, 0.0)
+    assert (std_normal_density(math.inf), std_normal_density(-math.inf)) == (0.0, 0.0)
     assert (gnormal_upper_tail(P12, math.inf), gnormal_upper_tail(P12, -math.inf)) == (0.0, 1.0)
     assert (gnormal_lower_tail(P12, math.inf), gnormal_lower_tail(P12, -math.inf)) == (0.0, 1.0)
+
+
+def test_far_tails_within_mills_bracket():
+    """At x = z sigma each tail is w (1 - Phi(z)) with its own weight and
+    sigma, and the Mills-ratio bracket phi(z) z / (1 + z^2) <= 1 - Phi(z)
+    <= phi(z) / z holds for z > 0: the tails keep their relative precision
+    far past the point where 1 - Phi(z) rounds to 0."""
+    sides = ((gnormal_upper_tail, P12.sigma_hi, P12.weight_hi),
+             (gnormal_lower_tail, P12.sigma_lo, P12.weight_lo))
+    for z in np.linspace(1.0, 37.0, 721):
+        z = float(z)
+        phi = std_normal_density(z)
+        for tail, sigma, w in sides:
+            v = tail(P12, z * sigma)
+            case = (tail.__name__, z)
+            assert v > 0.0, case
+            assert w * phi * z / (1.0 + z * z) * (1.0 - 1e-12) <= v, case
+            assert v <= w * phi / z * (1.0 + 1e-12), case
 
 
 def test_classical_reduction():
@@ -134,6 +160,20 @@ def test_clt_bracket_orders_and_bounded_support():
     assert r.bracket_low <= r.dp_value <= r.bracket_high
     far = clt_capacity(step, 1, 10.0)
     assert far.bracket_low == 0.0 and far.bracket_high == 0.0
+
+
+def test_clt_bracket_holds_the_exact_capacity():
+    """The two ramps sandwich the indicator of {S_n >= x sqrt(n)}, so their
+    upper expectations bracket the exact window capacity."""
+    steps = [make_rademacher_interval(1, 2, 2), make_rademacher_interval(1, 3, 3),
+             make_rademacher_interval(1, 2, 5)]
+    for step in steps:
+        for n in (1, 4, 16, 64, 256):
+            model = SequenceModel.iid(step, n)
+            for x in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0):
+                r = clt_capacity(step, n, x)
+                exact = upper_capacity(model, window_max_event(n, n, x * math.sqrt(n)))
+                assert r.bracket_low <= exact <= r.bracket_high, (step.support.points, n, x)
 
 
 def test_clt_classical_coin():
