@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import iterlog
-from .capacity import (OutcomeFlagEvent, centered_max_sum_event,
+from .capacity import (OutcomeFlagEvent, capacity_pair, centered_max_sum_event,
                        cumulative_upper_second_moments, lower_capacity, upper_capacity,
                        window_max_event)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity, _finite, _integer, _real,
@@ -220,6 +220,8 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
             f"pi(gamma) = {pg!r}")
     rows = []
     rhs = -0.5 * z * z * (1.0 + gamma)
+    if not math.isfinite(rhs):
+        raise ValueError(f"z = {z!r} is too large: the rate -z^2(1+gamma)/2 overflows")
     for n in n_list:
         n = _integer(n, "n_list entry")
         model = model_family(n)
@@ -231,6 +233,8 @@ def _rate_table(model_family: Callable[[int], SequenceModel], z: float, gamma: f
                 raise ValueError(f"x_n at n={n} must be positive, got {x_n!r}")
         scale = math.sqrt(model.moment_sums(lambda v: v * v, lower=side == "lower")[-1])
         thr = z * scale * x_n
+        if not math.isfinite(thr):
+            raise ValueError(f"z = {z!r} is too large: the threshold z*s_n*x_n at n={n} overflows")
         ev = window_max_event(model.horizon, model.horizon, thr, side="ge", on="S")
         cap = (upper_capacity if side == "upper" else lower_capacity)(model, ev, **engine_kw)
         lhs = (math.log(cap) / (x_n * x_n)) if cap > 0 else -math.inf
@@ -256,7 +260,8 @@ def converse_rate_check(model_family: Callable[[int], SequenceModel], z: float,
     z * alpha <= pi(gamma); rows where alpha_n exceeds it are flagged as not
     yet inside the bounded regime.  ``x_fn`` defaults to sqrt(2 loglog n); no
     asymptotic claim is made either way.  A NaN or infinite ``slack`` or
-    ``alpha``, or an ``x_fn(n)`` that is not a positive finite real, raises
+    ``alpha``, an ``x_fn(n)`` that is not a positive finite real, or a ``z``
+    so large that the rate or a row's threshold overflows, raises
     ``ValueError``.
     """
     return _rate_table(model_family, z, gamma, n_list, x_fn, alpha, slack,
@@ -349,8 +354,8 @@ def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: f
 
     max_tail = upper_capacity(model, OutcomeFlagEvent(lambda k, v: v > y), **engine_kw)
     ev_upper_centered = centered_max_sum_event(model, x, center="upper-mean")
-    lhs_u = upper_capacity(model, ev_upper_centered, **engine_kw)
-    lhs_l = lower_capacity(model, ev_upper_centered, **engine_kw)
+    pair = capacity_pair(model, ev_upper_centered, **engine_kw)
+    lhs_u, lhs_l = pair.upper, pair.lower
     ev_lower_centered = centered_max_sum_event(model, x, center="lower-mean")
     lhs_lc = lower_capacity(model, ev_lower_centered, **engine_kw)
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import Automaton, WindowEvent, _side, evaluate_upper
+from .engine import Automaton, WindowEvent, _event_rows, _side, evaluate_upper
 from .model import SequenceModel, _finite, _integer, _real
 from .rng import substream
 
@@ -71,6 +71,14 @@ def lower_capacity(model: SequenceModel, event, **kw) -> float:
 
 
 def capacity_pair(model: SequenceModel, event, **kw) -> CapacityPair:
+    """``lower_capacity`` and ``upper_capacity`` of ``event``.  A window
+    event's complement (its values swapped) and the event itself are the
+    two value rows of one DP, so the pair costs one backward pass, not
+    two; any other event takes one DP per capacity."""
+    if isinstance(event, WindowEvent):
+        rows = _event_rows(event, (event.values[::-1], event.values))
+        complement, upper = evaluate_upper(model, rows, **kw)
+        return CapacityPair(lower=1.0 - complement, upper=upper)
     return CapacityPair(lower=lower_capacity(model, event, **kw),
                         upper=upper_capacity(model, event, **kw))
 

@@ -30,7 +30,14 @@ threshold any more) and of a terminal-sum DP (the terminal row's constant
 prefix and suffix, such as a ramp's flat ends) hold one value each, and
 only the band between them is computed as an array.  The flank scalars
 step in Python floats through a memo local to one ``_lattice_upper``
-call, keyed by step and value.  Everything else
+call, keyed by step and value.  One pass may carry K value rows of one
+geometry (an event and its complement, the two ramps of a CLT bracket):
+the layer buffers hold cell i of row r at i * K + r, the band step runs on
+the step's table with every offset, strip and block scaled by K (the same
+NumPy calls as for one row), the band edges and fired ranges stay one
+geometry for all rows, and each flank is a K-tuple of scalars, stepped row
+by row.  Such a payoff is built only inside ambigil (``_WindowRows``,
+``_TerminalRows``), and ``evaluate_upper`` returns its K values.  Everything else
 (full outcome vectors, product automata, float-accumulator states) runs
 through a dictionary-layered generic path.  Both paths perform per-state
 inner sums in a fixed left-to-right order over support points and take
@@ -190,6 +197,13 @@ def _side(side):
     return _SIDES[side]
 
 
+def _check_values(vals) -> None:
+    """A window event's (never fired, fired) values must be two finite floats."""
+    if not (isinstance(vals, tuple) and len(vals) == 2
+            and all(isinstance(v, float) and math.isfinite(v) for v in vals)):
+        raise ValueError(f"values must be two finite floats, got {vals!r}")
+
+
 @dataclass(frozen=True)
 class WindowEvent:
     """Path event {exists m in [lo, hi]: stat(S_m) <side> threshold(m)}.
@@ -226,10 +240,7 @@ class WindowEvent:
             raise ValueError(f"stat must be one of {_STATS}, got {self.stat!r}")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"window [{self.lo}, {self.hi}] is invalid")
-        vals = self.values
-        if not (isinstance(vals, tuple) and len(vals) == 2
-                and all(isinstance(v, float) and math.isfinite(v) for v in vals)):
-            raise ValueError(f"values must be two finite floats, got {vals!r}")
+        _check_values(self.values)
 
     def complement(self) -> "WindowEvent":
         return replace(self, values=self.values[::-1])
@@ -301,6 +312,54 @@ class WindowEvent:
 
     def terminal(self, state):
         return self.values[state[0]]
+
+
+@dataclass(frozen=True)
+class _WindowRows(WindowEvent):
+    """K window events that share every argument but ``values``, as the K
+    value rows of one DP: row r's (never fired, fired) pair is ``rows[r]``,
+    and ``values`` is row 0's.  The lattice path evaluates all K in one
+    pass and ``evaluate_upper`` returns K floats; the generic path
+    evaluates the rows one by one (``_split``).  Built only inside ambigil
+    (``_event_rows``), such as event and complement by
+    ``capacity.capacity_pair``."""
+
+    rows: tuple = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        for vals in self.rows:
+            _check_values(vals)
+
+    def _split(self) -> tuple:
+        return tuple(WindowEvent(self.lo, self.hi, self.threshold, self.side, self.stat, vals,
+                                 self._delta) for vals in self.rows)
+
+
+def _event_rows(event: WindowEvent, pairs) -> _WindowRows:
+    """``event`` with the K value pairs ``pairs`` as the rows of one DP."""
+    return _WindowRows(event.lo, event.hi, event.threshold, event.side, event.stat,
+                       pairs[0], event._delta, tuple(pairs))
+
+
+class _TerminalRows(TerminalSumPayoff):
+    """K terminal-sum payoffs as the K value rows of one DP, such as the two
+    ramps of ``gnormal.clt_capacity``.  The lattice path evaluates all K in
+    one pass and ``evaluate_upper`` returns K floats; the generic path
+    evaluates the rows one by one (``_split``)."""
+
+    def __init__(self, rows):
+        super().__init__(None)
+        self.rows = tuple(rows)
+
+    def bind(self, model):
+        return _TerminalRows(row.bind(model) for row in self.rows)
+
+    def _split(self) -> tuple:
+        return self.rows
+
+
+_ROWS = (_WindowRows, _TerminalRows)
 
 
 def _terminal_values(evaluate: Callable[[], object]):
@@ -408,19 +467,47 @@ def _sparse_terms(step: StepAmbiguity) -> _Step:
     return _Step(low, offsets, mn, mx, out, depth, block)
 
 
+def _interleaved(step: _Step, k: int) -> _Step:
+    """``step`` for ``k`` value rows interleaved in one buffer, cell i of row
+    r at i * k + r: every offset, strip and block scaled by ``k``, so that
+    ``_band_step`` on flat buffers computes each row's cells from that
+    row's children with the same NumPy calls as for one row."""
+    groups = [g._replace(pieces=[(first, None if head is None else (head[0], head[1] * k),
+                                  [(r, j * k) for r, j in rest], end)
+                                 for first, head, rest, end in g.pieces],
+                         strip=g.strip * k)
+              for g in step.groups]
+    return step._replace(offsets=[off * k for off in step.offsets], mn=step.mn * k,
+                         mx=step.mx * k, groups=groups, block=step.block * k)
+
+
 class _Plan(object):
     """What a lattice DP needs of one model and of nothing else: the
     per-step table (``_sparse_terms`` once per distinct step object,
-    through ``SequenceModel.per_step``) and, built when a terminal-sum DP
+    through ``SequenceModel.per_step``), its copy for each number of value
+    rows a DP has asked for (``rows``) and, built when a terminal-sum DP
     first asks, the terminal layer's reach mask.  It holds no reference
     to the model, so its entry in ``_PLANS`` dies with the model."""
 
-    __slots__ = ("table", "_delta", "_reach")
+    __slots__ = ("table", "_delta", "_reach", "_rows")
 
     def __init__(self, model: SequenceModel):
         self.table = model.per_step(_sparse_terms)
         self._delta = model.delta
         self._reach = None
+        self._rows = {}
+
+    def rows(self, k: int) -> list:
+        """The table for ``k`` interleaved value rows (``_interleaved``),
+        built once per distinct step and ``k``."""
+        table = self._rows.get(k)
+        if table is None:
+            done: dict = {}
+            for row in self.table:
+                if id(row) not in done:
+                    done[id(row)] = _interleaved(row, k)
+            table = self._rows[k] = [done[id(row)] for row in self.table]
+        return table
 
     def layers(self):
         """``(lows, widths)``: layer k's lowest sum and its number of sums,
@@ -479,6 +566,11 @@ def _scalar_step(step: _Step, x: float) -> float:
             if end and (best is None or acc > best):
                 best = acc
     return best
+
+
+def _scalar_rows(step: _Step, xs: tuple) -> tuple:
+    """``_scalar_step`` of each row's flank value in ``xs``."""
+    return tuple([_scalar_step(step, x) for x in xs])
 
 
 def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
@@ -618,7 +710,22 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     changes them (the tests) evaluates models built after the change.  The
     state-cap estimate is the widest layer (two rows of it for a window
     event) plus the part of one strip's block of products past
-    ``_BLOCK_FLOATS``.
+    ``_BLOCK_FLOATS``, counted for one value row whatever K is.
+
+    A ``_WindowRows`` or ``_TerminalRows`` payoff carries K value rows
+    through one pass.  The buffers hold K floats per state, cell i of row r
+    at i * K + r, and the band steps on ``_Plan.rows(K)``, the table with
+    every offset, strip and block scaled by K (``_interleaved``), so that
+    ``_band_step`` computes every row's cells with the NumPy calls of one
+    row and each float from the same operands as in a one-row DP.  The band
+    edges, the fired ranges and the reach mask are one geometry for all
+    rows; a terminal row's flank is the prefix or suffix constant in every
+    row.  The flanks are K-tuples, filled into the band as one row of a
+    (states, K) view, and stepped by ``_scalar_rows``, one ``_scalar_step``
+    a row, through the memo keyed by the tuple.  A tuple holding a ±0.0
+    steps too, and a memo hit may swap a zero's sign, which moves no bit
+    (module docstring).  A one-row payoff keeps scalar flanks and flat
+    fills.
     A layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
     and a scalar ``right`` from ``b`` on.  The next band is the indices
     whose children are not all in one flank, ``[a - max offset, b - min
@@ -656,43 +763,63 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     ``0.0 +`` per sum changes a bit).
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
+    multi = isinstance(payoff, _ROWS)
+    # each row's (never fired, fired) pair, or its terminal payoff
+    if multi:
+        rows = payoff.rows
+    else:
+        rows = (payoff,) if event is None else (payoff.values,)
+    K = len(rows)
     last = model.horizon if event is None else event.hi
     plan = _plan(model)
-    table = plan.table
     lows, widths = plan.layers()
     # the largest block of one strip, in no more than ``depth`` rows of the
     # widest layer: a band step at layer k <= last reads at most widths[k] children
-    steps = table[:last]
+    steps = plan.table[:last]
     held = min(max(map(operator.attrgetter("block"), steps)),
                max(map(operator.attrgetter("depth"), steps)) * widths[last])
+    # counted per value row
     estimate = (1 if event is None else 2) * widths[last] + max(0, held - _BLOCK_FLOATS)
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
+    table = plan.rows(K) if multi else plan.table
 
-    cur, nxt, acc = (np.empty(widths[last]) for _ in range(3))
-    block = np.empty(held)
-    memo: dict = {}  # the stepped flank scalar per (id of a _Step, value)
+    cur, nxt, acc = (np.empty(K * widths[last]) for _ in range(3))
+    block = np.empty(K * held)
+    # the layers as cells: a cell is one float, or a row of K for K rows
+    cells, spare = (cur.reshape(-1, K), nxt.reshape(-1, K)) if multi else (cur, nxt)
+    flank_step = _scalar_rows if multi else _scalar_step
+    memo: dict = {}  # the stepped flank per (id of a _Step, value)
     # fires[k]: layer k's nonempty fired ranges (i, j), none outside a window
     fires = [()] * (model.horizon + 1)
     if event is None:
         hit, at = plan.reach()
-        layer = cur[:len(hit)]
-        if len(at) == len(layer):  # every sum reachable: the row is the layer
-            _terminal_values(lambda: payoff.terminal_array(at, out=layer))
-        else:
+        layer = cur[:K * len(hit)].reshape(-1, K)
+        full = len(at) == len(layer)  # every sum reachable: the row is the layer
+        if not full:
             layer[:] = 0.0
-            layer[hit] = _terminal_values(lambda: payoff.terminal_array(at))
-        left, right = float(layer[0]), float(layer[-1])
-        inner = np.flatnonzero(layer != left)
+        for r, row in enumerate(rows):
+            col = layer[:, r]
+            if full:
+                _terminal_values(lambda: row.terminal_array(at, out=col))
+            else:
+                col[hit] = _terminal_values(lambda: row.terminal_array(at))
+        first, end = layer[0], layer[-1]
+        inner = np.flatnonzero((layer != first).any(axis=1))
         if len(inner):
-            a, b = int(inner[0]), int(np.flatnonzero(layer != right)[-1]) + 1
+            a, b = int(inner[0]), int(np.flatnonzero((layer != end).any(axis=1))[-1]) + 1
         else:  # a constant row is all flank
             a = b = 0
+        left, right = tuple(first.tolist()), tuple(end.tolist())
+        if not multi:
+            left, right = left[0], right[0]
         fired = 0.0  # never read: nothing fires, and a 0.0 passes through unstepped
     else:
         a = b = 0
-        left = right = event.values[0]
-        fired = event.values[1]
+        never, fired = zip(*rows)
+        if not multi:
+            never, fired = never[0], fired[0]
+        left = right = never
         starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
         for k, s, e in zip(range(event.lo, event.hi + 1), starts, ends):
             if not outside:
@@ -708,25 +835,28 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
                 a = b = j if i == 0 else i
             if i == 0:  # a prefix becomes the left flank
                 if j < a:
-                    cur[j:a] = left
+                    cells[j:a] = left
                 if b < j:
                     b = j
                 a, left = j, fired
             elif j == widths[k]:  # a suffix becomes the right flank
                 if i > b:
-                    cur[b:i] = right
+                    cells[b:i] = right
                 if i < a:
                     a = i
                 b, right = i, fired
             else:  # a middle range (absS below a threshold) goes into the band
                 if i < a:
-                    cur[i:a] = left
+                    cells[i:a] = left
                     a = i
                 if j > b:
-                    cur[b:j] = right
+                    cells[b:j] = right
                     b = j
-                cur[i:j] = fired
+                cells[i:j] = fired
         mn, mx, w_out = step.mn, step.mx, widths[k - 1]
+        if multi:
+            mn //= K
+            mx //= K
         a2, b2 = a - mx, b - mn
         if a2 < 0:
             a2 = 0
@@ -738,11 +868,12 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             b2 = a2
         if a2 < b2:
             if a2 + mn < a:
-                cur[a2 + mn:a] = left
+                cells[a2 + mn:a] = left
             if b2 + mx > b:
-                cur[b:b2 + mx] = right
-            _band_step(step, cur, nxt, acc, block, a2, b2)
+                cells[b:b2 + mx] = right
+            _band_step(step, cur, nxt, acc, block, K * a2, K * b2)
             cur, nxt = nxt, cur
+            cells, spare = spare, cells
         a, b = a2, b2
         # the flanks step through the memo; a ±0.0 steps to itself (every
         # kept weight is positive) and skips it, since a dict key does not
@@ -751,19 +882,21 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         if left != 0.0:
             x = memo.get((sid, left))
             if x is None:
-                x = memo[sid, left] = _scalar_step(step, left)
+                x = memo[sid, left] = flank_step(step, left)
             left = x
         if right != 0.0:
             x = memo.get((sid, right))
             if x is None:
-                x = memo[sid, right] = _scalar_step(step, right)
+                x = memo[sid, right] = flank_step(step, right)
             right = x
         if fired != 0.0:
             x = memo.get((sid, fired))
             if x is None:
-                x = memo[sid, fired] = _scalar_step(step, fired)
+                x = memo[sid, fired] = flank_step(step, fired)
             fired = x
-    return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
+    if not multi:
+        return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
+    return tuple([v + 0.0 for v in (left if a > 0 else cells[0].tolist() if b > 0 else right)])
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +969,10 @@ def evaluate_upper(model: SequenceModel, payoff, *,
     window's end (the horizon for a terminal payoff) on the lattice path,
     counted twice for a window event (not yet fired, fired), and all
     layers on the generic path.  ``state_cap`` goes through ``_integer``.
+    A payoff of K value rows built inside ambigil (``_WindowRows``,
+    ``_TerminalRows``) gives a tuple of K values: one pass on the lattice
+    path, each row's state cap counted
+    as for that row alone, and the rows one by one on the generic path.
     """
     state_cap = _integer(state_cap, "state_cap")
     bound = payoff.bind(model)
@@ -846,6 +983,8 @@ def evaluate_upper(model: SequenceModel, payoff, *,
             return _lattice_upper(model, bound, state_cap)
         if method == "lattice":
             raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
+    if isinstance(bound, _ROWS):
+        return tuple([_generic_upper(model, row, state_cap) for row in bound._split()])
     return _generic_upper(model, bound, state_cap)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, evaluate_upper
+from .engine import DEFAULT_STATE_CAP, TerminalSumPayoff, _TerminalRows, evaluate_upper
 from .model import SequenceModel, StepAmbiguity, _integer, _real, _require_centered
 
 _SQRT_2 = math.sqrt(2.0)
@@ -154,7 +154,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     expectations bracket the capacity exactly.  ``x`` and an explicit
     ``ramp_width`` go through ``_real``; the width must be positive and
     finite, and so must the width in S_n units, width * sqrt(n).  The ramps
-    are ``_Ramp`` payoffs, whose terminal row is built as one array.
+    are ``_Ramp`` payoffs, whose terminal rows are built as arrays, and both
+    are the value rows of one DP.
     """
     _require_centered(step, "clt bridge")
     n, x = _integer(n, "n"), _real(x, "x")
@@ -170,8 +171,8 @@ def clt_capacity(step: StepAmbiguity, n: int, x: float, *, ramp_width: float | N
     if hw == math.inf:
         raise ValueError(f"ramp width {w!r} is too wide for n={n}: width * sqrt(n) overflows")
     model = SequenceModel.iid(step, n)
-    hi = evaluate_upper(model, _Ramp(t - hw, hw), state_cap=state_cap)
-    lo = evaluate_upper(model, _Ramp(t, hw), state_cap=state_cap)
+    hi, lo = evaluate_upper(model, _TerminalRows((_Ramp(t - hw, hw), _Ramp(t, hw))),
+                            state_cap=state_cap)
     mid = 0.5 * (lo + hi)
     target = gnormal_upper_tail(params, x)
     return CLTBridgeResult(n=n, x=x, ramp_width=w, bracket_low=lo, bracket_high=hi,

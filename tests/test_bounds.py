@@ -309,3 +309,19 @@ def test_rate_tables_reject_bad_x_n():
                 table(FAM, 0.1, 1.0, [16], x_fn=lambda n: bad)
         good = table(FAM, 0.1, 1.0, [16], x_fn=lambda n: 2)
         assert good.rows[0].x_n == 2.0 and isinstance(good.rows[0].x_n, float)
+
+
+def test_rate_tables_reject_overflowing_z():
+    """A finite ``z`` whose rate -z^2(1+gamma)/2 or whose row threshold
+    z*s_n*x_n overflows is a ``ValueError`` naming z on both rate tables,
+    never a row of capacity 0.0 against a rate of -inf."""
+    from ambigil.model import LatticeSupport, StepAmbiguity
+    huge = StepAmbiguity(LatticeSupport(1e300, (-1, 1)), ((0.5, 0.5),))
+    for table in (converse_rate_check, conjecture_probe):
+        for z in (1e200, 1e308):
+            with pytest.raises(ValueError, match=r"z = 1e\+(200|308) is too large: the rate"):
+                table(FAM, z, 1.0, [64])
+        with pytest.raises(ValueError, match="threshold z\\*s_n\\*x_n at n=16 overflows"):
+            table(lambda n: SequenceModel.iid(huge, n), 1e10, 1.0, [16])
+        # a finite rate and threshold still run: the event is out of reach, capacity 0
+        assert table(FAM, 1e10, 1.0, [64]).rows[0].capacity == 0.0

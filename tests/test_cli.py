@@ -357,6 +357,10 @@ def test_wrong_json_type_in_numeric_key_exits_2(capsys, tmp_path, model12_path,
     ("probe", {"kind": "converse-rate", "n_list": [8], "z": math.inf}),
     ("probe", {"kind": "conjecture", "n_list": [8], "gamma": math.inf}),
     ("probe", {"kind": "conjecture", "n_list": [8], "z": math.inf}),
+    ("probe", {"kind": "converse-rate", "n_list": [8], "z": 1e200}),
+    ("probe", {"kind": "converse-rate", "n_list": [8], "z": 1e308}),
+    ("probe", {"kind": "conjecture", "n_list": [8], "z": 1e200}),
+    ("probe", {"kind": "conjecture", "n_list": [8], "z": 1e308}),
 ])
 def test_value_rejected_at_boundary_exits_2(capsys, tmp_path, model12_path, command, cfg):
     path = tmp_path / "cfg.json"

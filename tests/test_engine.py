@@ -3,13 +3,14 @@ import math
 import struct
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambigil import engine
+from ambigil import capacity, engine, gnormal
 from ambigil.capacity import capacity_pair
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
@@ -896,6 +897,14 @@ def test_state_cap_counts_held_states():
     with pytest.raises(StateSpaceError) as ei:
         evaluate_upper(m, early, state_cap=1025)
     assert ei.value.estimate == 1026
+    # a pair holds two value rows, but its estimate is one row's, as for either single DP
+    assert 0.0 < capacity_pair(m, ev, state_cap=4098).upper < 1.0
+    with pytest.raises(StateSpaceError) as ei:
+        capacity_pair(m, ev, state_cap=4097)
+    assert ei.value.estimate == 4098
+    with pytest.raises(StateSpaceError) as ei:
+        capacity_pair(m, early, state_cap=1025)
+    assert ei.value.estimate == 1026
 
 
 def test_method_dispatch():
@@ -939,3 +948,95 @@ def test_window_event_values():
         with pytest.raises(ValueError):
             WindowEvent(lo=1, hi=2, threshold=lambda m: 0.0, values=bad)
 
+
+
+# capacity-d2's step: two distinct weights, so its band takes the general strip loop
+TWO_WEIGHTS = StepAmbiguity(LatticeSupport(1.0, (-8, -7, 7, 8)),
+                            ((0.5, 0.0, 0.0, 0.5), (0.0, 0.5, 0.5, 0.0), (0.25, 0.25, 0.25, 0.25)))
+
+
+def _assert_rows_are_one_row_dps(m, rows, singles):
+    """The K values of a row payoff, on both paths, are the one-row lattice
+    DPs' ``float.hex``, row by row, sign of zero included."""
+    want = [evaluate_upper(m, p, method="lattice").hex() for p in singles]
+    assert [v.hex() for v in evaluate_upper(m, rows)] == want, m.horizon
+    assert [v.hex() for v in evaluate_upper(m, rows, method="generic")] == want
+
+
+@pytest.mark.parametrize("block, strip", [
+    (engine._BLOCK_FLOATS, engine._MIN_STRIP), (64, 4), (16, 4), (8, 1)])
+def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
+    """K value rows interleaved on one band give each row's one-row bits:
+    random i.i.d. models and schedules (1-5 points, 1-4 measures, zero
+    weights), a two-weight step on the general strip loop, one-point steps,
+    every side spelling and stat, constant, callable and ±inf thresholds,
+    windows that end before the horizon, event + complement and event +
+    negation rows; ramps (``gnormal._Ramp`` among them), two-term terminal
+    payoffs and a constant row beside a ramp, on a parity support whose
+    reach mask never fills and on a gapped one; at the default budget and
+    at the small ones where bands run in several strips."""
+    monkeypatch.setattr(engine, "_BLOCK_FLOATS", block)
+    monkeypatch.setattr(engine, "_MIN_STRIP", strip)
+    rng = np.random.default_rng(2029)
+    one = StepAmbiguity(LatticeSupport(1.0, (2,)), ((1.0,),))
+    parity = StepAmbiguity(LatticeSupport(1.0, (-1, 1)), ((0.5, 0.5), (0.25, 0.75)))
+    models = [SequenceModel.iid(TWO_WEIGHTS, 9), SequenceModel.iid(parity, 11),
+              SequenceModel(8, steps=[TWO_WEIGHTS, STEP12, one, TWO_WEIGHTS] * 2),
+              SequenceModel(6, steps=[one, parity] * 3)]
+    for i in range(10):
+        delta = float(rng.choice([0.5, 1.0]))
+        n = int(rng.integers(1, 13))
+        if i % 2 == 0:
+            models.append(SequenceModel.iid(_sparse_step(rng, delta), n))
+        else:
+            pool = [_sparse_step(rng, delta) for _ in range(3)]
+            models.append(SequenceModel(n, steps=[pool[int(j)] for j in rng.integers(0, 3, n)]))
+    for i, m in enumerate(models):
+        d = m.delta
+        hi = max(1, m.horizon - i % 3)  # two in three windows end before the horizon
+        lo = 1 + i % hi
+        thresholds = (lambda k: d * (0.6 * math.sqrt(k) - 0.4 * (k % 3)), 1.5 * d,
+                      math.inf, -math.inf)
+        for j, side in enumerate(engine._SIDES):
+            ev = WindowEvent(lo, hi, thresholds[(i + j) % 4], side, engine._STATS[(i + j) % 3])
+            for pairs in ((ev.complement().values, ev.values), (ev.values, ev.negate().values)):
+                _assert_rows_are_one_row_dps(m, engine._event_rows(ev, pairs),
+                                             [replace(ev, values=v) for v in pairs])
+        t = float(rng.uniform(-3.0, 3.0))
+        for rows in ((gnormal._Ramp(t - 1.0, 1.0), gnormal._Ramp(t, 1.0)),
+                     (TerminalSumPayoff(_ramp(t, 0.5)), TerminalSumPayoff(lambda s: s * s - s)),
+                     (TerminalSumPayoff(lambda s: -0.25), TerminalSumPayoff(_ramp(t, 2.0)),
+                      TerminalSumPayoff(lambda s: -0.0 if s < t else s))):
+            _assert_rows_are_one_row_dps(m, engine._TerminalRows(rows), rows)
+
+
+def test_pairs_and_brackets_take_one_dp():
+    """``capacity_pair`` and ``clt_capacity`` call ``evaluate_upper`` once,
+    and a pair reads a callable threshold once per window step, hi to lo;
+    their values are the ones of two single DPs."""
+    calls, reads = [], []
+
+    def counted(model, payoff, **kw):
+        calls.append(type(payoff).__name__)
+        return evaluate_upper(model, payoff, **kw)
+
+    def thr(m):
+        reads.append(m)
+        return 0.45 * m
+
+    m = SequenceModel.iid(STEP12, 24)
+    ev = WindowEvent(3, 20, thr, ">=", "absS")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "evaluate_upper", counted)
+        mp.setattr(gnormal, "evaluate_upper", counted)
+        pair = capacity_pair(m, ev)
+        assert calls == ["_WindowRows"] and reads == list(range(20, 2, -1))
+        calls.clear()
+        bracket = clt_capacity(STEP12, 40, 0.3)
+        assert calls == ["_TerminalRows"]
+    assert pair.upper.hex() == evaluate_upper(m, ev).hex()
+    assert pair.lower.hex() == (1.0 - evaluate_upper(m, ev.complement())).hex()
+    model, hw = SequenceModel.iid(STEP12, 40), 4.0
+    t = 0.3 * math.sqrt(40.0)
+    assert bracket.bracket_high.hex() == evaluate_upper(model, gnormal._Ramp(t - hw, hw)).hex()
+    assert bracket.bracket_low.hex() == evaluate_upper(model, gnormal._Ramp(t, hw)).hex()

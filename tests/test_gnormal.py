@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -248,3 +249,22 @@ def test_clt_array_ramps_match_scalar_ramps():
     # binding keeps the class, so the lattice path reads the array ramp
     bound = _Ramp(0.0, 1.0).bind(model)
     assert type(bound) is _Ramp and bound._delta == model.delta
+
+
+def test_clt_brackets_pinned_bits():
+    """Both brackets at the benchmark's sizes, pinned by sha256 over
+    ``float.hex``; the digests were taken when each ramp ran its own DP,
+    so they hold the two value rows of one DP to the bits of two DPs."""
+    g5, s11 = make_rademacher_interval(1, 2, 5), make_rademacher_interval(1, 1, 1)
+    want = {("G5", 125): "e84df0b6ec99ac75459fb5db7b33df74585e2809fa9251a8b6e281030081beaa",
+            ("G5", 250): "d25f849a5e03f099a76d0646966d7872c89440cf71ffd44fe52bd64e0173df29",
+            ("G5", 500): "4a318ce8f0499481168cfdda56205934c4f141d093bf01a59d5aac1470fabf7c",
+            ("S11", 64): "c4118394e4c177e2c90fda81cdd9c349ab724516b0b9ea6314e545e722d82652"}
+    for (name, n), digest in want.items():
+        step = g5 if name == "G5" else s11
+        vals = []
+        for x in (-0.55, 0.3, 1.15):
+            r = clt_capacity(step, n, x)
+            vals += [r.bracket_low, r.bracket_high]
+        got = hashlib.sha256(" ".join(v.hex() for v in vals).encode()).hexdigest()
+        assert got == digest, (name, n)
