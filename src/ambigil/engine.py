@@ -30,14 +30,18 @@ threshold any more) and of a terminal-sum DP (the terminal row's constant
 prefix and suffix, such as a ramp's flat ends) hold one value each, and
 only the band between them is computed as an array.  The flank scalars
 step in Python floats through a memo local to one ``_lattice_upper``
-call, keyed by step and value.  One pass may carry K value rows of one
-geometry (an event and its complement, the two ramps of a CLT bracket):
-the layer buffers hold cell i of row r at i * K + r, the band step runs on
-the step's table with every offset, strip and block scaled by K (the same
-NumPy calls as for one row), the band edges and fired ranges stay one
-geometry for all rows, and each flank is a K-tuple of scalars, stepped row
-by row.  Such a payoff is built only inside ambigil (``_WindowRows``,
-``_TerminalRows``), and ``evaluate_upper`` returns its K values.  Everything else
+call, keyed by step and value.  One pass may carry K value rows on one
+band (an event and its complement, a whole grid of window thresholds, the
+two ramps of a CLT bracket): the layer buffers hold cell i of row r at
+i * K + r, the band step runs on the step's table with every offset, strip
+and block scaled by K (the same NumPy calls as for one row), the band edges
+stay one geometry for all rows, and each flank is a K-tuple of scalars,
+stepped row by row.  Window rows share the window, side and stat, and each
+has its own threshold: the flanks are the fired ranges common to all rows
+(the shortest fired prefix and suffix), and each row's other fired cells
+are written into the band, in that row's cells.  Such a payoff is built
+only inside ambigil (``_WindowRows``, ``_TerminalRows``), and
+``evaluate_upper`` returns its K values.  Everything else
 (full outcome vectors, product automata, float-accumulator states) runs
 through a dictionary-layered generic path.  Both paths perform per-state
 inner sums in a fixed left-to-right order over support points and take
@@ -316,30 +320,38 @@ class WindowEvent:
 
 @dataclass(frozen=True)
 class _WindowRows(WindowEvent):
-    """K window events that share every argument but ``values``, as the K
-    value rows of one DP: row r's (never fired, fired) pair is ``rows[r]``,
-    and ``values`` is row 0's.  The lattice path evaluates all K in one
-    pass and ``evaluate_upper`` returns K floats; the generic path
-    evaluates the rows one by one (``_split``).  Built only inside ambigil
+    """K window events that share ``lo``, ``hi``, ``side`` and ``stat``, as
+    the K value rows of one DP: row r is ``rows[r]``, a pair of a window
+    event and a (never fired, fired) pair that replaces its ``values``, so
+    each row has its own threshold, and ``threshold`` and ``values`` are
+    row 0's.  The lattice path evaluates all K in one pass and
+    ``evaluate_upper`` returns K floats; the generic path evaluates the
+    rows one by one (``_split``).  Built only inside ambigil
     (``_event_rows``), such as event and complement by
-    ``capacity.capacity_pair``."""
+    ``capacity.capacity_pair`` or a whole sigma grid by
+    ``lil.cluster_probe``."""
 
     rows: tuple = ()
 
     def __post_init__(self):
         super().__post_init__()
-        for vals in self.rows:
+        for ev, vals in self.rows:
+            if not (isinstance(ev, WindowEvent) and (ev.lo, ev.hi, ev.side, ev.stat)
+                    == (self.lo, self.hi, self.side, self.stat)):
+                raise ValueError(f"value rows must be window events on [{self.lo}, {self.hi}] "
+                                 f"with side {self.side!r} and stat {self.stat!r}, got {ev!r}")
             _check_values(vals)
 
     def _split(self) -> tuple:
-        return tuple(WindowEvent(self.lo, self.hi, self.threshold, self.side, self.stat, vals,
-                                 self._delta) for vals in self.rows)
+        return tuple(replace(ev, values=vals, _delta=self._delta) for ev, vals in self.rows)
 
 
-def _event_rows(event: WindowEvent, pairs) -> _WindowRows:
-    """``event`` with the K value pairs ``pairs`` as the rows of one DP."""
-    return _WindowRows(event.lo, event.hi, event.threshold, event.side, event.stat,
-                       pairs[0], event._delta, tuple(pairs))
+def _event_rows(rows) -> _WindowRows:
+    """The (window event, values) pairs ``rows``, on one ``lo``, ``hi``,
+    ``side`` and ``stat``, as the rows of one DP."""
+    first, values = rows[0]
+    return _WindowRows(first.lo, first.hi, first.threshold, first.side, first.stat,
+                       values, first._delta, tuple(rows))
 
 
 class _TerminalRows(TerminalSumPayoff):
@@ -693,6 +705,61 @@ def _fired_edges(event: WindowEvent, lows, widths, delta: float):
     return neg, edge(thr, split), up
 
 
+def _fired_ranges(event: WindowEvent, lows, widths, delta: float) -> list:
+    """Layer k's nonempty fired ranges of ``event`` for k = lo..hi, each a
+    tuple of ``(i, j, None)``, from ``_fired_edges``: a range from 0 is a
+    prefix, one to the layer's width a suffix (the whole layer is one
+    prefix), any other a middle range."""
+    starts, ends, outside = _fired_edges(event, lows, widths, delta)
+    out = []
+    for w, s, e in zip(widths[event.lo:event.hi + 1], starts, ends):
+        if not outside:
+            out.append(((s, e, None),) if s < e else ())
+        elif s < e:  # absS above a threshold: a prefix and a suffix
+            out.append(tuple([(i, j, None) for i, j in ((0, s), (e, w)) if i < j]))
+        else:  # or the whole layer
+            out.append(((0, w, None),))
+    return out
+
+
+def _shared_ranges(layer, rows, w: int) -> tuple:
+    """One layer's fired ranges for value rows of several thresholds:
+    ``layer`` holds each threshold's ``_fired_ranges`` entry at this layer
+    and ``rows`` the indices of the rows that read it.  The prefix and the
+    suffix on which every row fires come back as ranges of all rows,
+    ``(i, j, None)``, and become the flanks; each threshold's other fired
+    cells come back as ``(i, j, r)`` for each of its rows r, to be written
+    into the band."""
+    first, last = w, 0  # the shortest fired prefix and the start of the shortest suffix
+    for ranges in layer:
+        p, e = 0, w
+        for i, j, _ in ranges:
+            if i == 0:
+                p = j
+            if j == w:
+                e = i
+        if p < first:
+            first = p
+        if e > last:
+            last = e
+    if first >= last:  # only when every row fires on the whole layer
+        return ((0, w, None),)
+    out = []
+    if first > 0:
+        out.append((0, first, None))
+    if last < w:
+        out.append((last, w, None))
+    for ranges, rs in zip(layer, rows):
+        for i, j, _ in ranges:
+            if i < first:
+                i = first
+            if j > last:
+                j = last
+            if i < j:
+                out += [(i, j, r) for r in rs]
+    return tuple(out)
+
+
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     """Backward induction over the reachable partial sums of each layer.
 
@@ -718,9 +785,10 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     every offset, strip and block scaled by K (``_interleaved``), so that
     ``_band_step`` computes every row's cells with the NumPy calls of one
     row and each float from the same operands as in a one-row DP.  The band
-    edges, the fired ranges and the reach mask are one geometry for all
-    rows; a terminal row's flank is the prefix or suffix constant in every
-    row.  The flanks are K-tuples, filled into the band as one row of a
+    edges and the reach mask are one geometry for all rows; a terminal
+    row's flank is the prefix or suffix constant in every row, and a
+    window row's flank is a fired range common to every row (below).  The
+    flanks are K-tuples, filled into the band as one row of a
     (states, K) view, and stepped by ``_scalar_rows``, one ``_scalar_step``
     a row, through the memo keyed by the tuple.  A tuple holding a ±0.0
     steps too, and a memo hit may swap a zero's sign, which moves no bit
@@ -742,10 +810,16 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     the never-fired value; the fired value is one scalar per layer taken
     through the same step.  ``_fired_edges`` finds the edges of the fired
     ranges of all window steps in one vectorized pass before the layer
-    loop; an empty or whole layer may come back with ``s > e``.
+    loop, once per distinct threshold object of the rows (each read once
+    per step, hi to lo); an empty or whole layer may come back with
+    ``s > e``.  With one threshold every range is every row's.  With
+    several, ``_shared_ranges`` makes the shortest fired prefix and the
+    shortest fired suffix over all rows the ranges of every row, and each
+    threshold's other fired cells ranges of each of its rows alone.
     Before each step, layer k's ranges take the fired value: a prefix or a
-    suffix becomes a flank, a middle range is written into the band, and an
-    empty band over a uniform row (``left is right``) first moves to the
+    suffix of every row becomes a flank, a middle range (absS below a
+    threshold) or a range of some rows only is written into the band, and
+    an empty band over a uniform row (``left is right``) first moves to the
     range's edge, so the band shrinks back to what is still undecided.
     Each window layer's nonempty ranges are listed once per DP, before the
     layer loop; a terminal-sum DP lists none.
@@ -764,11 +838,8 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
     multi = isinstance(payoff, _ROWS)
-    # each row's (never fired, fired) pair, or its terminal payoff
-    if multi:
-        rows = payoff.rows
-    else:
-        rows = (payoff,) if event is None else (payoff.values,)
+    # each row's terminal payoff, or its (window event, values) pair
+    rows = payoff.rows if multi else (payoff,)
     K = len(rows)
     last = model.horizon if event is None else event.hi
     plan = _plan(model)
@@ -790,7 +861,8 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     cells, spare = (cur.reshape(-1, K), nxt.reshape(-1, K)) if multi else (cur, nxt)
     flank_step = _scalar_rows if multi else _scalar_step
     memo: dict = {}  # the stepped flank per (id of a _Step, value)
-    # fires[k]: layer k's nonempty fired ranges (i, j), none outside a window
+    # fires[k]: layer k's nonempty fired ranges (i, j, r), none outside a
+    # window; r is None for a range of every row, else the one row it is of
     fires = [()] * (model.horizon + 1)
     if event is None:
         hit, at = plan.reach()
@@ -816,43 +888,55 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         fired = 0.0  # never read: nothing fires, and a 0.0 passes through unstepped
     else:
         a = b = 0
-        never, fired = zip(*rows)
-        if not multi:
-            never, fired = never[0], fired[0]
+        if multi:
+            events, values = zip(*rows)
+            never, fired = zip(*values)
+        else:
+            events, (never, fired) = rows, payoff.values
         left = right = never
-        starts, ends, outside = _fired_edges(event, lows, widths, float(model.delta))
-        for k, s, e in zip(range(event.lo, event.hi + 1), starts, ends):
-            if not outside:
-                fires[k] = ((s, e),) if s < e else ()
-            elif s < e:  # absS above a threshold: a prefix and a suffix
-                fires[k] = tuple((i, j) for i, j in ((0, s), (e, widths[k])) if i < j)
-            else:  # or the whole layer
-                fires[k] = ((0, widths[k]),)
+        # the rows of each distinct threshold object, first seen first
+        groups: dict = {}
+        for r, ev in enumerate(events):
+            groups.setdefault(id(ev.threshold), []).append(r)
+        delta = float(model.delta)
+        if len(groups) == 1:  # row 0's threshold is the payoff's
+            fires[event.lo:event.hi + 1] = _fired_ranges(event, lows, widths, delta)
+        else:
+            members = list(groups.values())
+            spans = [_fired_ranges(events[rs[0]], lows, widths, delta) for rs in members]
+            fires[event.lo:event.hi + 1] = [
+                _shared_ranges(layer, members, w)
+                for layer, w in zip(zip(*spans), widths[event.lo:event.hi + 1])]
     for k in range(model.horizon, 0, -1):
         step = table[k - 1]
-        for i, j in fires[k]:
+        for i, j, r in fires[k]:
             if a == b and left is right:  # a uniform row: the band moves to the edge
                 a = b = j if i == 0 else i
-            if i == 0:  # a prefix becomes the left flank
-                if j < a:
-                    cells[j:a] = left
-                if b < j:
-                    b = j
-                a, left = j, fired
-            elif j == widths[k]:  # a suffix becomes the right flank
-                if i > b:
-                    cells[b:i] = right
-                if i < a:
-                    a = i
-                b, right = i, fired
-            else:  # a middle range (absS below a threshold) goes into the band
+            if r is not None or 0 < i and j < widths[k]:
+                # a middle range (absS below a threshold) or one row's
+                # range goes into the band
                 if i < a:
                     cells[i:a] = left
                     a = i
                 if j > b:
                     cells[b:j] = right
                     b = j
-                cells[i:j] = fired
+                if r is None:
+                    cells[i:j] = fired
+                else:
+                    cells[i:j, r] = fired[r]
+            elif i == 0:  # a prefix becomes the left flank
+                if j < a:
+                    cells[j:a] = left
+                if b < j:
+                    b = j
+                a, left = j, fired
+            else:  # a suffix becomes the right flank
+                if i > b:
+                    cells[b:i] = right
+                if i < a:
+                    a = i
+                b, right = i, fired
         mn, mx, w_out = step.mn, step.mx, widths[k - 1]
         if multi:
             mn //= K

@@ -10,8 +10,9 @@ self-checks that every experiment run can assert.
 Normalizers follow the convention log x = ln max(e, x) at every level, so
 loglog x = 1 for any x <= e**e and all normalizers are positive from n = 1.
 s_n, t_n and a_n come from one table, ``iterlog.NormalizerSeries``, built
-once per running s^2 list: the experiments, ``check_conditions`` and
-``MomentSeries`` all read it.
+once per model over its whole horizon and kept while the model lives
+(``capacity._model_normalizers``): the experiments, ``check_conditions``,
+``MomentSeries`` and the config's a_n threshold all read it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import numpy as np
 from . import iterlog
 from .iterlog import NormalizerSeries
 from .bounds import _rate_table, kolmogorov_bound, RateTable
-from .capacity import (_running_centers, capacity_pair,
-                       cumulative_upper_second_moments, lower_capacity,
-                       upper_capacity, window_max_event)
+from .capacity import (_model_normalizers, _running_centers, _window_pairs,
+                       lower_capacity, upper_capacity, window_max_event)
 from .engine import Automaton
 from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
                     _require_centered, running_sums)
@@ -41,11 +41,12 @@ from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
 def normalizers(source) -> NormalizerSeries:
     """Normalizer table from a model or an explicit nondecreasing s^2 series.
 
-    A sequence source is read 1-based: source[n-1] = s_n^2, each entry
-    through ``_finite``.
+    A model gives its one table, built by the first reader and shared by
+    every later one.  A sequence source is read 1-based: source[n-1] =
+    s_n^2, each entry through ``_finite``, into a new table each call.
     """
     if isinstance(source, SequenceModel):
-        return NormalizerSeries(cumulative_upper_second_moments(source))
+        return _model_normalizers(source)
     seq = [_finite(v, "s2 series entry") for v in source]
     if not seq or seq[0] < 0:
         raise ValueError("s2 series must be nonempty with s2(1) >= 0")
@@ -379,8 +380,8 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
     n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
-    norms = NormalizerSeries(cumulative_upper_second_moments(model, N))
-    a = norms.a_table
+    norms = _model_normalizers(model)
+    a = norms.a_table[:N + 1].tolist()
     cents = _running_centers(model, N, center)
     ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
     cap = upper_capacity(model, ev, **engine_kw)
@@ -415,7 +416,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     """
     win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
-    a = NormalizerSeries(cumulative_upper_second_moments(model, win.hi)).a_table
+    a = _model_normalizers(model).a_table[:win.hi + 1].tolist()
     ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 
@@ -432,18 +433,18 @@ def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
     """Capacity pair of {max_{m<=N} S_m / d_m >= sigma} over a sigma grid.
 
     Desk-scale shadow of the cluster-set statements: no asymptotic verdicts,
-    just exact window capacities, anti-monotone in sigma.
+    just exact window capacities, anti-monotone in sigma.  The whole grid
+    is one DP of 2 * len(sigma_grid) value rows (each sigma's event and its
+    complement), which reads each sigma's threshold once per step.
     """
     _require_centered(step, "experiment")
     sigmas = [_real(sigma, "sigma") for sigma in sigma_grid]
     model = SequenceModel.iid(step, N)
     d = [0.0] + [iterlog.d_n(m) for m in range(1, N + 1)]
-    rows = []
-    for s in sigmas:
-        ev = window_max_event(1, N, lambda m: s * d[m], side="ge", on="S")
-        pair = capacity_pair(model, ev, **engine_kw)
-        rows.append(ClusterRow(sigma=s, upper=pair.upper, lower=pair.lower))
-    return rows
+    events = [window_max_event(1, N, lambda m, s=s: s * d[m], side="ge", on="S")
+              for s in sigmas]
+    return [ClusterRow(sigma=s, upper=pair.upper, lower=pair.lower)
+            for s, pair in zip(sigmas, _window_pairs(model, events, **engine_kw))]
 
 
 @dataclass(frozen=True)

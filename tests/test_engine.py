@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambigil import capacity, engine, gnormal
+from ambigil import capacity, engine, gnormal, iterlog
 from ambigil.capacity import capacity_pair
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
@@ -905,6 +905,11 @@ def test_state_cap_counts_held_states():
     with pytest.raises(StateSpaceError) as ei:
         capacity_pair(m, early, state_cap=1025)
     assert ei.value.estimate == 1026
+    # so does a cluster probe's DP of six rows, three thresholds
+    assert len(cluster_probe(STEP12, 512, (0.7, 1.3, 2.9), state_cap=4098)) == 3
+    with pytest.raises(StateSpaceError) as ei:
+        cluster_probe(STEP12, 512, (0.7, 1.3, 2.9), state_cap=4097)
+    assert ei.value.estimate == 4098
 
 
 def test_method_dispatch():
@@ -956,11 +961,33 @@ TWO_WEIGHTS = StepAmbiguity(LatticeSupport(1.0, (-8, -7, 7, 8)),
 
 
 def _assert_rows_are_one_row_dps(m, rows, singles):
-    """The K values of a row payoff, on both paths, are the one-row lattice
-    DPs' ``float.hex``, row by row, sign of zero included."""
+    """The K values of a row payoff are the one-row DPs' ``float.hex``, row
+    by row, sign of zero included: on the lattice path against the one-row
+    lattice DPs, and with ``method="generic"`` against the rows evaluated
+    one by one on the generic path (the two one-row paths agree too)."""
     want = [evaluate_upper(m, p, method="lattice").hex() for p in singles]
     assert [v.hex() for v in evaluate_upper(m, rows)] == want, m.horizon
-    assert [v.hex() for v in evaluate_upper(m, rows, method="generic")] == want
+    alone = [evaluate_upper(m, p, method="generic").hex() for p in singles]
+    assert [v.hex() for v in evaluate_upper(m, rows, method="generic")] == alone == want
+
+
+def _window_row_sets(base, d):
+    """Row sets of window events that share ``base``'s window, side and
+    stat: an event and its complement (one threshold); and mixes of
+    thresholds, each row with its own: two rows that share one callable,
+    adjacent or not, and two equal but distinct callables, constant,
+    ±inf and far finite thresholds (each fires on the whole window layer
+    or on none of it, by side and stat), event, complement and negation
+    rows."""
+    twin = lambda k: d * (0.6 * math.sqrt(k) - 0.4 * (k % 3))  # equal to base's, not the same
+    wide = lambda k: d * (1.5 * math.sqrt(k) - 1.0)
+    ev = lambda thr: replace(base, threshold=thr)
+    return ([base.complement(), base],
+            [base, ev(twin), ev(1.5 * d).complement(), ev(math.inf), ev(-math.inf).negate(),
+             ev(1e3 * d), ev(-1e3 * d).complement(), base.complement()],
+            [base.complement(), base, ev(wide).complement(), ev(wide), ev(twin).complement(),
+             ev(twin)],
+            [ev(wide), base.negate(), ev(-1e3 * d), ev(wide).complement()])
 
 
 @pytest.mark.parametrize("block, strip", [
@@ -969,12 +996,16 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
     """K value rows interleaved on one band give each row's one-row bits:
     random i.i.d. models and schedules (1-5 points, 1-4 measures, zero
     weights), a two-weight step on the general strip loop, one-point steps,
-    every side spelling and stat, constant, callable and ±inf thresholds,
-    windows that end before the horizon, event + complement and event +
-    negation rows; ramps (``gnormal._Ramp`` among them), two-term terminal
-    payoffs and a constant row beside a ramp, on a parity support whose
-    reach mask never fills and on a gapped one; at the default budget and
-    at the small ones where bands run in several strips."""
+    every side spelling and stat, windows that end before the horizon;
+    window rows with one threshold (event + complement, event + negation)
+    and rows with their own thresholds (``_window_row_sets``: constant,
+    callable and ±inf thresholds, rows that fire on a whole layer or
+    never, a shared threshold object, equal but distinct callables, event
+    + complement pairs beside rows of other thresholds); ramps
+    (``gnormal._Ramp`` among them), two-term terminal payoffs and a
+    constant row beside a ramp, on a parity support whose reach mask never
+    fills and on a gapped one; at the default budget and at the small ones
+    where bands run in several strips."""
     monkeypatch.setattr(engine, "_BLOCK_FLOATS", block)
     monkeypatch.setattr(engine, "_MIN_STRIP", strip)
     rng = np.random.default_rng(2029)
@@ -995,13 +1026,18 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
         d = m.delta
         hi = max(1, m.horizon - i % 3)  # two in three windows end before the horizon
         lo = 1 + i % hi
-        thresholds = (lambda k: d * (0.6 * math.sqrt(k) - 0.4 * (k % 3)), 1.5 * d,
-                      math.inf, -math.inf)
+        thr = lambda k: d * (0.6 * math.sqrt(k) - 0.4 * (k % 3))
+        thresholds = (thr, 1.5 * d, math.inf, -math.inf)
         for j, side in enumerate(engine._SIDES):
-            ev = WindowEvent(lo, hi, thresholds[(i + j) % 4], side, engine._STATS[(i + j) % 3])
-            for pairs in ((ev.complement().values, ev.values), (ev.values, ev.negate().values)):
-                _assert_rows_are_one_row_dps(m, engine._event_rows(ev, pairs),
-                                             [replace(ev, values=v) for v in pairs])
+            stat = engine._STATS[(i + j) % 3]
+            ev = WindowEvent(lo, hi, thresholds[(i + j) % 4], side, stat)
+            _assert_rows_are_one_row_dps(
+                m, engine._event_rows([(ev, ev.values), (ev, ev.negate().values)]),
+                [ev, ev.negate()])
+            # one row set per side, in turn, so each model and side sees one
+            rows = _window_row_sets(WindowEvent(lo, hi, thr, side, stat), d)[(i + j) % 4]
+            _assert_rows_are_one_row_dps(m, engine._event_rows([(r, r.values) for r in rows]),
+                                         rows)
         t = float(rng.uniform(-3.0, 3.0))
         for rows in ((gnormal._Ramp(t - 1.0, 1.0), gnormal._Ramp(t, 1.0)),
                      (TerminalSumPayoff(_ramp(t, 0.5)), TerminalSumPayoff(lambda s: s * s - s)),
@@ -1010,10 +1046,25 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
             _assert_rows_are_one_row_dps(m, engine._TerminalRows(rows), rows)
 
 
-def test_pairs_and_brackets_take_one_dp():
-    """``capacity_pair`` and ``clt_capacity`` call ``evaluate_upper`` once,
-    and a pair reads a callable threshold once per window step, hi to lo;
-    their values are the ones of two single DPs."""
+def test_window_rows_share_window_side_and_stat():
+    """Value rows of one DP share the window, side and stat: a row that
+    differs in any of them, or is not a window event, is a ``ValueError``,
+    and so is a row's value pair that is not two finite floats."""
+    ev = WindowEvent(2, 6, 1.0, ">=", "S")
+    for other in (replace(ev, lo=1), replace(ev, hi=5), replace(ev, side="ge"),
+                  replace(ev, stat="absS"), TerminalSumPayoff(lambda s: s)):
+        with pytest.raises(ValueError, match="value rows must be window events"):
+            engine._event_rows([(ev, ev.values), (other, ev.values)])
+    with pytest.raises(ValueError, match="values must be two finite floats"):
+        engine._event_rows([(ev, ev.values), (ev, (0.0, math.nan))])
+
+
+def test_pairs_and_brackets_take_one_dp(monkeypatch):
+    """``capacity_pair``, ``cluster_probe`` and ``clt_capacity`` call
+    ``evaluate_upper`` once; a pair reads a callable threshold once per
+    window step, hi to lo, and a probe reads each sigma's threshold (a
+    repeated sigma has its own) the same way; their values are the ones
+    of single DPs."""
     calls, reads = [], []
 
     def counted(model, payoff, **kw):
@@ -1024,18 +1075,37 @@ def test_pairs_and_brackets_take_one_dp():
         reads.append(m)
         return 0.45 * m
 
+    at = engine.WindowEvent._threshold_at
+    monkeypatch.setattr(engine.WindowEvent, "_threshold_at",
+                        lambda self, m: reads.append((self.threshold, m)) or at(self, m))
     m = SequenceModel.iid(STEP12, 24)
     ev = WindowEvent(3, 20, thr, ">=", "absS")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(capacity, "evaluate_upper", counted)
         mp.setattr(gnormal, "evaluate_upper", counted)
         pair = capacity_pair(m, ev)
-        assert calls == ["_WindowRows"] and reads == list(range(20, 2, -1))
+        assert calls == ["_WindowRows"]
+        assert reads == [r for k in range(20, 2, -1) for r in ((thr, k), k)]
+        calls.clear()
+        reads.clear()
+        grid = (-0.5, 0.7, 0.7, 2.9)
+        rows = cluster_probe(STEP12, 24, grid)
+        assert calls == ["_WindowRows"]
+        sigmas = list(dict.fromkeys(f for f, _ in reads))  # the threshold objects, first read first
+        assert len(sigmas) == len(grid)
+        assert reads == [(f, k) for f in sigmas for k in range(24, 0, -1)]
         calls.clear()
         bracket = clt_capacity(STEP12, 40, 0.3)
         assert calls == ["_TerminalRows"]
     assert pair.upper.hex() == evaluate_upper(m, ev).hex()
     assert pair.lower.hex() == (1.0 - evaluate_upper(m, ev.complement())).hex()
+    d = [0.0] + [math.sqrt(2.0 * k * iterlog.loglog_(float(k))) for k in range(1, 25)]
+    model = SequenceModel.iid(STEP12, 24)
+    for row, f, sigma in zip(rows, sigmas, grid):
+        assert [f(k) for k in range(1, 25)] == [sigma * d[k] for k in range(1, 25)]
+        one = WindowEvent(1, 24, f)
+        assert row.upper.hex() == evaluate_upper(model, one).hex()
+        assert row.lower.hex() == (1.0 - evaluate_upper(model, one.complement())).hex()
     model, hw = SequenceModel.iid(STEP12, 40), 4.0
     t = 0.3 * math.sqrt(40.0)
     assert bracket.bracket_high.hex() == evaluate_upper(model, gnormal._Ramp(t - hw, hw)).hex()

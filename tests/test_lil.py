@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigil import iterlog
+from ambigil import capacity, iterlog
 from ambigil.lil import (ConditionReport, MomentSeries, check_conditions,
                          cluster_probe, conjecture_probe, continuity_probe,
                          lil_lower_experiment, lil_upper_experiment,
@@ -411,7 +413,7 @@ def test_continuity_probe_wide_eps():
 def test_linear_case_windows_match_forward_oracle():
     from oracles import classical_window_probability
     from ambigil.capacity import window_max_event
-    from ambigil.lil import cumulative_upper_second_moments
+    from ambigil.capacity import cumulative_upper_second_moments
 
     m = SequenceModel.iid(STEP11, 128)
     ns = normalizers(m)
@@ -479,6 +481,64 @@ def test_window_experiments_pinned_bits_at_benchmark_sizes():
     assert len(values) == 16 and all(0.0 < v <= 1.0 for v in values)
     assert _hex_digest(values) == (
         "eef9df61d5f9bc06158c8dce17f1d9c708eb21e9cc562b8b52d5afddf14952f1")
+
+
+def test_cluster_probe_grid_edges_pinned_bits():
+    """``cluster_probe`` over the grid (-0.5, 0.7, 0.7, 1.3, 2.9, 40.0) on S12
+    at N = 256 and on S11 at N = 128, bit for bit: a negative sigma, a
+    repeated one and one whose event never fires, all rows of one DP.
+    Pinned by the sha256 of the values' ``float.hex``, taken while each
+    sigma still had its own DP."""
+    grid = (-0.5, 0.7, 0.7, 1.3, 2.9, 40.0)
+    values = []
+    for step, N in ((STEP12, 256), (STEP11, 128)):
+        rows = cluster_probe(step, N, grid)
+        assert [r.sigma for r in rows] == list(grid)
+        assert (rows[-1].upper, rows[-1].lower) == (0.0, 0.0)
+        values += [v for row in rows for v in (row.upper, row.lower)]
+    assert _hex_digest(values) == (
+        "17628bf1a7cd13f5a04f5678d4231d1beb65ead533ee84d4a7f872dd2f31d3d1")
+    assert cluster_probe(STEP12, 8, ()) == []
+
+
+def test_normalizer_table_built_once_per_model(monkeypatch):
+    """One model's s_n, t_n and a_n table is built once, over its whole
+    horizon, for every reader: both window experiments (windows that end
+    before the horizon included), ``check_conditions``, ``normalizers``
+    and the config's a_n threshold.  It is read-only, its reads are Python
+    floats, and its entry goes away with the model.  An explicit s^2
+    series gives a new table each call, kept nowhere."""
+    builds = []
+
+    class Counted(iterlog.NormalizerSeries):
+        def __init__(self, s2):
+            builds.append(len(s2))
+            super().__init__(s2)
+
+    monkeypatch.setattr(iterlog, "NormalizerSeries", Counted)
+    step13 = make_rademacher_interval(1, 3, 3)
+    model = SequenceModel(64, steps=[STEP12, step13] * 32)
+    before = len(capacity._NORMALIZERS)
+    lil_lower_experiment(model, 4, 40, 0.45)
+    lil_upper_experiment(model, 8, 64, 0.2)
+    lil_lower_experiment(model, 4, 64, 0.45)
+    check_conditions(model, [8, 16, 64])
+    event_from_config({"window": {"n": 1, "N": 64},
+                       "threshold": {"kind": "a_n", "scale": 0.7}}, model)
+    norms = normalizers(model)
+    assert builds == [65] and norms is capacity._NORMALIZERS[model]
+    assert len(capacity._NORMALIZERS) == before + 1
+    assert all(type(f(n)) is float for f in (norms.s2, norms.s, norms.t, norms.a)
+               for n in (1, 64))
+    with pytest.raises(TypeError):
+        norms.a_table[3] = 0.0
+    gone = weakref.ref(model)
+    del model, norms
+    gc.collect()
+    assert gone() is None and len(capacity._NORMALIZERS) == before
+    seq = [1.0, 2.0, 4.0]
+    assert normalizers(seq) is not normalizers(seq)
+    assert builds == [65] and len(capacity._NORMALIZERS) == before
 
 
 def test_lil_scales_pinned_bits():
