@@ -13,8 +13,8 @@ from .bounds import (BoundInputs, DominationGrid, DominationReport, RateTable,
                      verify_domination)
 from .capacity import (BCProductReport, CapacityPair, MCResult, OutcomeFlagEvent,
                        bc_product_check, capacity_pair, choquet_integral,
-                       cumulative_upper_second_moments, event_from_config,
-                       lower_capacity, mc_capacity_lower_bound, upper_capacity,
+                       event_from_config, lower_capacity,
+                       mc_capacity_lower_bound, upper_capacity,
                        window_max_event)
 from .engine import (DEFAULT_STATE_CAP, Automaton, ExpectationPair,
                      FullVectorPayoff, StateSpaceError, TerminalSumPayoff,
@@ -25,8 +25,8 @@ from .gnormal import (CLTBridgeResult, GNormalParams, clt_capacity, erfc,
 from .lil import (ClusterRow, ConditionReport, ContinuityProbeResult,
                   LILUpperResult, MomentSeries, NormalizerSeries,
                   check_conditions, cluster_probe, conjecture_probe,
-                  continuity_probe, lil_lower_experiment, lil_upper_experiment,
-                  normalizers)
+                  continuity_probe, cumulative_upper_second_moments,
+                  lil_lower_experiment, lil_upper_experiment, normalizers)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity,
                     make_rademacher_interval)
 

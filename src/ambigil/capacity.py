@@ -12,7 +12,6 @@ re-derived event.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -20,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import iterlog
-from .engine import Automaton, WindowEvent, _event_rows, _side, evaluate_upper
+from .engine import (Automaton, WindowEvent, _event_rows, _plan, _side,
+                     evaluate_upper)
 from .model import SequenceModel, _finite, _integer, _real
 from .rng import substream
 
@@ -82,17 +82,31 @@ def capacity_pair(model: SequenceModel, event, **kw) -> CapacityPair:
                         upper=upper_capacity(model, event, **kw))
 
 
+# floats in one layer buffer of a DP over several window events' pairs:
+# 2 * pairs * the width of the window's last layer stays within it
+_PAIRS_FLOATS = 2 ** 17
+
+
 def _window_pairs(model: SequenceModel, events, **kw) -> list[CapacityPair]:
     """``capacity_pair`` of each window event in ``events``, which share
-    ``lo``, ``hi``, ``side`` and ``stat``: every event's complement and the
-    event itself are value rows of one DP, 2 * len(events) rows, each
-    with its own threshold."""
-    if not events:
-        return []
-    values = evaluate_upper(model, _event_rows([(ev, vals) for ev in events
-                                                for vals in (ev.values[::-1], ev.values)]), **kw)
-    return [CapacityPair(lower=1.0 - values[i], upper=values[i + 1])
-            for i in range(0, len(values), 2)]
+    ``lo``, ``hi``, ``side`` and ``stat``: each event's complement and the
+    event itself are two value rows of one DP, each row with its own
+    threshold.  The events run in chunks, one DP each, of as many pairs as
+    keep 2 * pairs * the window's last layer width within
+    ``_PAIRS_FLOATS`` (one pair at least), so that a DP's buffers stay
+    bounded however long ``events`` is: the state cap counts one row."""
+    per = max(1, len(events))
+    if per > 1:
+        width = _plan(model).layers()[1][events[0].bind(model).hi]
+        per = max(1, _PAIRS_FLOATS // (2 * width))
+    pairs = []
+    for i in range(0, len(events), per):
+        values = evaluate_upper(model, _event_rows([(ev, vals) for ev in events[i:i + per]
+                                                    for vals in (ev.values[::-1], ev.values)]),
+                                **kw)
+        pairs += [CapacityPair(lower=1.0 - values[j], upper=values[j + 1])
+                  for j in range(0, len(values), 2)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +454,7 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
     ``{"kind": "const", "c": real}``, ``{"kind": "d_n", "scale": real}``
     (scale * sqrt(2 m loglog m)) or ``{"kind": "a_n", "scale": real}``
     (scale * s_m * t_m, multiplied left to right, with s_m and t_m read from
-    the model's ``NormalizerSeries``, built once per model).
+    the model's ``NormalizerSeries``).
     """
     try:
         win = cfg["window"]
@@ -460,8 +474,8 @@ def event_from_config(cfg: dict, model: SequenceModel | None = None) -> WindowEv
         if model is None:
             raise ValueError("a_n threshold needs a model for its normalizers")
         scale = _real(thr.get("scale", 1.0), "threshold scale")
-        norms = _model_normalizers(model)
-        s, t = norms.s_table.tolist(), norms.t_table.tolist()
+        norms = iterlog.NormalizerSeries(cumulative_upper_second_moments(model))
+        s, t = norms.s_table, norms.t_table
         threshold = lambda m: scale * s[m] * t[m]
     else:
         raise ValueError(f"unknown threshold kind {kind!r}")
@@ -472,29 +486,6 @@ def cumulative_upper_second_moments(model: SequenceModel, upto: int | None = Non
     """[0, s_1^2, ..., s_upto^2] from per-step upper second moments, ``upto``
     as in ``moment_sums``."""
     return model.moment_sums(lambda v: v * v, upto)
-
-
-# each model's normalizer table, built by its first reader and dropped with the model
-_NORMALIZERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _model_normalizers(model: SequenceModel) -> iterlog.NormalizerSeries:
-    """The ``NormalizerSeries`` of ``model``'s s_n^2 over its whole horizon,
-    held weakly in ``_NORMALIZERS``.  A window that ends before the horizon
-    reads a prefix of it, the same bits as a table built up to the window's
-    end, since every entry at n depends on the steps up to n only.
-
-    Each call folds s_n^2 again (one upper expectation per distinct step
-    and a running sum, as every reader did before the table was kept) and
-    reuses the model's table when it was built from those same values; so
-    the table's Python arithmetic (a loglog, two square roots and a
-    product per entry) runs once per model, while the step expectations
-    behind it run once per call."""
-    s2 = cumulative_upper_second_moments(model)
-    norms = _NORMALIZERS.get(model)
-    if norms is None or norms._s2.tolist() != s2:
-        norms = _NORMALIZERS[model] = iterlog.NormalizerSeries(s2)
-    return norms
 
 
 def _running_centers(model: SequenceModel, upto: int, center: str) -> list[float]:

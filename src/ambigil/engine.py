@@ -31,7 +31,7 @@ prefix and suffix, such as a ramp's flat ends) hold one value each, and
 only the band between them is computed as an array.  The flank scalars
 step in Python floats through a memo local to one ``_lattice_upper``
 call, keyed by step and value.  One pass may carry K value rows on one
-band (an event and its complement, a whole grid of window thresholds, the
+band (an event and its complement, a grid of window thresholds, the
 two ramps of a CLT bracket): the layer buffers hold cell i of row r at
 i * K + r, the band step runs on the step's table with every offset, strip
 and block scaled by K (the same NumPy calls as for one row), the band edges
@@ -328,8 +328,8 @@ class _WindowRows(WindowEvent):
     ``evaluate_upper`` returns K floats; the generic path evaluates the
     rows one by one (``_split``).  Built only inside ambigil
     (``_event_rows``), such as event and complement by
-    ``capacity.capacity_pair`` or a whole sigma grid by
-    ``lil.cluster_probe``."""
+    ``capacity.capacity_pair`` or a sigma grid by ``lil.cluster_probe``
+    (``capacity._window_pairs``)."""
 
     rows: tuple = ()
 

@@ -3,16 +3,13 @@
 The convention is log x = ln max(e, x) at every level: log x >= 1 always,
 and loglog x = 1 for every x <= e**e, so normalizers built from it are
 positive from n = 1 on.  ``NormalizerSeries`` computes s_n, t_n and a_n
-once from a running s^2 list; every reader of those scales reads it, and a
-model's series is built once per model (``capacity._model_normalizers``).
+once from a running s^2 list; every reader of those scales reads it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
-
-import numpy as np
 
 
 def log_(x: float) -> float:
@@ -37,30 +34,23 @@ class NormalizerSeries(object):
 
     Built once from the running list ``s2`` = [0.0, s_1^2, ..., s_N^2]:
     ``s_table``, ``t_table`` and ``a_table`` hold s_m, t_m and a_m for
-    m = 0..N, indexed by m (s_0 = a_0 = 0), as read-only memoryviews of
-    float64 arrays: a table holds no Python object per entry, an index
-    gives a Python float, and a reader that indexes one per step takes it
-    as a list with one ``.tolist()``.  The reads ``s2(n)`` .. ``a(n)``
-    take n in 1..N; any other n is an ``IndexError``.  Each entry is the
-    one a Python float computation gives: ``np.sqrt`` and the product are
-    correctly rounded like ``math.sqrt`` and ``*``, and t_m goes through
-    ``loglog_``.
+    m = 0..N, indexed by m (s_0 = a_0 = 0).  The reads ``s2(n)`` .. ``a(n)``
+    take n in 1..N; any other n is an ``IndexError``.
     """
 
     def __init__(self, s2: Sequence[float]):
-        s2 = np.array(s2, dtype=float)
-        s = np.sqrt(s2)
-        t = np.array([math.sqrt(2.0 * loglog_(v)) for v in s2.tolist()])
-        self._s2, self.s_table, self.t_table, self.a_table = (
-            memoryview(table).toreadonly() for table in (s2, s, t, s * t))
+        self._s2 = s2
+        self.s_table = [math.sqrt(v) for v in s2]
+        self.t_table = [math.sqrt(2.0 * loglog_(v)) for v in s2]
+        self.a_table = [s * t for s, t in zip(self.s_table, self.t_table)]
 
-    def _at(self, table: memoryview, n: int) -> float:
+    def _at(self, table: Sequence[float], n: int) -> float:
         if not 1 <= n < len(table):
             raise IndexError(f"n={n} outside 1..{len(table) - 1}")
         return table[n]
 
     def s2(self, n: int) -> float:
-        return self._at(self._s2, n)
+        return float(self._at(self._s2, n))
 
     def s(self, n: int) -> float:
         return self._at(self.s_table, n)

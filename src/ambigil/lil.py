@@ -10,9 +10,8 @@ self-checks that every experiment run can assert.
 Normalizers follow the convention log x = ln max(e, x) at every level, so
 loglog x = 1 for any x <= e**e and all normalizers are positive from n = 1.
 s_n, t_n and a_n come from one table, ``iterlog.NormalizerSeries``, built
-once per model over its whole horizon and kept while the model lives
-(``capacity._model_normalizers``): the experiments, ``check_conditions``,
-``MomentSeries`` and the config's a_n threshold all read it.
+once per running s^2 list: the experiments, ``check_conditions`` and
+``MomentSeries`` all read it.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ import numpy as np
 from . import iterlog
 from .iterlog import NormalizerSeries
 from .bounds import _rate_table, kolmogorov_bound, RateTable
-from .capacity import (_model_normalizers, _running_centers, _window_pairs,
-                       lower_capacity, upper_capacity, window_max_event)
+from .capacity import (_running_centers, _window_pairs,
+                       cumulative_upper_second_moments, lower_capacity,
+                       upper_capacity, window_max_event)
 from .engine import Automaton
 from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
                     _require_centered, running_sums)
@@ -41,12 +41,11 @@ from .model import (SequenceModel, StepAmbiguity, _finite, _integer, _real,
 def normalizers(source) -> NormalizerSeries:
     """Normalizer table from a model or an explicit nondecreasing s^2 series.
 
-    A model gives its one table, built by the first reader and shared by
-    every later one.  A sequence source is read 1-based: source[n-1] =
-    s_n^2, each entry through ``_finite``, into a new table each call.
+    A sequence source is read 1-based: source[n-1] = s_n^2, each entry
+    through ``_finite``.
     """
     if isinstance(source, SequenceModel):
-        return _model_normalizers(source)
+        return NormalizerSeries(cumulative_upper_second_moments(source))
     seq = [_finite(v, "s2 series entry") for v in source]
     if not seq or seq[0] < 0:
         raise ValueError("s2 series must be nonempty with s2(1) >= 0")
@@ -380,8 +379,8 @@ def lil_upper_experiment(model: SequenceModel, n: int, N: int, eps: float,
     win = window_max_event(n, N, 0.0, side="gt", on="S").bind(model)
     n, N = win.lo, win.hi
     eps = _finite(eps, "eps")
-    norms = _model_normalizers(model)
-    a = norms.a_table[:N + 1].tolist()
+    norms = NormalizerSeries(cumulative_upper_second_moments(model, N))
+    a = norms.a_table
     cents = _running_centers(model, N, center)
     ev = replace(win, threshold=lambda m: (1.0 + eps) * a[m] + cents[m])
     cap = upper_capacity(model, ev, **engine_kw)
@@ -416,7 +415,7 @@ def lil_lower_experiment(model: SequenceModel, n: int, N: int, eps: float,
     """
     win = window_max_event(n, N, 0.0, side="ge", on="S").bind(model)
     eps = _finite(eps, "eps")
-    a = _model_normalizers(model).a_table[:win.hi + 1].tolist()
+    a = NormalizerSeries(cumulative_upper_second_moments(model, win.hi)).a_table
     ev = replace(win, threshold=lambda m: (1.0 - eps) * a[m])
     return upper_capacity(model, ev, **engine_kw)
 
@@ -433,9 +432,11 @@ def cluster_probe(step: StepAmbiguity, N: int, sigma_grid: Sequence[float],
     """Capacity pair of {max_{m<=N} S_m / d_m >= sigma} over a sigma grid.
 
     Desk-scale shadow of the cluster-set statements: no asymptotic verdicts,
-    just exact window capacities, anti-monotone in sigma.  The whole grid
-    is one DP of 2 * len(sigma_grid) value rows (each sigma's event and its
-    complement), which reads each sigma's threshold once per step.
+    just exact window capacities, anti-monotone in sigma.  Each sigma's
+    event and its complement are two value rows of one DP for the whole
+    grid, or of a few DPs for a grid too long for
+    ``capacity._PAIRS_FLOATS``; each sigma's threshold is read once per
+    window step.
     """
     _require_centered(step, "experiment")
     sigmas = [_real(sigma, "sigma") for sigma in sigma_grid]

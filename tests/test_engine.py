@@ -1031,9 +1031,9 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
         for j, side in enumerate(engine._SIDES):
             stat = engine._STATS[(i + j) % 3]
             ev = WindowEvent(lo, hi, thresholds[(i + j) % 4], side, stat)
-            _assert_rows_are_one_row_dps(
-                m, engine._event_rows([(ev, ev.values), (ev, ev.negate().values)]),
-                [ev, ev.negate()])
+            for pair in ((ev.complement(), ev), (ev, ev.negate())):
+                _assert_rows_are_one_row_dps(
+                    m, engine._event_rows([(r, r.values) for r in pair]), pair)
             # one row set per side, in turn, so each model and side sees one
             rows = _window_row_sets(WindowEvent(lo, hi, thr, side, stat), d)[(i + j) % 4]
             _assert_rows_are_one_row_dps(m, engine._event_rows([(r, r.values) for r in rows]),
@@ -1110,3 +1110,29 @@ def test_pairs_and_brackets_take_one_dp(monkeypatch):
     t = 0.3 * math.sqrt(40.0)
     assert bracket.bracket_high.hex() == evaluate_upper(model, gnormal._Ramp(t - hw, hw)).hex()
     assert bracket.bracket_low.hex() == evaluate_upper(model, gnormal._Ramp(t, hw)).hex()
+
+
+def test_long_cluster_grid_runs_in_bounded_dps(monkeypatch):
+    """A ``cluster_probe`` grid runs in chunks of pairs, one DP each, as
+    many pairs per DP as keep 2 * pairs * the last layer's width within
+    ``capacity._PAIRS_FLOATS`` (one pair at least), so a DP's buffers
+    stay bounded however long the grid is; the values are the same bits
+    whatever the chunks, down to one pair per DP."""
+    sizes = []
+    evaluate = capacity.evaluate_upper
+
+    def counted(model, payoff, **kw):
+        sizes.append(len(payoff.rows))
+        return evaluate(model, payoff, **kw)
+
+    monkeypatch.setattr(capacity, "evaluate_upper", counted)
+    grid = [0.05 * k - 0.5 for k in range(100)]  # fires everywhere up to never
+    width = 4 * 256 + 1  # S12's last layer at N = 256
+    want = [(r.upper.hex(), r.lower.hex()) for r in cluster_probe(STEP12, 256, grid)]
+    assert sizes == [126, 74] and 126 * width <= capacity._PAIRS_FLOATS < 128 * width
+    for budget, chunks in ((10 * width + 1, [10] * 20), (2 * width - 1, [2] * 100)):
+        sizes.clear()
+        monkeypatch.setattr(capacity, "_PAIRS_FLOATS", budget)
+        rows = cluster_probe(STEP12, 256, grid)
+        assert [(r.upper.hex(), r.lower.hex()) for r in rows] == want
+        assert sizes == chunks

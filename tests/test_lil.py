@@ -1,14 +1,12 @@
-import gc
 import hashlib
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigil import capacity, iterlog
+from ambigil import iterlog
 from ambigil.lil import (ConditionReport, MomentSeries, check_conditions,
                          cluster_probe, conjecture_probe, continuity_probe,
                          lil_lower_experiment, lil_upper_experiment,
@@ -413,7 +411,7 @@ def test_continuity_probe_wide_eps():
 def test_linear_case_windows_match_forward_oracle():
     from oracles import classical_window_probability
     from ambigil.capacity import window_max_event
-    from ambigil.capacity import cumulative_upper_second_moments
+    from ambigil.lil import cumulative_upper_second_moments
 
     m = SequenceModel.iid(STEP11, 128)
     ns = normalizers(m)
@@ -499,46 +497,6 @@ def test_cluster_probe_grid_edges_pinned_bits():
     assert _hex_digest(values) == (
         "17628bf1a7cd13f5a04f5678d4231d1beb65ead533ee84d4a7f872dd2f31d3d1")
     assert cluster_probe(STEP12, 8, ()) == []
-
-
-def test_normalizer_table_built_once_per_model(monkeypatch):
-    """One model's s_n, t_n and a_n table is built once, over its whole
-    horizon, for every reader: both window experiments (windows that end
-    before the horizon included), ``check_conditions``, ``normalizers``
-    and the config's a_n threshold.  It is read-only, its reads are Python
-    floats, and its entry goes away with the model.  An explicit s^2
-    series gives a new table each call, kept nowhere."""
-    builds = []
-
-    class Counted(iterlog.NormalizerSeries):
-        def __init__(self, s2):
-            builds.append(len(s2))
-            super().__init__(s2)
-
-    monkeypatch.setattr(iterlog, "NormalizerSeries", Counted)
-    step13 = make_rademacher_interval(1, 3, 3)
-    model = SequenceModel(64, steps=[STEP12, step13] * 32)
-    before = len(capacity._NORMALIZERS)
-    lil_lower_experiment(model, 4, 40, 0.45)
-    lil_upper_experiment(model, 8, 64, 0.2)
-    lil_lower_experiment(model, 4, 64, 0.45)
-    check_conditions(model, [8, 16, 64])
-    event_from_config({"window": {"n": 1, "N": 64},
-                       "threshold": {"kind": "a_n", "scale": 0.7}}, model)
-    norms = normalizers(model)
-    assert builds == [65] and norms is capacity._NORMALIZERS[model]
-    assert len(capacity._NORMALIZERS) == before + 1
-    assert all(type(f(n)) is float for f in (norms.s2, norms.s, norms.t, norms.a)
-               for n in (1, 64))
-    with pytest.raises(TypeError):
-        norms.a_table[3] = 0.0
-    gone = weakref.ref(model)
-    del model, norms
-    gc.collect()
-    assert gone() is None and len(capacity._NORMALIZERS) == before
-    seq = [1.0, 2.0, 4.0]
-    assert normalizers(seq) is not normalizers(seq)
-    assert builds == [65] and len(capacity._NORMALIZERS) == before
 
 
 def test_lil_scales_pinned_bits():
