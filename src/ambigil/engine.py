@@ -37,11 +37,11 @@ i * K + r, the band step runs on the step's table with every offset, strip
 and block scaled by K (the same NumPy calls as for one row), the band edges
 stay one geometry for all rows, and each flank is a K-tuple of scalars,
 stepped row by row.  Window rows share the window, side and stat, and each
-has its own threshold: the flanks are the fired ranges common to all rows
-(the shortest fired prefix and suffix), and each row's other fired cells
-are written into the band, in that row's cells.  Such a payoff is built
-only inside ambigil (``_WindowRows``, ``_TerminalRows``), and
-``evaluate_upper`` returns its K values.  Everything else
+has its own threshold: one table per DP lists each layer's fired prefix
+and suffix common to all rows, which become the flanks, and each row's
+other fired cells, which are written into the band, in that row's cells.
+Such a payoff is built only inside ambigil (``_WindowRows``,
+``_TerminalRows``), and ``evaluate_upper`` returns its K values.  Everything else
 (full outcome vectors, product automata, float-accumulator states) runs
 through a dictionary-layered generic path.  Both paths perform per-state
 inner sums in a fixed left-to-right order over support points and take
@@ -220,8 +220,9 @@ class WindowEvent:
 
     This is the one reader of a window event's arguments.  ``lo`` and ``hi``
     go through ``_integer`` and are stored as ints.  ``threshold`` is a
-    callable of the step index m, or a constant that goes through ``_real``
-    and is stored as a float (``±inf`` gives the sure or the never event).
+    callable of the step index m, whose value goes through ``_real`` at
+    each step it is read, or a constant that goes through ``_real`` and is
+    stored as a float (``±inf`` gives the sure or the never event).
     ``side`` is any spelling in ``_SIDES`` (``"ge"`` or ``">="``, ...),
     kept as given.
     """
@@ -264,9 +265,13 @@ class WindowEvent:
         return replace(self, _delta=model.delta)
 
     def _threshold_at(self, m: int) -> float:
+        """The threshold at step m: a callable's value follows ``_real``'s
+        rule, as a constant threshold does."""
         if not callable(self.threshold):
             return self.threshold
-        thr = float(self.threshold(m))
+        thr = self.threshold(m)
+        if type(thr) is not float:
+            return _real(thr, f"window threshold at step {m}")
         if math.isnan(thr):
             raise ValueError(f"window threshold at step {m} is NaN")
         return thr
@@ -642,33 +647,48 @@ def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
                     np.maximum(best, x, out=best)
 
 
-def _fired_edges(event: WindowEvent, lows, widths, delta: float):
-    """Where ``event`` fires at each window step, in one pass over all of them.
+def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
+    """Where the rows of a window payoff fire at each window step, as one
+    table, with one vectorized search over the window per threshold.
 
-    Returns the int lists ``starts`` and ``ends`` over k = lo..hi and a flag
-    ``outside``.  Layer k's index i holds the sum ``lows[k] + i``, and the
-    event fires at step k on ``[s, e)`` with ``s, e = starts[k - lo],
-    ends[k - lo]`` (nowhere when ``s >= e``), or for ``outside`` on ``[0, s)``
-    and ``[e, w)`` (on the whole layer when ``s >= e``); these are the runs of
-    ``event.trigger_mask(k, delta * arange(lows[k], lows[k] + w))``.
+    ``payoff`` is a ``WindowEvent``, one row, or a ``_WindowRows``.
+    Returns the lists ``pre``, ``suf`` and ``writes`` over k = lo..hi.
+    Layer k's index i holds the sum ``lows[k] + i``.  With ``t = k - lo``,
+    every row fires on ``[0, pre[t])`` and on ``[suf[t], w)``, on the
+    whole layer when ``suf[t] <= pre[t]``, and row r also on ``[i, j)`` for
+    each ``(i, j, r)`` in ``writes[t]`` (every row for r None), with
+    ``pre[t] <= i < j <= suf[t]``.  Together they cover, each cell once,
+    the cells where a row's ``trigger_mask(k, delta * arange(lows[k],
+    lows[k] + w))`` fires.  With one threshold a run that reaches a layer
+    edge is part of ``pre`` or ``suf``, never a write; with several,
+    ``pre`` and ``suf`` are the shortest prefix and suffix over them, and
+    each row's cells past them are writes of that row.
 
-    The threshold is read once per step, from ``hi`` down to ``lo``.  The
-    products ``delta * n`` that ``trigger_mask`` compares are nondecreasing
-    in the sum n, so each edge is the first sum whose product is at or
-    above t (for ``>=`` and ``<``) or above it (for ``>`` and ``<=``),
-    shifted to the layer and clipped to ``[0, w]``.  For sums below 2**53 in
-    magnitude it is one of seven: -inf, +inf and the five within 2 of
-    ``ceil(t / delta)``, t first clipped to the finite products just
-    outside the layer (a t beyond the layer lands at its end, an infinite
-    one next to the sums whose products overflow).  The edge is the
-    smallest of the seven whose product is not below t (or not at or below
-    it): a search with no row of the layer's sums, so the memory is seven
-    sums per window step wherever the support sits.  ``-S`` compares
-    against ``-t`` on the mirrored side (negation is exact), and ``absS`` is
-    the union of the two half-lines above a threshold or their intersection
-    below one."""
-    lo, hi = event.lo, event.hi
-    thr = np.array([event._threshold_at(m) for m in range(hi, lo - 1, -1)][::-1])
+    Each threshold object is read once per step, from ``hi`` down to
+    ``lo``, one after the other.  The products ``delta * n`` that
+    ``trigger_mask`` compares are nondecreasing in the sum n, so each edge
+    is the first sum whose product is at or above t (for ``>=`` and ``<``)
+    or above it (for ``>`` and ``<=``), shifted to the layer and clipped to
+    ``[0, w]``.  For sums below 2**53 in magnitude it is one of seven:
+    -inf, +inf and the five within 2 of ``ceil(t / delta)``, t first
+    clipped to the finite products just outside the layer (a t beyond the
+    layer lands at its end, an infinite one next to the sums whose
+    products overflow).  The edge is the smallest of the seven whose
+    product is not below t (or not at or below it): a search with no row
+    of the layer's sums, so the memory is seven sums per window step and
+    threshold wherever the support sits.  ``-S`` compares against ``-t``
+    on the mirrored side (negation is exact), and ``absS`` is the union of
+    the two half-lines above a threshold or their intersection below one.
+    One threshold's edges are its table.  For several, ``pre`` and ``suf``
+    are the min of their prefix ends and the max of their suffix starts:
+    a layer's edges move monotonically with the threshold, so that min is
+    at or past that max exactly where every row fires on the whole
+    layer."""
+    lo, hi = payoff.lo, payoff.hi
+    rows = payoff.rows if isinstance(payoff, _WindowRows) else ((payoff, None),)
+    groups: dict = {}  # the rows of each distinct threshold object, first seen first
+    for r, (ev, _) in enumerate(rows):
+        groups.setdefault(id(ev.threshold), []).append(r)
     width = widths[lo:hi + 1]
     low, wide = np.array(lows[lo:hi + 1], dtype=float), np.array(width, dtype=float)
     big = np.finfo(float).max
@@ -677,7 +697,7 @@ def _fired_edges(event: WindowEvent, lows, widths, delta: float):
     span = delta * np.array([low - 3.0, low + wide + 2.0])
     lower, upper = np.maximum(np.minimum(span, big), -big)
     around = np.array([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0, np.inf])
-    cmp = _SIDES[event.side]
+    cmp = _SIDES[payoff.side]
     up = cmp in (operator.ge, operator.gt)
     # >= and < split before the sums equal to t, > and <= after them
     split, mirror = ((operator.lt, operator.le) if cmp in (operator.ge, operator.lt)
@@ -695,69 +715,46 @@ def _fired_edges(event: WindowEvent, lows, widths, delta: float):
         n = n.min(axis=1)  # drops the block before the int conversion
         return np.minimum(np.maximum(n - low, 0.0), wide).astype(int).tolist()
 
-    if event.stat == "S":
-        e = edge(thr, split)
-        return (e, width, False) if up else ([0] * len(width), e, False)
-    neg = edge(-thr, mirror)  # -x <cmp> t is x <mirrored cmp> -t
-    if event.stat == "-S":
-        return ([0] * len(width), neg, False) if up else (neg, width, False)
-    # |x| is above t where x or -x is, and below t where both are
-    return neg, edge(thr, split), up
+    def fired(ev) -> tuple:
+        """One threshold's fired prefix ends, suffix starts and the runs
+        (t, i, j) that reach neither layer edge."""
+        thr = np.array([ev._threshold_at(m) for m in range(hi, lo - 1, -1)][::-1])
+        if payoff.stat == "S":
+            e = edge(thr, split)
+            return ([0] * len(width), e, ()) if up else (e, width, ())
+        neg = edge(-thr, mirror)  # -x <cmp> t is x <mirrored cmp> -t
+        if payoff.stat == "-S":
+            return (neg, width, ()) if up else ([0] * len(width), neg, ())
+        # |x| is above t where x or -x is
+        if up:
+            return neg, edge(thr, split), ()
+        # and below t where both are: one run, a prefix or a suffix where
+        # it reaches a layer edge
+        runs = list(zip(neg, edge(thr, split), width))
+        return ([j if i == 0 else 0 for i, j, w in runs],
+                [i if i < j == w else w for i, j, w in runs],
+                [(t, i, j) for t, (i, j, w) in enumerate(runs) if 0 < i < j < w])
 
-
-def _fired_ranges(event: WindowEvent, lows, widths, delta: float) -> list:
-    """Layer k's nonempty fired ranges of ``event`` for k = lo..hi, each a
-    tuple of ``(i, j, None)``, from ``_fired_edges``: a range from 0 is a
-    prefix, one to the layer's width a suffix (the whole layer is one
-    prefix), any other a middle range."""
-    starts, ends, outside = _fired_edges(event, lows, widths, delta)
-    out = []
-    for w, s, e in zip(widths[event.lo:event.hi + 1], starts, ends):
-        if not outside:
-            out.append(((s, e, None),) if s < e else ())
-        elif s < e:  # absS above a threshold: a prefix and a suffix
-            out.append(tuple([(i, j, None) for i, j in ((0, s), (e, w)) if i < j]))
-        else:  # or the whole layer
-            out.append(((0, w, None),))
-    return out
-
-
-def _shared_ranges(layer, rows, w: int) -> tuple:
-    """One layer's fired ranges for value rows of several thresholds:
-    ``layer`` holds each threshold's ``_fired_ranges`` entry at this layer
-    and ``rows`` the indices of the rows that read it.  The prefix and the
-    suffix on which every row fires come back as ranges of all rows,
-    ``(i, j, None)``, and become the flanks; each threshold's other fired
-    cells come back as ``(i, j, r)`` for each of its rows r, to be written
-    into the band."""
-    first, last = w, 0  # the shortest fired prefix and the start of the shortest suffix
-    for ranges in layer:
-        p, e = 0, w
-        for i, j, _ in ranges:
-            if i == 0:
-                p = j
-            if j == w:
-                e = i
-        if p < first:
-            first = p
-        if e > last:
-            last = e
-    if first >= last:  # only when every row fires on the whole layer
-        return ((0, w, None),)
-    out = []
-    if first > 0:
-        out.append((0, first, None))
-    if last < w:
-        out.append((last, w, None))
-    for ranges, rs in zip(layer, rows):
-        for i, j, _ in ranges:
-            if i < first:
-                i = first
-            if j > last:
-                j = last
-            if i < j:
-                out += [(i, j, r) for r in rs]
-    return tuple(out)
+    tables = [fired(rows[rs[0]][0]) for rs in groups.values()]
+    pre, suf, _ = tables[0]
+    for p_g, s_g, _ in tables[1:]:
+        pre, suf = list(map(min, pre, p_g)), list(map(max, suf, s_g))
+    writes = [()] * len(width)
+    for (p_g, s_g, mid), rs in zip(tables, groups.values()):
+        rs = rs if len(rs) < len(rows) else (None,)
+        for t, i, j in mid:
+            writes[t] += tuple([(i, j, r) for r in rs])
+        if p_g != pre or s_g != suf:  # edges that are the common ones leave no cells
+            # past the common prefix [0, P) and suffix [Q, w), a row of
+            # this threshold fires on [P, min(p, Q)) and [max(s, min(p, Q)), Q)
+            for t, (p, s, P, Q) in enumerate(zip(p_g, s_g, pre, suf)):
+                i = p if p < Q else Q
+                j = s if s > i else i
+                if P < i:
+                    writes[t] += tuple([(P, i, r) for r in rs])
+                if j < Q:
+                    writes[t] += tuple([(j, Q, r) for r in rs])
+    return pre, suf, writes
 
 
 def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
@@ -808,21 +805,15 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     and a +0.0 may share a flank, which moves no bit (module docstring).
     For a bound ``WindowEvent`` the band starts empty, with both flanks at
     the never-fired value; the fired value is one scalar per layer taken
-    through the same step.  ``_fired_edges`` finds the edges of the fired
-    ranges of all window steps in one vectorized pass before the layer
-    loop, once per distinct threshold object of the rows (each read once
-    per step, hi to lo); an empty or whole layer may come back with
-    ``s > e``.  With one threshold every range is every row's.  With
-    several, ``_shared_ranges`` makes the shortest fired prefix and the
-    shortest fired suffix over all rows the ranges of every row, and each
-    threshold's other fired cells ranges of each of its rows alone.
-    Before each step, layer k's ranges take the fired value: a prefix or a
-    suffix of every row becomes a flank, a middle range (absS below a
-    threshold) or a range of some rows only is written into the band, and
-    an empty band over a uniform row (``left is right``) first moves to the
-    range's edge, so the band shrinks back to what is still undecided.
-    Each window layer's nonempty ranges are listed once per DP, before the
-    layer loop; a terminal-sum DP lists none.
+    through the same step.  Before the layer loop, ``_fired_edges`` builds
+    the DP's fired table (each distinct threshold object of the rows read
+    once per step, hi to lo): per window layer, the fired prefix and suffix
+    common to every row, and the other fired cells as band writes.  Before
+    each step, three rules apply: the prefix becomes the left flank, the
+    suffix the right flank (a whole layer is one prefix), and each write
+    takes the fired value in the band, which grows to cover it.  Before
+    each rule, an empty band over a uniform row (``left is right``) moves
+    to the edge, so the band shrinks back to what is still undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
@@ -861,9 +852,6 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     cells, spare = (cur.reshape(-1, K), nxt.reshape(-1, K)) if multi else (cur, nxt)
     flank_step = _scalar_rows if multi else _scalar_step
     memo: dict = {}  # the stepped flank per (id of a _Step, value)
-    # fires[k]: layer k's nonempty fired ranges (i, j, r), none outside a
-    # window; r is None for a range of every row, else the one row it is of
-    fires = [()] * (model.horizon + 1)
     if event is None:
         hit, at = plan.reach()
         layer = cur[:K * len(hit)].reshape(-1, K)
@@ -886,35 +874,40 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
         if not multi:
             left, right = left[0], right[0]
         fired = 0.0  # never read: nothing fires, and a 0.0 passes through unstepped
+        lo = hi = model.horizon + 1  # no layer fires
     else:
         a = b = 0
-        if multi:
-            events, values = zip(*rows)
-            never, fired = zip(*values)
-        else:
-            events, (never, fired) = rows, payoff.values
+        never, fired = zip(*[vals for _, vals in rows]) if multi else payoff.values
         left = right = never
-        # the rows of each distinct threshold object, first seen first
-        groups: dict = {}
-        for r, ev in enumerate(events):
-            groups.setdefault(id(ev.threshold), []).append(r)
-        delta = float(model.delta)
-        if len(groups) == 1:  # row 0's threshold is the payoff's
-            fires[event.lo:event.hi + 1] = _fired_ranges(event, lows, widths, delta)
-        else:
-            members = list(groups.values())
-            spans = [_fired_ranges(events[rs[0]], lows, widths, delta) for rs in members]
-            fires[event.lo:event.hi + 1] = [
-                _shared_ranges(layer, members, w)
-                for layer, w in zip(zip(*spans), widths[event.lo:event.hi + 1])]
+        lo, hi = event.lo, event.hi
+        pre, suf, writes = _fired_edges(payoff, lows, widths, float(model.delta))
     for k in range(model.horizon, 0, -1):
         step = table[k - 1]
-        for i, j, r in fires[k]:
-            if a == b and left is right:  # a uniform row: the band moves to the edge
-                a = b = j if i == 0 else i
-            if r is not None or 0 < i and j < widths[k]:
-                # a middle range (absS below a threshold) or one row's
-                # range goes into the band
+        if lo <= k <= hi:
+            t, w = k - lo, widths[k]
+            p, s = pre[t], suf[t]
+            if s <= p:  # every row fires on the whole layer: one prefix
+                p = s = w
+            # a uniform row (left is right) moves an empty band to the edge
+            if p:  # the common fired prefix becomes the left flank
+                if a == b and left is right:
+                    a = b = p
+                if p < a:
+                    cells[p:a] = left
+                if b < p:
+                    b = p
+                a, left = p, fired
+            if s < w:  # the common fired suffix becomes the right flank
+                if a == b and left is right:
+                    a = b = s
+                if s > b:
+                    cells[b:s] = right
+                if s < a:
+                    a = s
+                b, right = s, fired
+            for i, j, r in writes[t]:  # the other fired cells go into the band
+                if a == b and left is right:
+                    a = b = i
                 if i < a:
                     cells[i:a] = left
                     a = i
@@ -925,18 +918,6 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
                     cells[i:j] = fired
                 else:
                     cells[i:j, r] = fired[r]
-            elif i == 0:  # a prefix becomes the left flank
-                if j < a:
-                    cells[j:a] = left
-                if b < j:
-                    b = j
-                a, left = j, fired
-            else:  # a suffix becomes the right flank
-                if i > b:
-                    cells[b:i] = right
-                if i < a:
-                    a = i
-                b, right = i, fired
         mn, mx, w_out = step.mn, step.mx, widths[k - 1]
         if multi:
             mn //= K

@@ -71,6 +71,23 @@ def test_threshold_strings_and_bools_rejected():
         with pytest.raises(ValueError, match="bc threshold"):
             bc_product_check(m, bad)
     assert bc_product_check(m, [2, np.float64(2.0), 2.0]) == bc_product_check(m, [2.0] * 3)
+    # a callable's value follows the same rule, at one step of the window
+    m8 = SequenceModel.iid(STEP12, 8)
+    for bad in ("3", True, None, [3.0], 1j):
+        ev = window_max_event(1, 8, lambda k, bad=bad: bad if k == 5 else 3.0)
+        for run in (lambda: evaluate_upper(m8, ev, method="lattice"),
+                    lambda: evaluate_upper(m8, ev, method="generic"),
+                    lambda: capacity_pair(m8, ev),
+                    lambda: mc_capacity_lower_bound(m8, ev, ("constant", 0), 100, 1)):
+            with pytest.raises(ValueError, match="window threshold at step 5 must be a real"):
+                run()
+    want = capacity_pair(m8, window_max_event(1, 8, 3.0))
+    for good in (3, np.float64(3.0), np.int64(3)):
+        ev = window_max_event(1, 8, lambda k, good=good: good)
+        for method in ("lattice", "generic"):
+            assert capacity_pair(m8, ev, method=method) == want
+        assert mc_capacity_lower_bound(m8, ev, ("constant", 0), 100, 1) == \
+            mc_capacity_lower_bound(m8, window_max_event(1, 8, 3.0), ("constant", 0), 100, 1)
 
 
 def test_window_bounds_must_be_integers():

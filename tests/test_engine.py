@@ -698,13 +698,76 @@ def test_fired_ranges_are_the_trigger_mask_runs(rows, side, stat):
     them, are the runs of ``trigger_mask`` on that layer."""
     lo, hi, lows, widths, delta, thr = rows
     ev = WindowEvent(lo=lo, hi=hi, threshold=thr, side=side, stat=stat)
-    starts, ends, outside = _fired_edges(ev, lows, widths, delta)
-    assert len(starts) == len(ends) == hi - lo + 1
+    pre, suf, writes = _fired_edges(ev, lows, widths, delta)
+    assert len(pre) == len(suf) == len(writes) == hi - lo + 1
     for k in range(lo, hi + 1):
-        w, s, e = widths[k], starts[k - lo], ends[k - lo]
-        ranges = (((0, s), (e, w)) if s < e else ((0, w),)) if outside else ((s, e),)
+        w, p, s, mid = widths[k], pre[k - lo], suf[k - lo], writes[k - lo]
+        ranges = ((0, w),) if s <= p else ((0, p), *[(i, j) for i, j, _ in mid], (s, w))
         mask = ev.trigger_mask(k, delta * np.arange(lows[k], lows[k] + w, dtype=float))
         assert [(i, j) for i, j in ranges if i < j] == _runs(mask), (k, mask)
+
+
+@pytest.mark.parametrize("stat", ["S", "-S", "absS"])
+def test_fired_table_is_each_rows_trigger_mask(stat):
+    """The fired table of a window payoff, layer by layer and row by row:
+    every row fires on the common prefix and suffix, the writes lie
+    between them, and the prefix, the suffix and a row's writes (those of
+    that row and those of every row) cover exactly the cells where its
+    ``trigger_mask`` fires, without overlap.  With one threshold, for one
+    row or several, every write is of every row and no write reaches a
+    layer edge.  Random models with asymmetric and gapped supports, every
+    side spelling, windows that end before the horizon, and row sets of
+    1-4 thresholds: constant, callable, ±inf and far finite ones."""
+    rng = np.random.default_rng(31)
+    models = [SequenceModel.iid(_points_step((-1, 0, 3)), 9),
+              SequenceModel.iid(TWO_WEIGHTS, 7),
+              SequenceModel(8, steps=[_points_step((2,)), STEP12, _points_step((-5, 1))] * 2
+                            + [STEP12] * 2)]
+    for i in range(6):
+        delta = float(rng.choice([0.5, 1.0]))
+        n = int(rng.integers(1, 11))
+        models.append(SequenceModel(n, steps=[_sparse_step(rng, delta) for _ in range(n)]))
+    for i, m in enumerate(models):
+        d = m.delta
+        lows, widths = engine._plan(m).layers()
+        hi = max(1, m.horizon - i % 3)
+        lo = 1 + i % hi
+        pool = [lambda k: d * (0.6 * math.sqrt(k) - 0.4 * (k % 3)), 1.5 * d, math.inf, -math.inf,
+                lambda k: d * (1.5 * math.sqrt(k) - 1.0), 1e3 * d, -1e3 * d, -0.5 * d]
+        for j, side in enumerate(engine._SIDES):
+            base = WindowEvent(lo, hi, pool[(i + j) % len(pool)], side, stat)
+            sets = [[base], [base.complement(), base]]
+            for g in (2, 3, 4):
+                picks = rng.choice(len(pool), size=g, replace=False)
+                evs = [replace(base, threshold=pool[int(p)]) for p in picks]
+                sets.append(evs + [evs[0].complement()])  # two rows of one threshold
+            for evs in sets:
+                rows = engine._event_rows([(e, e.values) for e in evs])
+                payoff = evs[0] if len(evs) == 1 else rows
+                one = len({id(e.threshold) for e in evs}) == 1
+                pre, suf, writes = _fired_edges(payoff, lows, widths, d)
+                assert len(pre) == len(suf) == len(writes) == hi - lo + 1
+                for k in range(lo, hi + 1):
+                    w, p, s, mid = widths[k], pre[k - lo], suf[k - lo], writes[k - lo]
+                    if s <= p:  # every row fires on the whole layer
+                        p = s = w
+                    assert 0 <= p <= s <= w, (k, p, s)
+                    for a, b, r in mid:
+                        assert p <= a < b <= s and (r is None or 0 <= r < len(evs))
+                        if one:
+                            assert r is None and 0 < a and b < w, (k, a, b, w)
+                    at = d * np.arange(lows[k], lows[k] + w, dtype=float)
+                    for r, ev in enumerate(evs):
+                        mask = ev.trigger_mask(k, at)
+                        assert mask[:p].all() and mask[s:].all(), (k, r)
+                        cover = np.zeros(w, dtype=np.int64)
+                        cover[:p] += 1
+                        cover[s:] += 1
+                        for a, b, rr in mid:
+                            if rr is None or rr == r:
+                                cover[a:b] += 1
+                        assert cover.max(initial=0) <= 1 and np.array_equal(cover == 1, mask), \
+                            (i, side, k, r, cover, mask)
 
 
 @pytest.mark.parametrize("stat", ["S", "-S", "absS"])
@@ -798,10 +861,10 @@ def test_window_event_far_from_zero_support():
     for side in (">=", "<"):
         for stat in ("S", "absS"):
             ev = WindowEvent(1, N, lambda m: 10**6 * m + 0.5 * m + math.sqrt(m), side, stat)
-            starts, ends, outside = _fired_edges(ev, lows, widths, 1.0)
+            pre, suf, writes = _fired_edges(ev, lows, widths, 1.0)
             for k in (1, 2, 977, 31_415, N - 1, N):
-                w, s, e = widths[k], starts[k - 1], ends[k - 1]
-                ranges = (((0, s), (e, w)) if s < e else ((0, w),)) if outside else ((s, e),)
+                w, p, s, mid = widths[k], pre[k - 1], suf[k - 1], writes[k - 1]
+                ranges = ((0, w),) if s <= p else ((0, p), *[(i, j) for i, j, _ in mid], (s, w))
                 mask = ev.trigger_mask(k, np.arange(lows[k], lows[k] + w, dtype=float))
                 assert [(i, j) for i, j in ranges if i < j] == _runs(mask), (k, side, stat)
 
