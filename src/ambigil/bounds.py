@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import iterlog
-from .capacity import (OutcomeFlagEvent, capacity_pair, centered_max_sum_event,
+from .capacity import (OutcomeFlagEvent, _window_pairs, centered_max_sum_event,
                        cumulative_upper_second_moments, lower_capacity, upper_capacity,
                        window_max_event)
 from .model import (LatticeSupport, SequenceModel, StepAmbiguity, _finite, _integer, _real,
@@ -353,11 +353,11 @@ def domination_case(model: SequenceModel, x: float, y: float, p: float, delta: f
     a_m = model.moment_sums(lambda v: min(max(v, 0.0), y) ** p)[-1]
 
     max_tail = upper_capacity(model, OutcomeFlagEvent(lambda k, v: v > y), **engine_kw)
-    ev_upper_centered = centered_max_sum_event(model, x, center="upper-mean")
-    pair = capacity_pair(model, ev_upper_centered, **engine_kw)
-    lhs_u, lhs_l = pair.upper, pair.lower
-    ev_lower_centered = centered_max_sum_event(model, x, center="lower-mean")
-    lhs_lc = lower_capacity(model, ev_lower_centered, **engine_kw)
+    # both centerings' events and their complements are the four rows of one DP
+    pair, lower_centered = _window_pairs(model, [
+        centered_max_sum_event(model, x, center="upper-mean"),
+        centered_max_sum_event(model, x, center="lower-mean")], **engine_kw)
+    lhs_u, lhs_l, lhs_lc = pair.upper, pair.lower, lower_centered.lower
 
     b31 = max_tail + kolmogorov_bound(x, y, b2u)
     b32 = fuk_nagaev_bound(BoundInputs(x=x, y=y, p=p, delta=delta, v2=b2u,

@@ -101,9 +101,8 @@ def _window_pairs(model: SequenceModel, events, **kw) -> list[CapacityPair]:
         per = max(1, _PAIRS_FLOATS // (2 * width))
     pairs = []
     for i in range(0, len(events), per):
-        values = evaluate_upper(model, _event_rows([(ev, vals) for ev in events[i:i + per]
-                                                    for vals in (ev.values[::-1], ev.values)]),
-                                **kw)
+        values = evaluate_upper(model, _event_rows([row for ev in events[i:i + per]
+                                                    for row in (ev.complement(), ev)]), **kw)
         pairs += [CapacityPair(lower=1.0 - values[j], upper=values[j + 1])
                   for j in range(0, len(values), 2)]
     return pairs

@@ -23,25 +23,26 @@ vectorized lattice path:
   (a not-yet-fired value per state and one fired value per layer, latched
   before each step).
 
-Each lattice layer spans only the partial sums its supports can reach, and
-is held as a left scalar, an array band and a right scalar: the flanks of
-a window DP (states that have fired, states that cannot reach the
-threshold any more) and of a terminal-sum DP (the terminal row's constant
-prefix and suffix, such as a ramp's flat ends) hold one value each, and
-only the band between them is computed as an array.  The flank scalars
-step in Python floats through a memo local to one ``_lattice_upper``
-call, keyed by step and value.  One pass may carry K value rows on one
-band (an event and its complement, a grid of window thresholds, the
-two ramps of a CLT bracket): the layer buffers hold cell i of row r at
-i * K + r, the band step runs on the step's table with every offset, strip
-and block scaled by K (the same NumPy calls as for one row), the band edges
-stay one geometry for all rows, and each flank is a K-tuple of scalars,
-stepped row by row.  Window rows share the window, side and stat, and each
-has its own threshold: one table per DP lists each layer's fired prefix
-and suffix common to all rows, which become the flanks, and each row's
-other fired cells, which are written into the band, in that row's cells.
-Such a payoff is built only inside ambigil (``_WindowRows``,
-``_TerminalRows``), and ``evaluate_upper`` returns its K values.  Everything else
+Every lattice DP carries K >= 1 value rows on one band, a one-row payoff
+being the case K = 1 (an event and its complement, a grid of window
+thresholds and the two ramps of a CLT bracket are K > 1).  Each lattice
+layer spans only the partial sums its supports can reach, and is held as
+a left flank, an array band and a right flank: the flanks of a window DP
+(states that have fired, states that cannot reach the threshold any more)
+and of a terminal-sum DP (the terminal row's constant prefix and suffix,
+such as a ramp's flat ends) hold one value per row each, a K-tuple, and
+only the band between them is computed as an array.  The flanks step row
+by row in Python floats through a memo local to one ``_lattice_upper``
+call, keyed by step and flank.  The layer buffers hold cell i of row r at
+i * K + r, the band step runs on the step's table with every offset,
+strip and block scaled by K (the same NumPy calls as for one row), and
+the band edges stay one geometry for all rows.  Window rows share the
+window, side and stat, and each has its own threshold: one table per DP
+lists each layer's fired prefix and suffix common to all rows, which
+become the flanks, and each run of rows' other fired cells, which are
+written into the band, in those rows' cells.  A payoff of K > 1 rows is
+built only inside ambigil (``_WindowRows``, ``_TerminalRows``), and
+``evaluate_upper`` returns its K values.  Everything else
 (full outcome vectors, product automata, float-accumulator states) runs
 through a dictionary-layered generic path.  Both paths perform per-state
 inner sums in a fixed left-to-right order over support points and take
@@ -187,6 +188,11 @@ class TerminalSumPayoff(object):
     def negate(self):
         return TerminalSumPayoff(lambda s: -self.fn(s), self._delta)
 
+    @property
+    def rows(self) -> tuple:
+        """The value rows of this payoff's DP: the payoff itself."""
+        return (self,)
+
 
 _SIDES = {"ge": operator.ge, ">=": operator.ge, "gt": operator.gt, ">": operator.gt,
           "le": operator.le, "<=": operator.le, "lt": operator.lt, "<": operator.lt}
@@ -199,13 +205,6 @@ def _side(side):
     if not (isinstance(side, str) and side in _SIDES):
         raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
     return _SIDES[side]
-
-
-def _check_values(vals) -> None:
-    """A window event's (never fired, fired) values must be two finite floats."""
-    if not (isinstance(vals, tuple) and len(vals) == 2
-            and all(isinstance(v, float) and math.isfinite(v) for v in vals)):
-        raise ValueError(f"values must be two finite floats, got {vals!r}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,10 @@ class WindowEvent:
             raise ValueError(f"stat must be one of {_STATS}, got {self.stat!r}")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"window [{self.lo}, {self.hi}] is invalid")
-        _check_values(self.values)
+        vals = self.values
+        if not (isinstance(vals, tuple) and len(vals) == 2
+                and all(isinstance(v, float) and math.isfinite(v) for v in vals)):
+            raise ValueError(f"values must be two finite floats, got {vals!r}")
 
     def complement(self) -> "WindowEvent":
         return replace(self, values=self.values[::-1])
@@ -258,6 +260,11 @@ class WindowEvent:
     @property
     def initial(self):
         return (0, 0)
+
+    @property
+    def rows(self) -> tuple:
+        """The value rows of this event's DP: the event itself."""
+        return (self,)
 
     def bind(self, model: SequenceModel) -> "WindowEvent":
         if model.horizon < self.hi:
@@ -326,12 +333,9 @@ class WindowEvent:
 @dataclass(frozen=True)
 class _WindowRows(WindowEvent):
     """K window events that share ``lo``, ``hi``, ``side`` and ``stat``, as
-    the K value rows of one DP: row r is ``rows[r]``, a pair of a window
-    event and a (never fired, fired) pair that replaces its ``values``, so
-    each row has its own threshold, and ``threshold`` and ``values`` are
-    row 0's.  The lattice path evaluates all K in one pass and
-    ``evaluate_upper`` returns K floats; the generic path evaluates the
-    rows one by one (``_split``).  Built only inside ambigil
+    the K value rows of one DP: row r is the event ``rows[r]``, with its
+    own threshold and values, and ``threshold`` and ``values`` are row
+    0's.  ``evaluate_upper`` returns K floats.  Built only inside ambigil
     (``_event_rows``), such as event and complement by
     ``capacity.capacity_pair`` or a sigma grid by ``lil.cluster_probe``
     (``capacity._window_pairs``)."""
@@ -340,43 +344,31 @@ class _WindowRows(WindowEvent):
 
     def __post_init__(self):
         super().__post_init__()
-        for ev, vals in self.rows:
+        for ev in self.rows:
             if not (isinstance(ev, WindowEvent) and (ev.lo, ev.hi, ev.side, ev.stat)
                     == (self.lo, self.hi, self.side, self.stat)):
                 raise ValueError(f"value rows must be window events on [{self.lo}, {self.hi}] "
                                  f"with side {self.side!r} and stat {self.stat!r}, got {ev!r}")
-            _check_values(vals)
-
-    def _split(self) -> tuple:
-        return tuple(replace(ev, values=vals, _delta=self._delta) for ev, vals in self.rows)
 
 
 def _event_rows(rows) -> _WindowRows:
-    """The (window event, values) pairs ``rows``, on one ``lo``, ``hi``,
-    ``side`` and ``stat``, as the rows of one DP."""
-    first, values = rows[0]
+    """The window events ``rows``, on one ``lo``, ``hi``, ``side`` and
+    ``stat``, as the rows of one DP."""
+    first = rows[0]
     return _WindowRows(first.lo, first.hi, first.threshold, first.side, first.stat,
-                       values, first._delta, tuple(rows))
+                       first.values, first._delta, tuple(rows))
 
 
 class _TerminalRows(TerminalSumPayoff):
     """K terminal-sum payoffs as the K value rows of one DP, such as the two
-    ramps of ``gnormal.clt_capacity``.  The lattice path evaluates all K in
-    one pass and ``evaluate_upper`` returns K floats; the generic path
-    evaluates the rows one by one (``_split``)."""
+    ramps of ``gnormal.clt_capacity``: ``evaluate_upper`` returns K
+    floats."""
+
+    rows: tuple = ()  # shadows the one-row property, so that ``__init__`` can set it
 
     def __init__(self, rows):
         super().__init__(None)
         self.rows = tuple(rows)
-
-    def bind(self, model):
-        return _TerminalRows(row.bind(model) for row in self.rows)
-
-    def _split(self) -> tuple:
-        return self.rows
-
-
-_ROWS = (_WindowRows, _TerminalRows)
 
 
 def _terminal_values(evaluate: Callable[[], object]):
@@ -502,9 +494,10 @@ class _Plan(object):
     """What a lattice DP needs of one model and of nothing else: the
     per-step table (``_sparse_terms`` once per distinct step object,
     through ``SequenceModel.per_step``), its copy for each number of value
-    rows a DP has asked for (``rows``) and, built when a terminal-sum DP
-    first asks, the terminal layer's reach mask.  It holds no reference
-    to the model, so its entry in ``_PLANS`` dies with the model."""
+    rows past one that a DP has asked for (``rows``) and, built when a
+    terminal-sum DP first asks, the terminal layer's reach mask.  It holds
+    no reference to the model, so its entry in ``_PLANS`` dies with the
+    model."""
 
     __slots__ = ("table", "_delta", "_reach", "_rows")
 
@@ -512,11 +505,11 @@ class _Plan(object):
         self.table = model.per_step(_sparse_terms)
         self._delta = model.delta
         self._reach = None
-        self._rows = {}
+        self._rows = {1: self.table}
 
     def rows(self, k: int) -> list:
         """The table for ``k`` interleaved value rows (``_interleaved``),
-        built once per distinct step and ``k``."""
+        built once per distinct step and ``k``; for one row, the table."""
         table = self._rows.get(k)
         if table is None:
             done: dict = {}
@@ -567,27 +560,26 @@ def _plan(model: SequenceModel) -> _Plan:
     return plan
 
 
-def _scalar_step(step: _Step, x: float) -> float:
-    """One step of a row that holds ``x`` at every child: per measure the
-    left-to-right sum of q * x from its first product, and the max over
-    measures in index order in Python floats, a tie kept on the earlier
-    measure as on the generic path (``np.maximum`` may keep the later of
-    two tied zeros; the module docstring says why neither moves a bit)."""
-    best = acc = None
-    for qs, _, pieces, _ in step.groups:
-        for _, head, rest, end in pieces:
-            if head is not None:
-                acc = qs[head[0]] * x
-            for r, _ in rest:
-                acc = acc + qs[r] * x
-            if end and (best is None or acc > best):
-                best = acc
-    return best
-
-
-def _scalar_rows(step: _Step, xs: tuple) -> tuple:
-    """``_scalar_step`` of each row's flank value in ``xs``."""
-    return tuple([_scalar_step(step, x) for x in xs])
+def _flank_step(step: _Step, xs: list) -> tuple:
+    """One step of K rows, row r holding ``xs[r]`` at every child: per row
+    and measure the left-to-right sum of q * x from its first product, and
+    the max over measures in index order in Python floats, a tie kept on
+    the earlier measure as on the generic path (``np.maximum`` may keep the
+    later of two tied zeros; the module docstring says why neither moves a
+    bit)."""
+    out = []
+    for x in xs:
+        best = acc = None
+        for qs, _, pieces, _ in step.groups:
+            for _, head, rest, end in pieces:
+                if head is not None:
+                    acc = qs[head[0]] * x
+                for r, _ in rest:
+                    acc = acc + qs[r] * x
+                if end and (best is None or acc > best):
+                    best = acc
+        out.append(best)
+    return tuple(out)
 
 
 def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
@@ -647,22 +639,28 @@ def _band_step(step: _Step, src, dst, acc, block, a: int, b: int) -> None:
                     np.maximum(best, x, out=best)
 
 
+# the largest float, and the seven sums ``_fired_edges`` tries around a guess
+_BIG = np.finfo(float).max
+_AROUND = np.array([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0, np.inf])
+
+
 def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
     """Where the rows of a window payoff fire at each window step, as one
     table, with one vectorized search over the window per threshold.
 
-    ``payoff`` is a ``WindowEvent``, one row, or a ``_WindowRows``.
-    Returns the lists ``pre``, ``suf`` and ``writes`` over k = lo..hi.
-    Layer k's index i holds the sum ``lows[k] + i``.  With ``t = k - lo``,
-    every row fires on ``[0, pre[t])`` and on ``[suf[t], w)``, on the
-    whole layer when ``suf[t] <= pre[t]``, and row r also on ``[i, j)`` for
-    each ``(i, j, r)`` in ``writes[t]`` (every row for r None), with
-    ``pre[t] <= i < j <= suf[t]``.  Together they cover, each cell once,
-    the cells where a row's ``trigger_mask(k, delta * arange(lows[k],
-    lows[k] + w))`` fires.  With one threshold a run that reaches a layer
-    edge is part of ``pre`` or ``suf``, never a write; with several,
-    ``pre`` and ``suf`` are the shortest prefix and suffix over them, and
-    each row's cells past them are writes of that row.
+    The rows are ``payoff.rows``.  Returns the lists ``pre``, ``suf`` and
+    ``writes`` over k = lo..hi.  Layer k's index i holds the sum ``lows[k]
+    + i``.  With ``t = k - lo``, every row fires on ``[0, pre[t])`` and on
+    ``[suf[t], w)``, on the whole layer when ``suf[t] <= pre[t]``, and the
+    rows of the slice c also on ``[i, j)`` for each ``(i, j, c)`` in
+    ``writes[t]``, with ``pre[t] <= i < j <= suf[t]``: c is a run of
+    adjacent rows of one threshold, ``slice(0, K)`` for every row.
+    Together they cover, each cell once, the cells where a row's
+    ``trigger_mask(k, delta * arange(lows[k], lows[k] + w))`` fires.  With
+    one threshold a run that reaches a layer edge is part of ``pre`` or
+    ``suf``, never a write; with several, ``pre`` and ``suf`` are the
+    shortest prefix and suffix over them, and each row's cells past them
+    are writes of that row's run.
 
     Each threshold object is read once per step, from ``hi`` down to
     ``lo``, one after the other.  The products ``delta * n`` that
@@ -685,18 +683,22 @@ def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
     at or past that max exactly where every row fires on the whole
     layer."""
     lo, hi = payoff.lo, payoff.hi
-    rows = payoff.rows if isinstance(payoff, _WindowRows) else ((payoff, None),)
-    groups: dict = {}  # the rows of each distinct threshold object, first seen first
-    for r, (ev, _) in enumerate(rows):
-        groups.setdefault(id(ev.threshold), []).append(r)
+    rows = payoff.rows
+    # the runs of adjacent rows, as slices, of each distinct threshold
+    # object, first seen first
+    groups: dict = {}
+    for r, ev in enumerate(rows):
+        row_runs = groups.setdefault(id(ev.threshold), [])
+        if row_runs and row_runs[-1].stop == r:
+            row_runs[-1] = slice(row_runs[-1].start, r + 1)
+        else:
+            row_runs.append(slice(r, r + 1))
     width = widths[lo:hi + 1]
     low, wide = np.array(lows[lo:hi + 1], dtype=float), np.array(width, dtype=float)
-    big = np.finfo(float).max
     # np.minimum and np.maximum rather than np.clip, whose Python-level
     # argument handling costs more than the search on a short window
     span = delta * np.array([low - 3.0, low + wide + 2.0])
-    lower, upper = np.maximum(np.minimum(span, big), -big)
-    around = np.array([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0, np.inf])
+    lower, upper = np.maximum(np.minimum(span, _BIG), -_BIG)
     cmp = _SIDES[payoff.side]
     up = cmp in (operator.ge, operator.gt)
     # >= and < split before the sums equal to t, > and <= after them
@@ -707,10 +709,10 @@ def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
         guess = np.ceil(np.minimum(np.maximum(t, lower), upper) / delta)[:, None]
         # one float block of seven sums per step: it holds the products,
         # then the sums again with +inf where the product is below t
-        n = guess + around
+        n = guess + _AROUND
         n *= delta
         short = below(n, t[:, None])
-        np.add(guess, around, out=n)
+        np.add(guess, _AROUND, out=n)
         np.copyto(n, np.inf, where=short)
         n = n.min(axis=1)  # drops the block before the int conversion
         return np.minimum(np.maximum(n - low, 0.0), wide).astype(int).tolist()
@@ -735,15 +737,14 @@ def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
                 [i if i < j == w else w for i, j, w in runs],
                 [(t, i, j) for t, (i, j, w) in enumerate(runs) if 0 < i < j < w])
 
-    tables = [fired(rows[rs[0]][0]) for rs in groups.values()]
+    tables = [fired(rows[row_runs[0].start]) for row_runs in groups.values()]
     pre, suf, _ = tables[0]
     for p_g, s_g, _ in tables[1:]:
         pre, suf = list(map(min, pre, p_g)), list(map(max, suf, s_g))
     writes = [()] * len(width)
-    for (p_g, s_g, mid), rs in zip(tables, groups.values()):
-        rs = rs if len(rs) < len(rows) else (None,)
+    for (p_g, s_g, mid), row_runs in zip(tables, groups.values()):
         for t, i, j in mid:
-            writes[t] += tuple([(i, j, r) for r in rs])
+            writes[t] += tuple([(i, j, c) for c in row_runs])
         if p_g != pre or s_g != suf:  # edges that are the common ones leave no cells
             # past the common prefix [0, P) and suffix [Q, w), a row of
             # this threshold fires on [P, min(p, Q)) and [max(s, min(p, Q)), Q)
@@ -751,14 +752,15 @@ def _fired_edges(payoff: WindowEvent, lows, widths, delta: float):
                 i = p if p < Q else Q
                 j = s if s > i else i
                 if P < i:
-                    writes[t] += tuple([(P, i, r) for r in rs])
+                    writes[t] += tuple([(P, i, c) for c in row_runs])
                 if j < Q:
-                    writes[t] += tuple([(j, Q, r) for r in rs])
+                    writes[t] += tuple([(j, Q, c) for c in row_runs])
     return pre, suf, writes
 
 
-def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
-    """Backward induction over the reachable partial sums of each layer.
+def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> list:
+    """Backward induction over the reachable partial sums of each layer,
+    for the K >= 1 value rows ``payoff.rows``: a list of K floats.
 
     Layer k holds the sums [sum of min points, sum of max points] over the
     first k steps, so each support point's slice of layer k lines up with
@@ -776,26 +778,26 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     event) plus the part of one strip's block of products past
     ``_BLOCK_FLOATS``, counted for one value row whatever K is.
 
-    A ``_WindowRows`` or ``_TerminalRows`` payoff carries K value rows
-    through one pass.  The buffers hold K floats per state, cell i of row r
-    at i * K + r, and the band steps on ``_Plan.rows(K)``, the table with
-    every offset, strip and block scaled by K (``_interleaved``), so that
-    ``_band_step`` computes every row's cells with the NumPy calls of one
-    row and each float from the same operands as in a one-row DP.  The band
-    edges and the reach mask are one geometry for all rows; a terminal
-    row's flank is the prefix or suffix constant in every row, and a
-    window row's flank is a fired range common to every row (below).  The
-    flanks are K-tuples, filled into the band as one row of a
-    (states, K) view, and stepped by ``_scalar_rows``, one ``_scalar_step``
-    a row, through the memo keyed by the tuple.  A tuple holding a ±0.0
-    steps too, and a memo hit may swap a zero's sign, which moves no bit
-    (module docstring).  A one-row payoff keeps scalar flanks and flat
-    fills.
-    A layer is a scalar ``left`` below index ``a``, an array band ``[a, b)``
-    and a scalar ``right`` from ``b`` on.  The next band is the indices
-    whose children are not all in one flank, ``[a - max offset, b - min
-    offset)`` clipped to the layer; a state whose children are all in a
-    flank becomes that flank scalar's step.
+    A one-row payoff is the case K = 1 (``WindowEvent.rows`` and
+    ``TerminalSumPayoff.rows`` are the payoff itself); a ``_WindowRows`` or
+    ``_TerminalRows`` payoff carries K rows through the same pass.  The
+    buffers hold K floats per state, cell i of row r at i * K + r, and the
+    band steps on ``_Plan.rows(K)``, the table with every offset, strip
+    and block scaled by K (``_interleaved``; for one row, the table
+    itself), so that ``_band_step`` computes every row's cells with the
+    NumPy calls of one row and each float from the same operands as in a
+    one-row DP.  The band edges and the reach mask are one geometry for
+    all rows; a terminal row's flank is the prefix or suffix constant in
+    every row, and a window row's flank is a fired range common to every
+    row (below).
+    A layer is a flank ``left`` below index ``a``, an array band ``[a, b)``
+    and a flank ``right`` from ``b`` on.  A flank is K values, one per row,
+    shared by all its states: a K-tuple of floats, numbered once per DP by
+    its value and held beside a (K,) array that fills the band's cells of
+    a (states, K) view.  The next band is the indices whose children are
+    not all in one flank, ``[a - max offset, b - min offset)`` clipped to
+    the layer; a state whose children are all in a flank becomes that
+    flank's step.
 
     For a bound ``TerminalSumPayoff`` the payoff sees only the terminal sums
     the supports can reach and the gaps between them hold 0.0, since a
@@ -804,33 +806,33 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     constant row is an empty band); cells compare with ``!=``, so a -0.0
     and a +0.0 may share a flank, which moves no bit (module docstring).
     For a bound ``WindowEvent`` the band starts empty, with both flanks at
-    the never-fired value; the fired value is one scalar per layer taken
-    through the same step.  Before the layer loop, ``_fired_edges`` builds
+    the rows' never-fired values; the rows' fired values are one flank per
+    layer taken through the same step.  Before the layer loop, ``_fired_edges`` builds
     the DP's fired table (each distinct threshold object of the rows read
     once per step, hi to lo): per window layer, the fired prefix and suffix
     common to every row, and the other fired cells as band writes.  Before
     each step, three rules apply: the prefix becomes the left flank, the
     suffix the right flank (a whole layer is one prefix), and each write
-    takes the fired value in the band, which grows to cover it.  Before
-    each rule, an empty band over a uniform row (``left is right``) moves
-    to the edge, so the band shrinks back to what is still undecided.
+    takes its rows' fired values in the band, which grows to cover it.
+    Before each rule, an empty band over a uniform row (``left == right``)
+    moves to the edge, so the band shrinks back to what is still
+    undecided.
 
     Per state, the inner sum runs left to right over the support points
     with nonzero weight from the first product, and the max over measures
-    runs in index order (``_band_step``); the flank scalars of both payoff
-    kinds do the same in Python floats (``_scalar_step``), read inline
-    from a memo local to this call and keyed by (id of the ``_Step``,
-    value).  A ±0.0 flank passes through unstepped: every kept weight is
-    positive, and a dict key does not tell 0.0 from -0.0.  Equal flanks
-    share one memoized object, which can only let an empty band move over
-    a row that is uniform anyway.  The result gets ``+ 0.0`` once (see
-    the module docstring for why neither the skipped terms nor the missing
-    ``0.0 +`` per sum changes a bit).
+    runs in index order (``_band_step``); the flanks of both payoff kinds
+    do the same in Python floats, row by row (``_flank_step``), read
+    inline from a memo local to this call and keyed by (id of the
+    ``_Step``, flank).  A flank of zeros passes through unstepped: every
+    kept weight is positive.  A tuple key does not tell 0.0 from -0.0, so
+    a flank may swap a zero's sign, which moves no bit (module docstring),
+    and equal flanks are one flank, which can only let an empty band move
+    over a row that is uniform anyway.  The result gets ``+ 0.0`` once
+    (see the module docstring for why neither the skipped terms nor the
+    missing ``0.0 +`` per sum changes a bit).
     """
     event = payoff if isinstance(payoff, WindowEvent) else None
-    multi = isinstance(payoff, _ROWS)
-    # each row's terminal payoff, or its (window event, values) pair
-    rows = payoff.rows if multi else (payoff,)
+    rows = payoff.rows  # each row's terminal payoff or window event
     K = len(rows)
     last = model.horizon if event is None else event.hi
     plan = _plan(model)
@@ -844,17 +846,28 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
     estimate = (1 if event is None else 2) * widths[last] + max(0, held - _BLOCK_FLOATS)
     if estimate > state_cap:
         raise StateSpaceError(estimate, state_cap)
-    table = plan.rows(K) if multi else plan.table
+    table = plan.rows(K)
 
     cur, nxt, acc = (np.empty(K * widths[last]) for _ in range(3))
     block = np.empty(K * held)
-    # the layers as cells: a cell is one float, or a row of K for K rows
-    cells, spare = (cur.reshape(-1, K), nxt.reshape(-1, K)) if multi else (cur, nxt)
-    flank_step = _scalar_rows if multi else _scalar_step
-    memo: dict = {}  # the stepped flank per (id of a _Step, value)
+    # the layers as cells, a cell holding its state's K row values
+    cells, spare = cur.reshape(-1, K), nxt.reshape(-1, K)
+    # a flank is an index, one per distinct tuple of K row values: flank i
+    # holds ``as_array[i]``, its values as an array for band fills; flank 0
+    # is all zeros
+    index: dict = {(0.0,) * K: 0}
+    as_array: list = [np.zeros(K)]
+
+    def flank(xs: tuple) -> int:
+        if xs not in index:
+            index[xs] = len(as_array)
+            as_array.append(np.array(xs))
+        return index[xs]
+
+    memo: dict = {}  # the stepped flank per (id of a _Step, flank)
     if event is None:
         hit, at = plan.reach()
-        layer = cur[:K * len(hit)].reshape(-1, K)
+        layer = cells[:len(hit)]
         full = len(at) == len(layer)  # every sum reachable: the row is the layer
         if not full:
             layer[:] = 0.0
@@ -870,15 +883,13 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             a, b = int(inner[0]), int(np.flatnonzero((layer != end).any(axis=1))[-1]) + 1
         else:  # a constant row is all flank
             a = b = 0
-        left, right = tuple(first.tolist()), tuple(end.tolist())
-        if not multi:
-            left, right = left[0], right[0]
-        fired = 0.0  # never read: nothing fires, and a 0.0 passes through unstepped
+        left, right = flank(tuple(first.tolist())), flank(tuple(end.tolist()))
+        fired = None  # never read or stepped: nothing fires
         lo = hi = model.horizon + 1  # no layer fires
     else:
         a = b = 0
-        never, fired = zip(*[vals for _, vals in rows]) if multi else payoff.values
-        left = right = never
+        left = right = flank(tuple([ev.values[0] for ev in rows]))
+        fired = flank(tuple([ev.values[1] for ev in rows]))
         lo, hi = event.lo, event.hi
         pre, suf, writes = _fired_edges(payoff, lows, widths, float(model.delta))
     for k in range(model.horizon, 0, -1):
@@ -888,40 +899,34 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             p, s = pre[t], suf[t]
             if s <= p:  # every row fires on the whole layer: one prefix
                 p = s = w
-            # a uniform row (left is right) moves an empty band to the edge
+            # a uniform row (left == right) moves an empty band to the edge
             if p:  # the common fired prefix becomes the left flank
-                if a == b and left is right:
+                if a == b and left == right:
                     a = b = p
                 if p < a:
-                    cells[p:a] = left
+                    cells[p:a] = as_array[left]
                 if b < p:
                     b = p
                 a, left = p, fired
             if s < w:  # the common fired suffix becomes the right flank
-                if a == b and left is right:
+                if a == b and left == right:
                     a = b = s
                 if s > b:
-                    cells[b:s] = right
+                    cells[b:s] = as_array[right]
                 if s < a:
                     a = s
                 b, right = s, fired
-            for i, j, r in writes[t]:  # the other fired cells go into the band
-                if a == b and left is right:
+            for i, j, c in writes[t]:  # the other fired cells go into the band
+                if a == b and left == right:
                     a = b = i
                 if i < a:
-                    cells[i:a] = left
+                    cells[i:a] = as_array[left]
                     a = i
                 if j > b:
-                    cells[b:j] = right
+                    cells[b:j] = as_array[right]
                     b = j
-                if r is None:
-                    cells[i:j] = fired
-                else:
-                    cells[i:j, r] = fired[r]
-        mn, mx, w_out = step.mn, step.mx, widths[k - 1]
-        if multi:
-            mn //= K
-            mx //= K
+                cells[i:j, c] = as_array[fired][c]
+        mn, mx, w_out = step.mn // K, step.mx // K, widths[k - 1]
         a2, b2 = a - mx, b - mn
         if a2 < 0:
             a2 = 0
@@ -933,35 +938,34 @@ def _lattice_upper(model: SequenceModel, payoff, state_cap: int) -> float:
             b2 = a2
         if a2 < b2:
             if a2 + mn < a:
-                cells[a2 + mn:a] = left
+                cells[a2 + mn:a] = as_array[left]
             if b2 + mx > b:
-                cells[b:b2 + mx] = right
+                cells[b:b2 + mx] = as_array[right]
             _band_step(step, cur, nxt, acc, block, K * a2, K * b2)
             cur, nxt = nxt, cur
             cells, spare = spare, cells
         a, b = a2, b2
-        # the flanks step through the memo; a ±0.0 steps to itself (every
-        # kept weight is positive) and skips it, since a dict key does not
-        # tell 0.0 from -0.0
+        # the flanks step through the memo, fired only while a window layer
+        # below reads it; flank 0, all zeros, steps to itself (every kept
+        # weight is positive) and skips it
         sid = id(step)
-        if left != 0.0:
+        if left:
             x = memo.get((sid, left))
             if x is None:
-                x = memo[sid, left] = flank_step(step, left)
+                x = memo[sid, left] = flank(_flank_step(step, as_array[left].tolist()))
             left = x
-        if right != 0.0:
+        if right:
             x = memo.get((sid, right))
             if x is None:
-                x = memo[sid, right] = flank_step(step, right)
+                x = memo[sid, right] = flank(_flank_step(step, as_array[right].tolist()))
             right = x
-        if fired != 0.0:
+        if fired and k > lo:
             x = memo.get((sid, fired))
             if x is None:
-                x = memo[sid, fired] = flank_step(step, fired)
+                x = memo[sid, fired] = flank(_flank_step(step, as_array[fired].tolist()))
             fired = x
-    if not multi:
-        return float(left if a > 0 else cur[0] if b > 0 else right) + 0.0
-    return tuple([v + 0.0 for v in (left if a > 0 else cells[0].tolist() if b > 0 else right)])
+    return [v + 0.0 for v in (as_array[left] if a > 0 else cells[0] if b > 0
+                              else as_array[right]).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -1029,8 +1033,8 @@ def evaluate_upper(model: SequenceModel, payoff, *,
     ``method`` forces the lattice or generic evaluation path (both produce
     bit-identical values for payoffs the lattice path supports).  On the
     lattice path each layer is held as a band of states in preallocated
-    buffers plus two flank scalars and, for a window event, the fired
-    scalar.  ``state_cap`` bounds the widest reachable layer up to the
+    buffers plus two flanks and, for a window event, the fired values,
+    one value per row each.  ``state_cap`` bounds the widest reachable layer up to the
     window's end (the horizon for a terminal payoff) on the lattice path,
     counted twice for a window event (not yet fired, fired), and all
     layers on the generic path.  ``state_cap`` goes through ``_integer``.
@@ -1043,14 +1047,15 @@ def evaluate_upper(model: SequenceModel, payoff, *,
     bound = payoff.bind(model)
     if method not in ("auto", "lattice", "generic"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "generic":
-        if isinstance(bound, (WindowEvent, TerminalSumPayoff)):
-            return _lattice_upper(model, bound, state_cap)
-        if method == "lattice":
-            raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
-    if isinstance(bound, _ROWS):
-        return tuple([_generic_upper(model, row, state_cap) for row in bound._split()])
-    return _generic_upper(model, bound, state_cap)
+    lattice = isinstance(bound, (WindowEvent, TerminalSumPayoff))
+    if method == "lattice" and not lattice:
+        raise ValueError(f"payoff {type(payoff).__name__} has no lattice evaluation path")
+    if lattice and method != "generic":
+        values = _lattice_upper(model, bound, state_cap)
+    else:  # the rows bound here: binding a bound row again changes nothing
+        rows = [row.bind(model) for row in bound.rows] if lattice else [bound]
+        values = [_generic_upper(model, row, state_cap) for row in rows]
+    return tuple(values) if isinstance(bound, (_WindowRows, _TerminalRows)) else values[0]
 
 
 def evaluate_lower(model: SequenceModel, payoff, **kw) -> float:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambigil import capacity, engine, gnormal, iterlog
-from ambigil.capacity import capacity_pair
+from ambigil import bounds, capacity, engine, gnormal, iterlog
+from ambigil.capacity import capacity_pair, centered_max_sum_event
 from ambigil.engine import (ExpectationPair, FullVectorPayoff, StateSpaceError,
                             TerminalSumPayoff, WindowEvent, _fired_edges,
                             evaluate_lower, evaluate_pair, evaluate_upper)
@@ -562,7 +562,8 @@ def test_plan_cache_cold_and_warm_bits():
 
 def test_plan_built_once_per_model(monkeypatch):
     """Window and terminal DPs on one schedule build its per-step table once,
-    one row per distinct step object, and its reach mask once."""
+    one row per distinct step object, and its reach mask once; one-row DPs
+    step on that table itself, with no row-scaled copy."""
     built = []
     sparse = engine._sparse_terms
     monkeypatch.setattr(engine, "_sparse_terms", lambda step: built.append(step) or sparse(step))
@@ -575,6 +576,7 @@ def test_plan_built_once_per_model(monkeypatch):
     assert [id(s) for s in built] == [id(s13), id(STEP12)]
     plan = engine._PLANS[m]
     assert plan.reach() is plan.reach()
+    assert plan.rows(1) is plan.table and list(plan._rows) == [1]
     # S13's points span -3..3 and S12's -2..2
     lows, widths = plan.layers()
     assert (lows[-1], widths[-1]) == (4 * (-3 - 2 - 2), 4 * (6 + 4 + 4) + 1)
@@ -742,8 +744,7 @@ def test_fired_table_is_each_rows_trigger_mask(stat):
                 evs = [replace(base, threshold=pool[int(p)]) for p in picks]
                 sets.append(evs + [evs[0].complement()])  # two rows of one threshold
             for evs in sets:
-                rows = engine._event_rows([(e, e.values) for e in evs])
-                payoff = evs[0] if len(evs) == 1 else rows
+                payoff = evs[0] if len(evs) == 1 else engine._event_rows(evs)
                 one = len({id(e.threshold) for e in evs}) == 1
                 pre, suf, writes = _fired_edges(payoff, lows, widths, d)
                 assert len(pre) == len(suf) == len(writes) == hi - lo + 1
@@ -752,10 +753,15 @@ def test_fired_table_is_each_rows_trigger_mask(stat):
                     if s <= p:  # every row fires on the whole layer
                         p = s = w
                     assert 0 <= p <= s <= w, (k, p, s)
-                    for a, b, r in mid:
-                        assert p <= a < b <= s and (r is None or 0 <= r < len(evs))
+                    for a, b, c in mid:
+                        assert p <= a < b <= s and 0 <= c.start < c.stop <= len(evs)
                         if one:
-                            assert r is None and 0 < a and b < w, (k, a, b, w)
+                            assert c == slice(0, len(evs)) and 0 < a and b < w, (k, a, b, w)
+                        # c is a whole run of adjacent rows of one threshold
+                        thr = {id(ev.threshold) for ev in evs[c]}
+                        assert len(thr) == 1, (k, c)
+                        assert c.start == 0 or id(evs[c.start - 1].threshold) not in thr
+                        assert c.stop == len(evs) or id(evs[c.stop].threshold) not in thr
                     at = d * np.arange(lows[k], lows[k] + w, dtype=float)
                     for r, ev in enumerate(evs):
                         mask = ev.trigger_mask(k, at)
@@ -763,8 +769,8 @@ def test_fired_table_is_each_rows_trigger_mask(stat):
                         cover = np.zeros(w, dtype=np.int64)
                         cover[:p] += 1
                         cover[s:] += 1
-                        for a, b, rr in mid:
-                            if rr is None or rr == r:
+                        for a, b, c in mid:
+                            if c.start <= r < c.stop:
                                 cover[a:b] += 1
                         assert cover.max(initial=0) <= 1 and np.array_equal(cover == 1, mask), \
                             (i, side, k, r, cover, mask)
@@ -1095,12 +1101,10 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
             stat = engine._STATS[(i + j) % 3]
             ev = WindowEvent(lo, hi, thresholds[(i + j) % 4], side, stat)
             for pair in ((ev.complement(), ev), (ev, ev.negate())):
-                _assert_rows_are_one_row_dps(
-                    m, engine._event_rows([(r, r.values) for r in pair]), pair)
+                _assert_rows_are_one_row_dps(m, engine._event_rows(pair), pair)
             # one row set per side, in turn, so each model and side sees one
             rows = _window_row_sets(WindowEvent(lo, hi, thr, side, stat), d)[(i + j) % 4]
-            _assert_rows_are_one_row_dps(m, engine._event_rows([(r, r.values) for r in rows]),
-                                         rows)
+            _assert_rows_are_one_row_dps(m, engine._event_rows(rows), rows)
         t = float(rng.uniform(-3.0, 3.0))
         for rows in ((gnormal._Ramp(t - 1.0, 1.0), gnormal._Ramp(t, 1.0)),
                      (TerminalSumPayoff(_ramp(t, 0.5)), TerminalSumPayoff(lambda s: s * s - s)),
@@ -1112,26 +1116,28 @@ def test_value_rows_match_one_row_dps(monkeypatch, block, strip):
 def test_window_rows_share_window_side_and_stat():
     """Value rows of one DP share the window, side and stat: a row that
     differs in any of them, or is not a window event, is a ``ValueError``,
-    and so is a row's value pair that is not two finite floats."""
+    and so is a row event's value pair that is not two finite floats."""
     ev = WindowEvent(2, 6, 1.0, ">=", "S")
     for other in (replace(ev, lo=1), replace(ev, hi=5), replace(ev, side="ge"),
                   replace(ev, stat="absS"), TerminalSumPayoff(lambda s: s)):
         with pytest.raises(ValueError, match="value rows must be window events"):
-            engine._event_rows([(ev, ev.values), (other, ev.values)])
+            engine._event_rows([ev, other])
     with pytest.raises(ValueError, match="values must be two finite floats"):
-        engine._event_rows([(ev, ev.values), (ev, (0.0, math.nan))])
+        engine._event_rows([ev, replace(ev, values=(0.0, math.nan))])
 
 
 def test_pairs_and_brackets_take_one_dp(monkeypatch):
     """``capacity_pair``, ``cluster_probe`` and ``clt_capacity`` call
-    ``evaluate_upper`` once; a pair reads a callable threshold once per
-    window step, hi to lo, and a probe reads each sigma's threshold (a
-    repeated sigma has its own) the same way; their values are the ones
-    of single DPs."""
-    calls, reads = [], []
+    ``evaluate_upper`` once, and ``domination_case`` runs both centerings'
+    events and their complements as one DP of 4 rows beside its max-tail
+    DP; a pair reads a callable threshold once per window step, hi to lo,
+    and a probe reads each sigma's threshold (a repeated sigma has its
+    own) the same way; their values are the ones of single DPs."""
+    calls, reads, sizes = [], [], []
 
     def counted(model, payoff, **kw):
         calls.append(type(payoff).__name__)
+        sizes.append(len(getattr(payoff, "rows", ())))
         return evaluate_upper(model, payoff, **kw)
 
     def thr(m):
@@ -1160,6 +1166,12 @@ def test_pairs_and_brackets_take_one_dp(monkeypatch):
         calls.clear()
         bracket = clt_capacity(STEP12, 40, 0.3)
         assert calls == ["_TerminalRows"]
+        calls.clear()
+        sizes.clear()
+        # a schedule whose upper and lower means differ, so the centerings do too
+        small = SequenceModel(12, steps=[TWO_WEIGHTS, _points_step((-1, 0, 3)), STEP12] * 4)
+        case = bounds.domination_case(small, 3.0, 6.0, 2.0, 0.5)
+        assert calls == ["Automaton", "_WindowRows"] and sizes[1] == 4
     assert pair.upper.hex() == evaluate_upper(m, ev).hex()
     assert pair.lower.hex() == (1.0 - evaluate_upper(m, ev.complement())).hex()
     d = [0.0] + [math.sqrt(2.0 * k * iterlog.loglog_(float(k))) for k in range(1, 25)]
@@ -1169,6 +1181,11 @@ def test_pairs_and_brackets_take_one_dp(monkeypatch):
         one = WindowEvent(1, 24, f)
         assert row.upper.hex() == evaluate_upper(model, one).hex()
         assert row.lower.hex() == (1.0 - evaluate_upper(model, one.complement())).hex()
+    up, down = (centered_max_sum_event(small, 3.0, center=c) for c in ("upper-mean", "lower-mean"))
+    assert case.lhs_upper.hex() == evaluate_upper(small, up).hex()
+    assert case.lhs_lower.hex() == (1.0 - evaluate_upper(small, up.complement())).hex()
+    assert case.lhs_lower_conjugate.hex() == (1.0 - evaluate_upper(small, down.complement())).hex()
+    assert case.lhs_lower != case.lhs_lower_conjugate
     model, hw = SequenceModel.iid(STEP12, 40), 4.0
     t = 0.3 * math.sqrt(40.0)
     assert bracket.bracket_high.hex() == evaluate_upper(model, gnormal._Ramp(t - hw, hw)).hex()
@@ -1180,12 +1197,15 @@ def test_long_cluster_grid_runs_in_bounded_dps(monkeypatch):
     many pairs per DP as keep 2 * pairs * the last layer's width within
     ``capacity._PAIRS_FLOATS`` (one pair at least), so a DP's buffers
     stay bounded however long the grid is; the values are the same bits
-    whatever the chunks, down to one pair per DP."""
+    whatever the chunks, down to one pair per DP.  Each DP's rows are
+    window events, each sigma's complement and then its event."""
     sizes = []
     evaluate = capacity.evaluate_upper
 
     def counted(model, payoff, **kw):
         sizes.append(len(payoff.rows))
+        assert [ev.values for ev in payoff.rows] == [(1.0, 0.0), (0.0, 1.0)] * (sizes[-1] // 2)
+        assert all(type(ev) is WindowEvent for ev in payoff.rows)
         return evaluate(model, payoff, **kw)
 
     monkeypatch.setattr(capacity, "evaluate_upper", counted)
